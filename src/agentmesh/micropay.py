@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import random
 import re
+from bisect import insort
 from dataclasses import dataclass
 
 from .identity import (
@@ -330,6 +331,10 @@ class Ledger:
                 raise MicropayError(f"negative opening balance for {did}")
         self.seen_nonces: set[tuple[str, bytes]] = set()
         self.receipts: list[Receipt] = []
+        # Canonical encodings kept as settlements land. Every payer renders as
+        # a fixed-length DID, so the nonce encodings sort as (payer, nonce) does.
+        self._nonce_bytes: list[bytes] = []
+        self._receipt_bytes: list[bytes] = []
 
     def credit(self, did: AgentDid | str, amount: int) -> None:
         if amount < 0:
@@ -344,21 +349,8 @@ class Ledger:
         return sum(self.balances.values())
 
     def canonical_bytes(self) -> bytes:
-        parts = []
-        for did in sorted(self.balances):
-            parts.append(enc_str(did) + enc_u64(self.balances[did]))
-        for payer, nonce in sorted(self.seen_nonces):
-            parts.append(enc_str(payer) + nonce)
-        for receipt in self.receipts:
-            parts.append(
-                receipt.invoice_id
-                + enc_str(str(receipt.payer))
-                + enc_str(str(receipt.payee))
-                + enc_u64(receipt.amount)
-                + receipt.nonce
-                + enc_u64(receipt.settled_at)
-            )
-        return b"".join(parts)
+        balances = b"".join(enc_str(did) + enc_u64(self.balances[did]) for did in sorted(self.balances))
+        return balances + b"".join(self._nonce_bytes) + b"".join(self._receipt_bytes)
 
     def settle(self, header: PaymentHeader, invoice: Invoice, resolver: KeyResolver, now: int) -> Receipt:
         """All checks run before any mutation; every error path leaves the
@@ -396,6 +388,7 @@ class Ledger:
         self.balances[payer_key] -= header.amount
         self.balances[payee_key] = self.balances.get(payee_key, 0) + header.amount
         self.seen_nonces.add(nonce_key)
+        insort(self._nonce_bytes, enc_str(payer_key) + header.nonce)
         receipt = Receipt(
             index=len(self.receipts),
             invoice_id=header.invoice_id,
@@ -406,6 +399,14 @@ class Ledger:
             settled_at=now,
         )
         self.receipts.append(receipt)
+        self._receipt_bytes.append(
+            receipt.invoice_id
+            + enc_str(payer_key)
+            + enc_str(payee_key)
+            + enc_u64(receipt.amount)
+            + receipt.nonce
+            + enc_u64(receipt.settled_at)
+        )
         return receipt
 
     def export_json_obj(self) -> dict:

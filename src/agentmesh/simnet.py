@@ -566,7 +566,20 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     dp_rng = subsystem_rng(config.seed, "dp")
 
     issuers = {a.index: AttestationIssuer(a.keypair) for a in agents}
-    attestations: list = []
+    # The first agent holding each DID; a loaded corpus may repeat a DID.
+    by_did: dict[str, SimAgent] = {}
+    for agent in agents:
+        by_did.setdefault(str(agent.did), agent)
+    # rank reads trust only for candidate DIDs, so with unique DIDs one report
+    # per round serves every agent; a corpus that reuses a DID keeps the
+    # per-agent report so that an agent's own entry never shadows a peer's.
+    shared_report = len(by_did) == n
+    candidates = {a.index: [b.card for b in agents if b.index != a.index] for a in agents}
+    # Attestations minted since the last round close; each is verified once,
+    # at the close of its round, and tallied against its subject.
+    unverified: list = []
+    valid_counts = {i: 0 for i in range(n)}
+    payment_attestations = 0
     successes: dict[tuple[int, int], int] = {}
     events = {a.index: {"requests": 0.0, "successes": 0.0, "failures": 0.0, "spend": 0.0} for a in agents}
     actions = {a.index: {"total": 0, "compliant": 0} for a in agents}
@@ -585,15 +598,18 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         now = round_idx
         settle_ok = 0
         settle_fail = 0
+        round_report = {str(a.did): fused[a.index] for a in agents}
         for agent in agents:
+            if shared_report:
+                trust_report = round_report
+            else:
+                trust_report = {str(a.did): fused[a.index] for a in agents if a.index != agent.index}
             for _task in range(config.tasks_per_round):
                 _domain, domain_desc, _caps = regular_domains[(agent.index + round_idx) % len(regular_domains)]
                 query = f"need a {domain_desc}"
-                candidates = [a.card for a in agents if a.index != agent.index]
-                trust_report = {str(a.did): fused[a.index] for a in agents if a.index != agent.index}
                 ranked = discovery.rank(
                     discovery.embed_text(query),
-                    candidates,
+                    candidates[agent.index],
                     trust_report,
                     model,
                     k=1,
@@ -602,7 +618,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 )
                 if not ranked:
                     continue
-                provider = next(a for a in agents if str(a.did) == ranked[0][0])
+                provider = by_did[ranked[0][0]]
                 amount = deadbeat_amount if agent.index == deadbeat else config.task_price
                 task_id = f"task-r{round_idx}-a{agent.index}"
                 invoice = micropay.create_invoice(provider.did, amount, task_id, expires_at=now + 2, rng=invoice_rng)
@@ -629,11 +645,12 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 successes[pair] = successes.get(pair, 0) + 1
                 digest = sha256(task_id.encode())
                 event_clock += 1
-                attestations.append(
+                unverified.append(
                     issuers[provider.index].issue(agent.did, ClaimType.PAYMENT_SETTLED, digest, event_clock)
                 )
+                payment_attestations += 1
                 event_clock += 1
-                attestations.append(
+                unverified.append(
                     issuers[agent.index].issue(provider.did, ClaimType.TASK_COMPLETED, digest, event_clock)
                 )
 
@@ -649,13 +666,12 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
             [events[i]["requests"], events[i]["successes"], events[i]["failures"], events[i]["spend"] / config.task_price]
             for i in range(n)
         ]
-        valid_counts = {i: 0 for i in range(n)}
-        for att in attestations:
+        for att in unverified:
             if verify_attestation(att, resolver) is AttestationCheck.VALID:
-                for agent in agents:
-                    if att.subject == agent.did:
-                        valid_counts[agent.index] += 1
-                        break
+                subject = by_did.get(str(att.subject))
+                if subject is not None:
+                    valid_counts[subject.index] += 1
+        unverified.clear()
         new_fused = {}
         breakdown = {}
         for agent in agents:
@@ -677,9 +693,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         last_breakdown = breakdown
 
         conservation_ok = ledger.total() == initial_total
-        attested_ok = (
-            sum(1 for a in attestations if a.claim_type is ClaimType.PAYMENT_SETTLED) == len(ledger.receipts)
-        )
+        attested_ok = payment_attestations == len(ledger.receipts)
         rows.append(
             {
                 "round": round_idx,

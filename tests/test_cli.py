@@ -163,6 +163,50 @@ def test_trust_subcommand(tmp_path, capsys):
     assert {row["tier"] for row in report["agents"]} <= {"Streamlined", "Standard", "Enhanced", "Quarantine"}
 
 
+def _one_line_diagnostic(stdout, stderr):
+    assert stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_trust_nonconvergent_is_clean_error(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(
+        json.dumps({"nodes": ["a", "b", "c", "d"], "edges": [[0, 1, 0.5], [1, 2, 0.9], [2, 0, 0.7], [3, 0, 0.2]]})
+    )
+    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), "--tol", "1e-300"])
+    assert code == 1
+    assert "NonConvergentError" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+def test_trust_rejects_tol_that_is_not_finite_and_positive(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [[0, 1, 0.5]]}))
+    for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
+        code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), "--tol", tol])
+        assert code == 1
+        assert "--tol" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+def test_train_diverged_is_clean_error(tmp_path, capsys, monkeypatch):
+    from agentmesh import discovery
+
+    def diverge(*_args, **_kwargs):
+        raise discovery.TrainingDiverged("loss rose for 10 consecutive iterations")
+
+    monkeypatch.setattr(discovery, "train", diverge)
+    pairs_path = tmp_path / "pairs.jsonl"
+    features = {"cos_sim": 0.5, "trust": 0.5, "log_usage": 1.0, "recency": 0.5}
+    pairs_path.write_text(json.dumps({"preferred": features, "other": features}) + "\n")
+    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs_path)])
+    assert code == 1
+    assert "TrainingDiverged" in _one_line_diagnostic(stdout, stderr)["error"]
+    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs_path), "--lr", "nan"])
+    assert code == 1
+    assert "--lr" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
 def test_pay_demo_and_parse(capsys):
     code, stdout, _err = _run(capsys, ["pay", "--seed", "3"])
     assert code == 0

@@ -19,6 +19,7 @@ from agentmesh.micropay import (
     make_ephemeral,
     parse_payment_header,
 )
+from agentmesh.wire import enc_str, enc_u64
 
 
 def _parties():
@@ -229,6 +230,47 @@ def test_conservation_over_mixed_attempts():
         except SettleError:
             pass
         assert ledger.total() == initial
+
+
+def _reference_canonical_bytes(ledger: Ledger) -> bytes:
+    """Encode the ledger from scratch: balances by DID, nonces by
+    (payer, nonce), receipts in settlement order."""
+    parts = [enc_str(did) + enc_u64(ledger.balances[did]) for did in sorted(ledger.balances)]
+    parts += [enc_str(payer) + nonce for payer, nonce in sorted(ledger.seen_nonces)]
+    parts += [
+        r.invoice_id + enc_str(str(r.payer)) + enc_str(str(r.payee)) + enc_u64(r.amount) + r.nonce + enc_u64(r.settled_at)
+        for r in ledger.receipts
+    ]
+    return b"".join(parts)
+
+
+def test_canonical_bytes_match_reference_encoder_over_mixed_settles():
+    rng = random.Random(12)
+    payers = [generate_keypair(rng.randbytes(32)) for _ in range(4)]
+    payee = derive_did(generate_keypair(rng.randbytes(32)).public_key)
+    resolver = {str(derive_did(kp.public_key)): kp.public_key for kp in payers}
+    ledger = Ledger({did: 5_000 for did in resolver})
+    settled = []
+    outcomes = set()
+    for i in range(300):
+        payer_kp = payers[rng.randrange(len(payers))]
+        invoice = create_invoice(payee, rng.choice([10, 400, 9_000]), f"t{i}", expires_at=i + 5, rng=rng)
+        ephemeral = make_ephemeral(payer_kp, rng.randbytes(32), i, i + 5)
+        header = parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, rng.randbytes(16), i))
+        now = i
+        mode = rng.random()
+        if mode < 0.2 and settled:  # replay
+            header, invoice, now = settled[rng.randrange(len(settled))]
+        elif mode < 0.3:  # expired
+            now = invoice.expires_at + 1
+        try:
+            ledger.settle(header, invoice, resolver, now)
+            settled.append((header, invoice, now))
+            outcomes.add("ok")
+        except SettleError as exc:
+            outcomes.add(exc.reason)
+        assert ledger.canonical_bytes() == _reference_canonical_bytes(ledger)
+    assert {"ok", SettleReason.DUPLICATE_NONCE, SettleReason.EXPIRED, SettleReason.INSUFFICIENT_FUNDS} <= outcomes
 
 
 def test_ledger_export_shape():

@@ -107,6 +107,28 @@ def test_marketplace_zero_tasks_leaves_trust_unchanged():
     assert report.payload["receipts"] == 0
 
 
+@pytest.mark.parametrize("tasks_per_round", [1, 2])
+def test_marketplace_verifies_each_attestation_once(monkeypatch, tasks_per_round):
+    from agentmesh import simnet
+
+    calls = []
+
+    def counting(att, resolver):
+        calls.append(att)
+        return original(att, resolver)
+
+    original = simnet.verify_attestation
+    monkeypatch.setattr(simnet, "verify_attestation", counting)
+    report = run_marketplace(
+        ScenarioConfig(scenario="marketplace", n=8, rounds=20, seed=11, tasks_per_round=tasks_per_round)
+    )
+    receipts = report.payload["receipts"]
+    assert receipts > 0
+    # Two attestations are minted per settled payment; each is checked once.
+    assert len(calls) == 2 * receipts
+    assert len({id(att) for att in calls}) == len(calls)
+
+
 def test_discovery_e2e_pipeline_invariants():
     report = run_discovery_e2e(ScenarioConfig(scenario="discovery_e2e", n=15, replicas=4, seed=9, k=5))
     payload = report.payload
