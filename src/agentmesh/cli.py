@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -43,13 +42,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="agentmesh", description="Federated agent-registry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +71,7 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train the pairwise ranker")
     p_train.add_argument("--pairs", required=True, help="JSON Lines of {preferred, other} feature pairs")
-    p_train.add_argument("--lr", type=_positive_float, default=0.1)
+    p_train.add_argument("--lr", type=float, default=0.1)
     p_train.add_argument("--iters", type=int, default=200)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", default=None, help="write the model JSON here")
@@ -88,7 +80,7 @@ def build_parser() -> _Parser:
     p_trust.add_argument("--graph", required=True, help='JSON {"nodes": [...], "edges": [[i,j,w],...]}')
     p_trust.add_argument("--alpha", type=float, default=0.85)
     p_trust.add_argument("--orientation", choices=["literal", "transpose"], default="transpose")
-    p_trust.add_argument("--tol", type=_positive_float, default=1e-9)
+    p_trust.add_argument("--tol", type=float, default=1e-9)
     p_trust.add_argument("--signals", default=None, help="JSON mapping node -> {policy, anomaly, attestations}")
     p_trust.add_argument("--context", choices=["financial", "analytical", "default"], default="default")
     p_trust.add_argument("--out", default=None)

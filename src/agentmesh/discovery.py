@@ -203,8 +203,8 @@ def train(
     """Full-batch gradient descent from zero weights. Deterministic: the seed
     is accepted for interface symmetry but full-batch descent has no
     stochastic component."""
-    if learning_rate <= 0.0:
-        raise ValueError("learning_rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     del seed
     model = L2RModel.zeros()
     if iters == 0:

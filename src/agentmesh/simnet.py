@@ -570,10 +570,6 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     by_did: dict[str, SimAgent] = {}
     for agent in agents:
         by_did.setdefault(str(agent.did), agent)
-    # rank reads trust only for candidate DIDs, so with unique DIDs one report
-    # per round serves every agent; a corpus that reuses a DID keeps the
-    # per-agent report so that an agent's own entry never shadows a peer's.
-    shared_report = len(by_did) == n
     candidates = {a.index: [b.card for b in agents if b.index != a.index] for a in agents}
     # Attestations minted since the last round close; each is verified once,
     # at the close of its round, and tallied against its subject.
@@ -598,12 +594,8 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         now = round_idx
         settle_ok = 0
         settle_fail = 0
-        round_report = {str(a.did): fused[a.index] for a in agents}
         for agent in agents:
-            if shared_report:
-                trust_report = round_report
-            else:
-                trust_report = {str(a.did): fused[a.index] for a in agents if a.index != agent.index}
+            trust_report = {str(a.did): fused[a.index] for a in agents if a.index != agent.index}
             for _task in range(config.tasks_per_round):
                 _domain, domain_desc, _caps = regular_domains[(agent.index + round_idx) % len(regular_domains)]
                 query = f"need a {domain_desc}"
@@ -668,9 +660,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         ]
         for att in unverified:
             if verify_attestation(att, resolver) is AttestationCheck.VALID:
-                subject = by_did.get(str(att.subject))
-                if subject is not None:
-                    valid_counts[subject.index] += 1
+                valid_counts[by_did[str(att.subject)].index] += 1
         unverified.clear()
         new_fused = {}
         breakdown = {}

@@ -175,8 +175,8 @@ def propagate_trust(
     residual drops below tol."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0,1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")

@@ -184,9 +184,16 @@ def test_trust_rejects_tol_that_is_not_finite_and_positive(tmp_path, capsys):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [[0, 1, 0.5]]}))
     for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
-        code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), "--tol", tol])
+        code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), f"--tol={tol}"])
         assert code == 1
-        assert "--tol" in _one_line_diagnostic(stdout, stderr)["error"]
+        assert "tol must be finite and positive" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+def _one_pair_file(tmp_path):
+    pairs_path = tmp_path / "pairs.jsonl"
+    features = {"cos_sim": 0.5, "trust": 0.5, "log_usage": 1.0, "recency": 0.5}
+    pairs_path.write_text(json.dumps({"preferred": features, "other": features}) + "\n")
+    return pairs_path
 
 
 def test_train_diverged_is_clean_error(tmp_path, capsys, monkeypatch):
@@ -196,15 +203,17 @@ def test_train_diverged_is_clean_error(tmp_path, capsys, monkeypatch):
         raise discovery.TrainingDiverged("loss rose for 10 consecutive iterations")
 
     monkeypatch.setattr(discovery, "train", diverge)
-    pairs_path = tmp_path / "pairs.jsonl"
-    features = {"cos_sim": 0.5, "trust": 0.5, "log_usage": 1.0, "recency": 0.5}
-    pairs_path.write_text(json.dumps({"preferred": features, "other": features}) + "\n")
-    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs_path)])
+    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(_one_pair_file(tmp_path))])
     assert code == 1
     assert "TrainingDiverged" in _one_line_diagnostic(stdout, stderr)["error"]
-    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs_path), "--lr", "nan"])
-    assert code == 1
-    assert "--lr" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+def test_train_rejects_lr_that_is_not_finite_and_positive(tmp_path, capsys):
+    pairs_path = _one_pair_file(tmp_path)
+    for lr in ("nan", "inf", "0"):
+        code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs_path), "--lr", lr])
+        assert code == 1
+        assert "learning_rate must be finite and positive" in _one_line_diagnostic(stdout, stderr)["error"]
 
 
 def test_pay_demo_and_parse(capsys):

@@ -123,6 +123,14 @@ def test_train_zero_iterations_leaves_zeros():
     assert np.array_equal(model.theta, np.zeros(4)) and model.bias == 0.0
 
 
+def test_train_validates_learning_rate():
+    rng = random.Random(4)
+    pairs = [(_rand_features(rng), _rand_features(rng)) for _ in range(5)]
+    for learning_rate in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            train(pairs, learning_rate=learning_rate)
+
+
 def test_train_duplicated_pairs_same_model():
     rng = random.Random(5)
     pairs = [(_rand_features(rng), _rand_features(rng)) for _ in range(20)]

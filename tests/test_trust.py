@@ -156,8 +156,9 @@ def test_propagate_validates_inputs():
         propagate_trust(g, alpha=1.0)
     with pytest.raises(ValueError):
         propagate_trust(g, alpha=0.5, base=np.array([2.0, 0.5]))
-    with pytest.raises(ValueError):
-        propagate_trust(g, alpha=0.5, tol=0.0)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            propagate_trust(g, alpha=0.5, tol=tol)
 
 
 def test_default_base_by_orientation():
