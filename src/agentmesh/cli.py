@@ -67,13 +67,11 @@ def build_parser() -> _Parser:
     p_rank.add_argument("--model", default=None, help="trained ranker JSON (default: untrained similarity fallback)")
     p_rank.add_argument("--tau", type=float, default=discovery.DEFAULT_TAU)
     p_rank.add_argument("--now", type=int, default=0, help="logical time for recency")
-    p_rank.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry; ranking is deterministic")
 
     p_train = sub.add_parser("train", help="train the pairwise ranker")
     p_train.add_argument("--pairs", required=True, help="JSON Lines of {preferred, other} feature pairs")
     p_train.add_argument("--lr", type=float, default=0.1)
     p_train.add_argument("--iters", type=int, default=200)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", default=None, help="write the model JSON here")
 
     p_trust = sub.add_parser("trust", help="propagate and fuse trust over a graph file")
@@ -213,7 +211,7 @@ def _cmd_train(args) -> int:
     pairs = discovery.load_pairs(args.pairs)
     if not pairs:
         raise _UsageError("no training pairs in input")
-    model = discovery.train(pairs, learning_rate=args.lr, iters=args.iters, seed=args.seed)
+    model = discovery.train(pairs, learning_rate=args.lr, iters=args.iters)
     obj = model.to_json_obj()
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -197,15 +197,12 @@ def train(
     pairs: Sequence[tuple[RankFeatures, RankFeatures]],
     learning_rate: float = 0.1,
     iters: int = 200,
-    seed: int = 0,
     keep_history: bool = False,
 ) -> L2RModel:
-    """Full-batch gradient descent from zero weights. Deterministic: the seed
-    is accepted for interface symmetry but full-batch descent has no
-    stochastic component."""
+    """Full-batch gradient descent from zero weights; deterministic, since
+    full-batch descent has no stochastic component."""
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
-    del seed
     model = L2RModel.zeros()
     if iters == 0:
         return model

@@ -4,11 +4,15 @@ State-based last-writer-wins map with version-vector delta sync and
 push-pull gossip (fanout 1 per round). Merge is commutative, associative,
 and idempotent; a replica's version vector summarizes which writes its
 store already dominates, so exchanging deltas against the peer's vector is
-equivalent to merging full states.
+equivalent to merging full states. Each replica also keeps a per-writer log
+of its live entries sorted by sequence, so a delta is read off in
+O(writers·log S + |delta|), with S the number of live keys, not by a scan of
+the store.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -68,6 +72,9 @@ class ReplicaState:
         self.replica_id = replica_id
         self.store: dict[str, tuple[RegistryRecord, LwwTag]] = {}
         self.version_vector: dict[int, int] = {}
+        # writer_id -> (sequences, keys): parallel lists, one slot per live
+        # store entry that writer wrote, in ascending sequence order.
+        self._log: dict[int, tuple[list[int], list[str]]] = {}
 
     # -- local writes -------------------------------------------------------
 
@@ -87,21 +94,38 @@ class ReplicaState:
 
     def _apply_entry(self, key: str, record: RegistryRecord, tag: LwwTag) -> None:
         current = self.store.get(key)
-        if current is None or tag > current[1]:
-            self.store[key] = (record, tag)
+        if current is not None:
+            old = current[1]
+            if not tag > old:
+                return
+            seqs, keys = self._log[old.writer_id]
+            slot = bisect.bisect_left(seqs, old.sequence)
+            del seqs[slot]
+            del keys[slot]
+        self.store[key] = (record, tag)
+        seqs, keys = self._log.setdefault(tag.writer_id, ([], []))
+        slot = bisect.bisect_right(seqs, tag.sequence)
+        seqs.insert(slot, tag.sequence)
+        keys.insert(slot, key)
 
     # -- sync ---------------------------------------------------------------
 
     def digest(self) -> dict[int, int]:
         return dict(self.version_vector)
 
+    def _entries_after(self, digest: dict[int, int]) -> list[tuple[str, RegistryRecord, LwwTag]]:
+        """Live entries whose sequence exceeds `digest` for their writer,
+        writer-major and in ascending sequence order."""
+        store = self.store
+        entries = []
+        for writer, (seqs, keys) in self._log.items():
+            for key in keys[bisect.bisect_right(seqs, digest.get(writer, 0)) :]:
+                record, tag = store[key]
+                entries.append((key, record, tag))
+        return entries
+
     def delta_for(self, remote_digest: dict[int, int]) -> DeltaSet:
-        entries = [
-            (key, record, tag)
-            for key, (record, tag) in self.store.items()
-            if tag.sequence > remote_digest.get(tag.writer_id, 0)
-        ]
-        return DeltaSet(entries=entries, version_vector=dict(self.version_vector))
+        return DeltaSet(entries=self._entries_after(remote_digest), version_vector=dict(self.version_vector))
 
     def apply_delta(self, delta: DeltaSet) -> None:
         for key, record, tag in delta.entries:
@@ -116,6 +140,7 @@ class ReplicaState:
         out = ReplicaState(self.replica_id)
         out.store = dict(self.store)
         out.version_vector = dict(self.version_vector)
+        out._log = {writer: (list(seqs), list(keys)) for writer, (seqs, keys) in self._log.items()}
         return out
 
     def store_tags(self) -> dict[str, LwwTag]:
@@ -238,20 +263,18 @@ class RoundStats:
 def converged_count(mesh: list[ReplicaState], target_tags: dict[str, LwwTag], target_vv: dict[int, int]) -> int:
     count = 0
     for replica in mesh:
-        if replica.store_tags() == target_tags and replica.version_vector == target_vv:
+        if replica.version_vector == target_vv and replica.store_tags() == target_tags:
             count += 1
     return count
 
 
 def mesh_target(mesh: list[ReplicaState]) -> tuple[dict[str, LwwTag], dict[int, int]]:
+    """Join of every replica's state. Each replica contributes only what the
+    running join's vector lacks: a reachable store dominates its own vector,
+    so the writes it skips are already dominated by the join."""
     acc = ReplicaState(-1)
     for replica in mesh:
-        acc.apply_delta(
-            DeltaSet(
-                entries=[(k, r, t) for k, (r, t) in replica.store.items()],
-                version_vector=replica.version_vector,
-            )
-        )
+        acc.apply_delta(DeltaSet(replica._entries_after(acc.version_vector), replica.version_vector))
     return acc.store_tags(), acc.version_vector
 
 

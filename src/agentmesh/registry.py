@@ -16,10 +16,8 @@ digest is a function of the record set alone, independent of insert order.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 from .identity import AgentDid, KeyResolver, resolve_key, sha256, sign, verify
 from .wire import enc_str, enc_u16, enc_u64
@@ -301,17 +299,6 @@ class MerkleRadixIndex:
             node = node.children.get(key_nibs[offset])
         return None, visits
 
-    def keys(self) -> Iterator[str]:
-        def walk(node: _Node) -> Iterator[str]:
-            if node.record is not None:
-                yield node.record.key
-                return
-            for nib in sorted(node.children):
-                yield from walk(node.children[nib])
-
-        if self._root is not None:
-            yield from walk(self._root)
-
     def records(self) -> list[RegistryRecord]:
         """All records, sorted by key."""
         out: list[RegistryRecord] = []
@@ -398,9 +385,6 @@ class MerkleRadixIndex:
                 f"rebuilt root {index.root_digest.hex()} != declared {declared.hex()}"
             )
         return index
-
-    def export_json(self) -> str:
-        return json.dumps(self.export_snapshot(), sort_keys=True, separators=(",", ":"))
 
 
 def verify_proof(root_digest: bytes, proof: InclusionProof) -> bool:

@@ -312,17 +312,18 @@ def _training_pairs(rng: random.Random, count: int = 200) -> list[tuple[discover
 
 def _trained_model(seed: int) -> discovery.L2RModel:
     pairs = _training_pairs(subsystem_rng(seed, "l2r"))
-    return discovery.train(pairs, learning_rate=0.5, iters=300, seed=seed)
+    return discovery.train(pairs, learning_rate=0.5, iters=300)
 
 
-def _load_or_generate_agents(config: ScenarioConfig, duplicate_every: int = 0, oddball_last: bool = False) -> list[SimAgent]:
+def _load_or_generate_agents(config: ScenarioConfig, duplicate_every: int = 0) -> list[SimAgent]:
     if config.corpus is None:
-        return synthetic_agents(config.n, config.seed, duplicate_every=duplicate_every, oddball_last=oddball_last)
+        return synthetic_agents(config.n, config.seed, duplicate_every=duplicate_every)
     loaded = cards_mod.load_cards(config.corpus)
     agents = []
     for i, card in enumerate(loaded):
-        # External corpora carry no keys; mint deterministic stand-in keys so
-        # records and payments stay verifiable inside the simulation.
+        # External corpora carry no keys; mint deterministic stand-in keys,
+        # bound to each card's DID by the resolver, so records stay
+        # verifiable inside the simulation.
         key_seed = sha256(b"corpus-agent" + config.seed.to_bytes(8, "big", signed=True) + i.to_bytes(4, "big"))
         keypair = generate_keypair(key_seed)
         agents.append(
@@ -546,9 +547,11 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     payments mint attestations and strengthen trust edges that feed the next
     round's fusion. The last agent is a chronically underfunded outlier whose
     standing erodes."""
+    if config.corpus is not None:
+        raise ValueError("marketplace cannot run on a loaded corpus: its cards carry no keys that match their DIDs")
     if config.n < 2:
         raise ValueError("marketplace needs at least 2 agents")
-    agents = _load_or_generate_agents(config, oddball_last=True)
+    agents = synthetic_agents(config.n, config.seed, oddball_last=True)
     n = len(agents)
     deadbeat = n - 1
     resolver = _resolver_for(agents)
@@ -566,10 +569,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     dp_rng = subsystem_rng(config.seed, "dp")
 
     issuers = {a.index: AttestationIssuer(a.keypair) for a in agents}
-    # The first agent holding each DID; a loaded corpus may repeat a DID.
-    by_did: dict[str, SimAgent] = {}
-    for agent in agents:
-        by_did.setdefault(str(agent.did), agent)
+    by_did = {str(a.did): a for a in agents}
     candidates = {a.index: [b.card for b in agents if b.index != a.index] for a in agents}
     # Attestations minted since the last round close; each is verified once,
     # at the close of its round, and tallied against its subject.

@@ -264,3 +264,14 @@ def test_sim_config_missing_scenario_key_is_clean_error(tmp_path, capsys):
     code, _stdout, stderr = _run(capsys, ["sim", "--config", str(config)])
     assert code == 1
     assert "error" in json.loads(stderr.strip())
+
+
+def test_sim_marketplace_on_corpus_is_clean_error(tmp_path, capsys):
+    corpus = tmp_path / "cards.jsonl"
+    corpus.write_text("")
+    config = tmp_path / "market.json"
+    config.write_text(json.dumps({"scenario": "marketplace", "n": 4, "rounds": 1, "corpus": str(corpus)}))
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "corpus" in _one_line_diagnostic(stdout, stderr)["error"]
+    assert not (tmp_path / "r.json").exists()

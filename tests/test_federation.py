@@ -5,15 +5,18 @@ import random
 import pytest
 
 from agentmesh.federation import (
+    DeltaSet,
+    LwwTag,
     ReplicaState,
     Topology,
     default_round_cap,
     gossip_round,
     merge,
+    mesh_target,
     rounds_to_convergence,
 )
 from agentmesh.registry import BadSignatureError, MerkleRadixIndex
-from _helpers import signed_record, state_from_pool, write_pool
+from _helpers import signed_record, state_from_pool, unsigned_record, write_pool
 
 
 def _seeded_record():
@@ -88,6 +91,89 @@ def test_delta_apply_equals_full_merge():
         via_delta = a.copy()
         via_delta.apply_delta(b.delta_for(a.digest()))
         assert via_delta.state_equal(merge(a, b))
+
+
+# -- the per-writer log behind delta_for and mesh_target ---------------------
+
+
+def _colliding_states(rng: random.Random, count: int):
+    """Reachable replicas over a pool with few keys, so that most writes
+    supersede an earlier one; merges give states built by apply_delta too."""
+    pool = write_pool(rng, writers=5, per_writer=10, keys=4)
+    states = [state_from_pool(pool, rng, i) for i in range(count)]
+    return pool, states + [merge(states[i], states[(i + 1) % count]) for i in range(count)]
+
+
+def _random_digest(rng: random.Random) -> dict[int, int]:
+    # Writers 0-6: two of them never appear in the pool.
+    return {w: rng.randrange(0, 12) for w in range(7) if rng.random() < 0.7}
+
+
+def _scan_delta(state: ReplicaState, digest: dict[int, int]) -> set:
+    return {
+        (key, record, tag)
+        for key, (record, tag) in state.store.items()
+        if tag.sequence > digest.get(tag.writer_id, 0)
+    }
+
+
+def _full_store_fold(mesh: list[ReplicaState]):
+    acc = ReplicaState(-1)
+    for replica in mesh:
+        entries = [(k, r, t) for k, (r, t) in replica.store.items()]
+        acc.apply_delta(DeltaSet(entries=entries, version_vector=replica.version_vector))
+    return acc.store_tags(), acc.version_vector
+
+
+def test_delta_for_matches_a_store_scan():
+    rng = random.Random(31)
+    for _ in range(100):
+        _pool, states = _colliding_states(rng, 3)
+        for state in states:
+            for _ in range(5):
+                digest = _random_digest(rng)
+                entries = state.delta_for(digest).entries
+                assert len(entries) == len(set(entries))
+                assert set(entries) == _scan_delta(state, digest)
+
+
+def test_mesh_target_matches_the_full_store_fold():
+    rng = random.Random(32)
+    for _ in range(100):
+        _pool, mesh = _colliding_states(rng, rng.randrange(1, 6))
+        rng.shuffle(mesh)
+        assert mesh_target(mesh) == _full_store_fold(mesh)
+
+
+def test_mutating_a_copy_leaves_the_original_deltas_unchanged():
+    rng = random.Random(33)
+    for _ in range(50):
+        pool, (original, other, *_rest) = _colliding_states(rng, 2)
+        digests = [{}] + [_random_digest(rng) for _ in range(4)]
+        before = [original.delta_for(d).entries for d in digests]
+        clone = original.copy()
+        clone.apply_delta(other.delta_for(clone.digest()))
+        for writer, entries in pool.items():
+            for key, _record, tag in entries:
+                newer = LwwTag(tag.logical_time + 100, writer, tag.sequence + 100)
+                clone.apply_delta(DeltaSet([(key, unsigned_record(key, rng), newer)], {writer: newer.sequence}))
+        assert [original.delta_for(d).entries for d in digests] == before
+
+
+def test_log_holds_one_slot_per_live_key_after_many_overwrites():
+    rng = random.Random(34)
+    state = ReplicaState(0)
+    sequences = {1: 0, 2: 0}
+    for step in range(1000):
+        writer = 1 + step % 2
+        sequences[writer] += 1
+        tag = LwwTag(step + 1, writer, sequences[writer])
+        state.apply_delta(DeltaSet([("hot", unsigned_record("hot", rng), tag)], {writer: tag.sequence}))
+    assert len(state.store) == 1
+    slots = sum(len(seqs) for seqs, _keys in state._log.values())
+    assert slots == sum(len(keys) for _seqs, keys in state._log.values()) == len(state.store)
+    (entry,) = state.delta_for({}).entries
+    assert entry[2] == LwwTag(1000, 2, 500)
 
 
 def test_gossip_n16_seed42_regression_pin():

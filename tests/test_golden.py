@@ -36,6 +36,20 @@ GOLDEN = [
         simnet.ScenarioConfig(scenario="marketplace", n=32, rounds=10, seed=1011),
         "64d94ea7ad961bdf1d0a8ffbaae03632f9acbc552fc8234e9feb607db033a7dc",
     ),
+    # Larger sizes: each runs in under a second.
+    (
+        simnet.ScenarioConfig(scenario="convergence", n=256, trials=10, seed=1011),
+        "d497bbc8c103163d5b58ae205c6729f2a6849d3eb588cfef0c81f997cd45d4b3",
+    ),
+    # Gossips multi-entry deltas across 8 replicas.
+    (
+        simnet.ScenarioConfig(scenario="discovery_e2e", n=128, replicas=8, seed=1011),
+        "d5cc247dc01a687e80d3e17b7085bffec38ca018f6838174baa92a0e86706d71",
+    ),
+    (
+        simnet.ScenarioConfig(scenario="sybil", n=200, seed=1011),
+        "c8346482259439993d76064b75922e8986360242228bc53131d8b8a8e00449ad",
+    ),
 ]
 
 

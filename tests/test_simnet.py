@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from agentmesh.cards import write_cards
 from agentmesh.simnet import (
     ScenarioConfig,
     run_convergence,
@@ -127,6 +128,20 @@ def test_marketplace_verifies_each_attestation_once(monkeypatch, tasks_per_round
     # Two attestations are minted per settled payment; each is checked once.
     assert len(calls) == 2 * receipts
     assert len({id(att) for att in calls}) == len(calls)
+
+
+def test_marketplace_rejects_a_loaded_corpus_that_discovery_accepts(tmp_path):
+    corpus = tmp_path / "cards.jsonl"
+    write_cards(corpus, [agent.card for agent in synthetic_agents(8, 3)])
+    # A loaded card keeps its DID but not the key behind it, so no payment
+    # from it could settle.
+    with pytest.raises(ValueError, match="corpus"):
+        run_marketplace(ScenarioConfig(scenario="marketplace", n=8, rounds=2, seed=3, corpus=str(corpus)))
+    payload = run_discovery_e2e(
+        ScenarioConfig(scenario="discovery_e2e", n=8, replicas=2, seed=3, corpus=str(corpus))
+    ).payload
+    assert payload["all_proofs_verified"]
+    assert payload["replica_roots_equal"]
 
 
 def test_discovery_e2e_pipeline_invariants():
