@@ -72,11 +72,25 @@ def embed_text(text: str) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    """Cosine similarity clamped to [-1, 1]: 0.0 if either vector is zero,
+    NaN if either holds a NaN.
+
+    Bit-identical to ``clip(dot(a, b) / (norm(a) * norm(b)), -1, 1)``, since
+    the norm of a 1-D float vector is ``sqrt(x.dot(x))``; scalar arithmetic
+    skips numpy's per-call overhead, which dominates on 256-vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
+    similarity = float(a.dot(b)) / (na * nb)
+    if similarity > 1.0:
+        return 1.0
+    if similarity < -1.0:
+        return -1.0
+    return similarity
 
 
 def card_embedding(card: AgentFactCard) -> np.ndarray:
@@ -120,9 +134,20 @@ def features_for(
     now: int,
     horizon: float = DEFAULT_RECENCY_HORIZON,
 ) -> RankFeatures:
+    return _features(query_embedding, card, card_embedding(card), trust, now, horizon)
+
+
+def _features(
+    query_embedding: np.ndarray,
+    card: AgentFactCard,
+    embedding: np.ndarray,
+    trust: float,
+    now: int,
+    horizon: float,
+) -> RankFeatures:
     age = max(0, now - card.last_active)
     return RankFeatures(
-        cos_sim=cosine(query_embedding, card_embedding(card)),
+        cos_sim=cosine(query_embedding, embedding),
         trust=trust,
         log_usage=math.log1p(card.usage_count),
         recency=math.exp(-age / horizon),
@@ -248,8 +273,9 @@ def rank(
     for card in cards:
         did = str(card.did)
         trust = float(trust_report.get(did, default_trust))
-        feats = features_for(query_embedding, card, trust, now, horizon)
-        scored.append((did, model.score(feats), trust, card_embedding(card)))
+        embedding = card_embedding(card)
+        feats = _features(query_embedding, card, embedding, trust, now, horizon)
+        scored.append((did, model.score(feats), trust, embedding))
     scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
     kept = dedup([(did, score, emb) for did, score, trust, emb in scored], tau)
     return [(did, score) for did, score, _emb in kept[:k]]

@@ -219,7 +219,7 @@ class Topology:
             topo = cls("random_regular", n, [sorted(l) for l in lists])
             if topo.is_connected():
                 return topo
-        raise RuntimeError(f"no connected {k}-regular graph found in {max_tries} tries")
+        raise ValueError(f"no connected {k}-regular graph found in {max_tries} tries")
 
     @classmethod
     def from_neighbors(cls, neighbor_lists: list[list[int]]) -> "Topology":

@@ -93,12 +93,18 @@ class RegistryRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegistryRecord":
+        for name in ("key", "metadata_url", "card_digest", "owner", "signature"):
+            if not isinstance(obj[name], str):
+                raise ValueError(f"record field {name!r} must be a string")
+        version = obj["version"]
+        if not isinstance(version, int) or isinstance(version, bool) or not 0 <= version < 1 << 64:
+            raise ValueError("record field 'version' must be an integer in [0, 2**64)")
         return cls(
             key=obj["key"],
             metadata_url=obj["metadata_url"],
             card_digest=bytes.fromhex(obj["card_digest"]),
             owner=AgentDid.parse(obj["owner"]),
-            version=int(obj["version"]),
+            version=version,
             signature=bytes.fromhex(obj["signature"]),
         )
 

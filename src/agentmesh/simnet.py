@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,31 @@ CODE_VERSION = "agentmesh-0.1.0"
 
 _SCENARIOS = ("convergence", "sybil", "marketplace", "discovery_e2e")
 _TOPOLOGIES = ("complete", "ring", "random_regular")
+_INT_FIELDS = (
+    "n",
+    "seed",
+    "rounds",
+    "trials",
+    "regular_degree",
+    "replicas",
+    "k",
+    "tasks_per_round",
+    "task_price",
+    "max_payment",
+    "max_requests_per_round",
+)
+_REAL_FIELDS = ("alpha", "tau", "epsilon", "sybil_fraction")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; bools and NaN/inf are refused."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
 
 _DOMAINS: list[tuple[str, str, list[str]]] = [
     ("weather", "weather forecasting and storm alert service", ["weather.forecast", "weather.alerts"]),
@@ -102,6 +127,29 @@ class ScenarioConfig:
     orientation: str = "transpose"
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if self.rounds_cap is not None and not _is_int(self.rounds_cap):
+            raise ValueError("rounds_cap must be an integer or null")
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        if self.corpus is not None and not isinstance(self.corpus, str):
+            raise ValueError("corpus must be a path string or null")
+        if self.queries is not None and not (
+            isinstance(self.queries, list) and all(isinstance(q, str) for q in self.queries)
+        ):
+            raise ValueError("queries must be a list of strings or null")
+        if self.trust_overrides is not None and not (
+            isinstance(self.trust_overrides, dict) and all(_is_real(v) for v in self.trust_overrides.values())
+        ):
+            raise ValueError("trust_overrides must map agent indexes to finite numbers, or be null")
+        weights = self.sybil_internal_weights
+        if not (isinstance(weights, tuple) and len(weights) == 2 and all(_is_real(w) and 0 <= w <= 1 for w in weights)):
+            raise ValueError("sybil_internal_weights must be two weights in [0, 1]")
+        if not -(1 << 63) <= self.seed < 1 << 63:
+            raise ValueError("seed must fit in a signed 64-bit integer")
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
         if self.topology not in _TOPOLOGIES:
@@ -128,31 +176,9 @@ class ScenarioConfig:
             raise ValueError("orientation must be 'literal' or 'transpose'")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "rounds_cap": self.rounds_cap,
-            "trials": self.trials,
-            "topology": self.topology,
-            "regular_degree": self.regular_degree,
-            "replicas": self.replicas,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "corpus": self.corpus,
-            "queries": self.queries,
-            "trust_overrides": self.trust_overrides,
-            "tasks_per_round": self.tasks_per_round,
-            "task_price": self.task_price,
-            "max_payment": self.max_payment,
-            "max_requests_per_round": self.max_requests_per_round,
-            "sybil_fraction": self.sybil_fraction,
-            "sybil_internal_weights": list(self.sybil_internal_weights),
-            "orientation": self.orientation,
-        }
+        obj = asdict(self)
+        obj["sybil_internal_weights"] = list(self.sybil_internal_weights)
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
@@ -541,6 +567,17 @@ def _market_graph(n: int, successes: dict[tuple[int, int], int]) -> trust.TrustG
     return trust.TrustGraph(nodes=[str(i) for i in range(n)], edges=edge_list)
 
 
+def _check_dp_budget(epsilon: float, releases: int) -> None:
+    """Refuse up front a config whose DP releases would overrun the default
+    budget, rather than fail after the scenario has run."""
+    budget = privacy.PrivacyBudget()
+    try:
+        for _ in range(releases):
+            budget.charge(epsilon)
+    except privacy.BudgetExhausted as exc:
+        raise ValueError(f"epsilon {epsilon} over {releases} DP release(s): {exc}") from exc
+
+
 def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     """Task economy with a trust feedback loop: each round, agents discover a
     provider, pay its invoice through a header settlement, and successful
@@ -551,6 +588,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         raise ValueError("marketplace cannot run on a loaded corpus: its cards carry no keys that match their DIDs")
     if config.n < 2:
         raise ValueError("marketplace needs at least 2 agents")
+    _check_dp_budget(config.epsilon, 1)
     agents = synthetic_agents(config.n, config.seed, oddball_last=True)
     n = len(agents)
     deadbeat = n - 1
@@ -751,6 +789,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
 
 
 def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
+    _check_dp_budget(config.epsilon, len(_DOMAINS[:2]))
     agents = _load_or_generate_agents(config, duplicate_every=5)
     n = len(agents)
     resolver = _resolver_for(agents)
@@ -799,6 +838,8 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
     if config.trust_overrides:
         for index_str, value in config.trust_overrides.items():
             agent_index = int(index_str)
+            if not 0 <= agent_index < n:
+                raise ValueError(f"trust_overrides index {agent_index} is outside the {n} agents")
             trust_report[str(agents[agent_index].did)] = float(value)
 
     queries = config.queries if config.queries is not None else list(_DEFAULT_QUERIES)

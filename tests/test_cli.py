@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from agentmesh import registry, simnet
 from agentmesh.cli import main
+from agentmesh.identity import derive_did, sha256
+from _helpers import keypair_for
 
 
 def _run(capsys, argv):
@@ -275,3 +286,102 @@ def test_sim_marketplace_on_corpus_is_clean_error(tmp_path, capsys):
     assert code == 1
     assert "corpus" in _one_line_diagnostic(stdout, stderr)["error"]
     assert not (tmp_path / "r.json").exists()
+
+
+def _small_snapshot() -> dict:
+    kp = keypair_for("cli-snapshot-owner")
+    owner = derive_did(kp.public_key)
+    resolver = {str(owner): kp.public_key}
+    index = registry.MerkleRadixIndex()
+    for key in ("alpha", "beta", str(owner)):
+        record = registry.make_record(key, "https://x/meta", sha256(key.encode()), kp.secret_key, owner, 1)
+        index.insert(record, resolver)
+    return index.export_snapshot()
+
+
+@pytest.mark.parametrize("field, value", [("version", json.loads("1e400")), ("key", 7)])
+def test_resolve_malformed_snapshot_record_is_clean_error(tmp_path, capsys, field, value):
+    snapshot = _small_snapshot()
+    snapshot["records"][0][field] = value
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(snapshot))
+    code, stdout, stderr = _run(capsys, ["resolve", "--snapshot", str(path), "--key", "alpha"])
+    assert code == 1
+    assert field in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    ['{"scenario":"sybil","n":1e400}', '{"scenario":"sybil","n":8,"sybil_internal_weights":[0.1]}'],
+)
+def test_sim_malformed_config_is_clean_error(tmp_path, capsys, config_text):
+    config = tmp_path / "config.json"
+    config.write_text(config_text)
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "error" in _one_line_diagnostic(stdout, stderr)
+
+
+# -- the CLI contract over generated malformed inputs --------------------------
+
+_SMALL_SIM_CONFIGS = [
+    {"scenario": "convergence", "n": 4, "trials": 2, "seed": 1},
+    {"scenario": "sybil", "n": 8, "seed": 1},
+    {"scenario": "marketplace", "n": 4, "rounds": 2, "seed": 1},
+    {"scenario": "discovery_e2e", "n": 6, "replicas": 2, "seed": 1, "k": 2},
+]
+_CONFIG_FIELDS = sorted(simnet.ScenarioConfig.__dataclass_fields__)
+_RECORD_FIELDS = ["key", "metadata_url", "card_digest", "owner", "version", "signature"]
+
+# Valid integers stay small so that no example runs a large scenario.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=8),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 0.5]),
+    st.text(alphabet="0123456789abcdef:é", max_size=6),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet="0123456789ab", max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code: int, stderr: str) -> None:
+    assert code in (0, 1)
+    if code == 1:
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+
+
+@settings(max_examples=60)
+@given(
+    base=st.sampled_from(_SMALL_SIM_CONFIGS),
+    sim_field=st.sampled_from(_CONFIG_FIELDS),
+    sim_value=_json_values,
+    record_index=st.integers(min_value=0, max_value=2),
+    record_field=st.sampled_from(_RECORD_FIELDS),
+    record_value=_json_values,
+)
+def test_cli_keeps_exit_code_and_stderr_contract(base, sim_field, sim_value, record_index, record_field, record_value):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps({**base, sim_field: sim_value}))
+        _assert_contract(*_run_quietly(["sim", "--config", str(config_path), "--out", str(Path(tmp) / "r.json")]))
+
+        snapshot = _small_snapshot()
+        snapshot["records"][record_index][record_field] = record_value
+        snapshot_path = Path(tmp) / "snapshot.json"
+        snapshot_path.write_text(json.dumps(snapshot))
+        _assert_contract(*_run_quietly(["resolve", "--snapshot", str(snapshot_path), "--key", "alpha", "--prove"]))

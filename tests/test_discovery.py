@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from agentmesh import discovery
 from agentmesh.cards import EMBED_DIM
 from agentmesh.discovery import (
     L2RModel,
@@ -61,6 +63,55 @@ def test_embed_similarity_regression_pin():
     # values measured once with the shipped hasher and frozen
     assert sim_ab == pytest.approx(0.4522670168666455, abs=1e-12)
     assert sim_ac == pytest.approx(0.28284271247461906, abs=1e-12)
+
+
+def _reference_cosine(a, b) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
+
+
+def _same_float(x: float, y: float) -> bool:
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack(">d", x) == struct.pack(">d", y)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["random", "near", "scaled", "negated", "unit", "zero", "nan", "integers"]),
+    noise=st.floats(min_value=1e-12, max_value=1.0),
+    factor=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=EMBED_DIM)
+    if kind == "random":
+        b = rng.normal(size=EMBED_DIM)
+    elif kind == "near":
+        b = a + rng.normal(scale=noise, size=EMBED_DIM)
+    elif kind == "scaled":
+        b = a * factor
+    elif kind == "negated":
+        b = -a * factor
+    elif kind == "unit":
+        a = a / np.linalg.norm(a)
+        b = a.copy()
+    elif kind == "zero":
+        b = np.zeros(EMBED_DIM)
+    elif kind == "nan":
+        b = a.copy()
+        b[int(rng.integers(EMBED_DIM))] = np.nan
+    else:
+        a = rng.integers(-5, 6, size=EMBED_DIM)
+        b = rng.integers(-5, 6, size=EMBED_DIM)
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = cosine(x, y)
+        assert isinstance(got, float)
+        assert _same_float(got, _reference_cosine(x, y))
+        assert math.isnan(got) or -1.0 <= got <= 1.0
 
 
 def test_card_embedding_prefers_stored_vector():
@@ -236,9 +287,22 @@ def test_rank_agrees_with_exhaustive_sort_oracle():
     scored.sort(key=lambda t: (-t[1], -t[2], t[0]))
     # tau=1.0 with distinct random embeddings: dedup drops nothing
     expected = [(did, score) for did, score, _trust in scored[:20]]
-    assert [d for d, _s in got] == [d for d, _s in expected]
-    for (_d1, s1), (_d2, s2) in zip(got, expected):
-        assert s1 == pytest.approx(s2, abs=1e-12)
+    assert got == expected
+
+
+def test_rank_embeds_each_card_once(monkeypatch):
+    rng = random.Random(16)
+    cards = [random_card(rng) for _ in range(25)]
+    embedded = []
+
+    def counting_embedding(card):
+        embedded.append(id(card))
+        return card_embedding(card)
+
+    monkeypatch.setattr(discovery, "card_embedding", counting_embedding)
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    rank(embed_text("weather and maps"), cards, {}, model, k=5, now=10)
+    assert sorted(embedded) == sorted(id(card) for card in cards)
 
 
 def test_rank_order_invariant_under_positive_affine_score_transform():

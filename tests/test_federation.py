@@ -255,6 +255,8 @@ def test_random_regular_topology_connected():
     assert all(len(neigh) == 4 for neigh in topology.neighbor_lists)
     with pytest.raises(ValueError):
         Topology.random_regular(5, 3, seed=0)  # odd n*k
+    with pytest.raises(ValueError):
+        Topology.random_regular(4, 1, seed=0)  # every 1-regular graph on 4 nodes is disconnected
 
 
 def test_round_cap_formula():

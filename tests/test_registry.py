@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -203,6 +204,32 @@ def test_snapshot_root_mismatch_detected():
     snapshot = index.export_snapshot()
     snapshot["root_digest"] = sha256(b"wrong").hex()
     with pytest.raises(SnapshotRootMismatch):
+        MerkleRadixIndex.import_snapshot(snapshot)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("version", json.loads("1e400")),
+        ("version", 2.0),
+        ("version", True),
+        ("version", -1),
+        ("version", 1 << 64),
+        ("version", "1"),
+        ("key", 7),
+        ("metadata_url", None),
+        ("card_digest", 5),
+        ("owner", ["did"]),
+        ("signature", {}),
+    ],
+)
+def test_snapshot_record_with_mistyped_field_is_value_error(field, value):
+    _kp, _owner_did, resolver = _owner()
+    index = MerkleRadixIndex()
+    index.insert(_record("agent"), resolver)
+    snapshot = index.export_snapshot()
+    snapshot["records"][0][field] = value
+    with pytest.raises(ValueError, match=field):
         MerkleRadixIndex.import_snapshot(snapshot)
 
 

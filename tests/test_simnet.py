@@ -30,6 +30,53 @@ def test_config_validation():
         ScenarioConfig.from_dict({"scenario": "convergence", "bogus_key": 1})
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n": json.loads("1e400")},
+        {"n": 8.0},
+        {"n": True},
+        {"seed": "3"},
+        {"seed": 1 << 63},
+        {"trials": None},
+        {"rounds_cap": 2.5},
+        {"k": [5]},
+        {"replicas": False},
+        {"task_price": 1.5},
+        {"alpha": json.loads("NaN")},
+        {"epsilon": json.loads("Infinity")},
+        {"tau": True},
+        {"corpus": 7},
+        {"queries": "weather"},
+        {"queries": ["weather", 3]},
+        {"trust_overrides": [["5", 0.1]]},
+        {"trust_overrides": {"5": "high"}},
+        {"sybil_internal_weights": [0.1]},
+        {"sybil_internal_weights": [0.1, 0.5, 0.9]},
+        {"sybil_internal_weights": [0.1, 1.5]},
+        {"sybil_internal_weights": ["a", "b"]},
+        {"sybil_internal_weights": None},
+    ],
+)
+def test_config_rejects_mistyped_fields(overrides):
+    with pytest.raises(ValueError):
+        ScenarioConfig.from_dict({"scenario": "sybil", "n": 8, **overrides})
+
+
+@pytest.mark.parametrize("index", ["10", "-1"])
+def test_discovery_trust_override_outside_the_agents_is_value_error(index):
+    config = ScenarioConfig(scenario="discovery_e2e", n=10, replicas=2, seed=9, trust_overrides={index: 0.5})
+    with pytest.raises(ValueError, match="trust_overrides"):
+        run_discovery_e2e(config)
+
+
+@pytest.mark.parametrize("scenario, epsilon", [("marketplace", 4.5), ("discovery_e2e", 2.5)])
+def test_epsilon_past_the_dp_budget_is_refused_before_running(scenario, epsilon):
+    config = ScenarioConfig(scenario=scenario, n=4, rounds=1, replicas=2, epsilon=epsilon)
+    with pytest.raises(ValueError, match="DP release"):
+        run_scenario(config)
+
+
 def test_config_json_round_trip(tmp_path):
     config = ScenarioConfig(scenario="sybil", n=30, seed=4)
     path = tmp_path / "cfg.json"
