@@ -187,7 +187,10 @@ def _cmd_rank(args) -> int:
     trust_report = {}
     if args.trust:
         with open(args.trust, "r", encoding="utf-8") as fh:
-            trust_report = {k: float(v) for k, v in json.load(fh).items()}
+            trust_obj = json.load(fh)
+        if not isinstance(trust_obj, dict):
+            raise ValueError("trust file must hold a JSON object mapping DID -> trust score")
+        trust_report = {k: float(v) for k, v in trust_obj.items()}
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             model = discovery.L2RModel.from_json_obj(json.load(fh))
@@ -233,10 +236,14 @@ def _cmd_trust(args) -> int:
     if args.signals:
         with open(args.signals, "r", encoding="utf-8") as fh:
             signals_by_node = json.load(fh)
+        if not isinstance(signals_by_node, dict):
+            raise ValueError("signals file must hold a JSON object mapping node -> signals")
     weights = trust.ContextWeights.for_context(trust.ContextKind(args.context))
     report = []
     for i, node in enumerate(graph.nodes):
         raw = signals_by_node.get(node, {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"signals for {node!r} must be a JSON object")
         signals = trust.TrustSignals(
             policy_pass_rate=float(raw.get("policy", 1.0)),
             anomaly_score=float(raw.get("anomaly", 1.0)),

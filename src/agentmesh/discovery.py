@@ -195,19 +195,36 @@ def score_pairwise_loss(
     model: L2RModel, pairs: Sequence[tuple[RankFeatures, RankFeatures]]
 ) -> tuple[float, np.ndarray]:
     """Mean pairwise logistic loss ln(1+exp(-(s(a)-s(b)))) over (preferred,
-    other) pairs, with its exact gradient in (theta, bias)."""
+    other) pairs, with its exact gradient in (theta, bias).
+
+    Vectorised, yet bit-identical to a per-pair loop of
+    ``margin = dot(theta, a - b)``, ``logaddexp(0, -margin)`` and
+    ``grad += -sigmoid(-margin) * (a - b)``: ``vecdot`` runs numpy's own
+    dot loop once per row (``diffs @ theta`` rounds differently), and the
+    gradient is a sequential sum that starts from a row of +0.0, as the loop
+    does, so a column of zero diffs sums to 0.0, not -0.0.
+    """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    losses = []
-    grad_theta = np.zeros(4)
-    for preferred, other in pairs:
-        diff = preferred.vector() - other.vector()
-        margin = float(np.dot(model.theta, diff))  # bias cancels
-        losses.append(float(np.logaddexp(0.0, -margin)))
-        # d/d margin of ln(1+exp(-margin)) = -sigmoid(-margin)
-        grad_theta += -_sigmoid(-margin) * diff
-    loss = math.fsum(losses) / len(pairs)
-    gradient = np.concatenate([grad_theta / len(pairs), [0.0]])
+    n = len(pairs)
+    fields = np.fromiter(
+        (
+            x
+            for a, b in pairs
+            for x in (a.cos_sim, a.trust, a.log_usage, a.recency, b.cos_sim, b.trust, b.log_usage, b.recency)
+        ),
+        dtype=float,
+        count=8 * n,
+    ).reshape(n, 8)
+    diffs = fields[:, :4] - fields[:, 4:]
+    margins = np.vecdot(diffs, model.theta)  # bias cancels
+    loss = math.fsum(np.logaddexp(0.0, -margins).tolist()) / n
+    # d/d margin of ln(1+exp(-margin)) = -sigmoid(-margin)
+    sig = np.array([_sigmoid(x) for x in (-margins).tolist()])
+    terms = np.zeros((n + 1, 4))
+    terms[1:] = (-sig)[:, None] * diffs
+    grad_theta = np.add.accumulate(terms, axis=0)[-1]
+    gradient = np.concatenate([grad_theta / n, [0.0]])
     return loss, gradient
 
 

@@ -190,16 +190,20 @@ def propagate_trust(
         raise ValueError(f"start vector must have shape ({n},)")
     hold = (1.0 - alpha) * base_vec
     trace: list[float] = []
-    residual = float(np.max(np.abs(T - alpha * (M @ T) - hold)))
+    # One matvec per iteration: step serves both the residual of T and the
+    # next T.
+    step = alpha * (M @ T)
+    residual = float(np.max(np.abs(T - step - hold)))
     if keep_trace:
         trace.append(residual)
     iterations = 0
     while residual >= tol:
         if iterations >= max_iters:
             raise NonConvergentError(f"residual {residual} after {iterations} iterations")
-        T = alpha * (M @ T) + hold
+        T = step + hold
         iterations += 1
-        residual = float(np.max(np.abs(T - alpha * (M @ T) - hold)))
+        step = alpha * (M @ T)
+        residual = float(np.max(np.abs(T - step - hold)))
         if keep_trace:
             trace.append(residual)
     return TrustVector(

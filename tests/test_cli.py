@@ -4,16 +4,18 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agentmesh import cards as cards_mod
 from agentmesh import registry, simnet
 from agentmesh.cli import main
 from agentmesh.identity import derive_did, sha256
-from _helpers import keypair_for
+from _helpers import keypair_for, random_card
 
 
 def _run(capsys, argv):
@@ -205,6 +207,38 @@ def _one_pair_file(tmp_path):
     features = {"cos_sim": 0.5, "trust": 0.5, "log_usage": 1.0, "recency": 0.5}
     pairs_path.write_text(json.dumps({"preferred": features, "other": features}) + "\n")
     return pairs_path
+
+
+@pytest.mark.parametrize("trust_text", ["[1, 2]", '"text"', "5", "null"])
+def test_rank_non_object_trust_file_is_clean_error(tmp_path, capsys, trust_text):
+    corpus = tmp_path / "cards.jsonl"
+    cards_mod.write_cards(corpus, [random_card(random.Random(i)) for i in range(3)])
+    trust_path = tmp_path / "trust.json"
+    trust_path.write_text(trust_text)
+    code, stdout, stderr = _run(
+        capsys, ["rank", "--query", "weather", "--corpus", str(corpus), "--trust", str(trust_path)]
+    )
+    assert code == 1
+    assert "trust file must hold a JSON object" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    ("signals_text", "message"),
+    [
+        ("[1, 2]", "signals file must hold a JSON object"),
+        ('"text"', "signals file must hold a JSON object"),
+        ('{"a": 5}', "signals for 'a' must be a JSON object"),
+        ('{"b": [0.5]}', "signals for 'b' must be a JSON object"),
+    ],
+)
+def test_trust_non_object_signals_is_clean_error(tmp_path, capsys, signals_text, message):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [[0, 1, 0.5]]}))
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(signals_text)
+    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), "--signals", str(signals_path)])
+    assert code == 1
+    assert message in _one_line_diagnostic(stdout, stderr)["error"]
 
 
 def test_train_diverged_is_clean_error(tmp_path, capsys, monkeypatch):

@@ -6,9 +6,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from agentmesh import discovery
+from agentmesh import discovery, simnet
 from agentmesh.cards import EMBED_DIM
 from agentmesh.discovery import (
     L2RModel,
@@ -165,6 +165,73 @@ def test_gradient_matches_central_finite_differences():
             analytic = float(grad[param])
             # relative 1e-6 with a 1e-9 floor for the quotient's own roundoff
             assert abs(fd - analytic) <= 1e-9 + 1e-6 * max(abs(fd), abs(analytic))
+
+
+def _reference_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _reference_pairwise_loss(model, pairs):
+    """Verbatim copy of the per-pair loop that score_pairwise_loss vectorises."""
+    losses = []
+    grad_theta = np.zeros(4)
+    for preferred, other in pairs:
+        diff = preferred.vector() - other.vector()
+        margin = float(np.dot(model.theta, diff))  # bias cancels
+        losses.append(float(np.logaddexp(0.0, -margin)))
+        grad_theta += -_reference_sigmoid(-margin) * diff
+    loss = math.fsum(losses) / len(pairs)
+    gradient = np.concatenate([grad_theta / len(pairs), [0.0]])
+    return loss, gradient
+
+
+_feature_values = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e3, 1e3),
+    st.integers(-1000, 1000),
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, -math.nan]),
+)
+
+
+@st.composite
+def _model_and_pairs(draw):
+    """Random pairs, some columns equal on both sides (zero diffs), and
+    weights up to 1e4, so that margins reach far enough for exp to underflow."""
+    tied = draw(st.sets(st.integers(0, 3)))
+    rows = draw(st.lists(st.tuples(*[_feature_values] * 8), min_size=1, max_size=30))
+    pairs = [
+        (RankFeatures(*row[:4]), RankFeatures(*(row[j] if j in tied else row[4 + j] for j in range(4))))
+        for row in rows
+    ]
+    weight = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e4, 1e4))
+    theta = np.array(draw(st.lists(weight, min_size=4, max_size=4)), dtype=float)
+    return L2RModel(theta=theta, bias=draw(st.floats(-1.0, 1.0))), pairs
+
+
+@settings(max_examples=200)
+@given(_model_and_pairs())
+def test_pairwise_loss_bit_identical_to_per_pair_loop(model_and_pairs):
+    model, pairs = model_and_pairs
+    with np.errstate(all="ignore"):
+        loss, gradient = score_pairwise_loss(model, pairs)
+        ref_loss, ref_gradient = _reference_pairwise_loss(model, pairs)
+    assert struct.pack(">d", loss) == struct.pack(">d", ref_loss)
+    assert gradient.tobytes() == ref_gradient.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1011])
+def test_train_on_simnet_pairs_bit_identical_to_per_pair_loop(seed, monkeypatch):
+    pairs = simnet._training_pairs(simnet.subsystem_rng(seed, "l2r"))
+    model = train(pairs, learning_rate=0.5, iters=300, keep_history=True)
+    monkeypatch.setattr(discovery, "score_pairwise_loss", _reference_pairwise_loss)
+    reference = train(pairs, learning_rate=0.5, iters=300, keep_history=True)
+    assert model.theta.tobytes() == reference.theta.tobytes()
+    assert struct.pack(">d", model.bias) == struct.pack(">d", reference.bias)
+    assert struct.pack(">d", model.final_loss) == struct.pack(">d", reference.final_loss)
+    assert model.loss_history == reference.loss_history
 
 
 def test_train_zero_iterations_leaves_zeros():

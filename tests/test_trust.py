@@ -150,6 +150,35 @@ def test_fixed_point_unique_across_starts():
     assert float(np.max(np.abs(a.values - b.values))) < 10 * tol
 
 
+def _two_matvec_reference(graph, alpha, orientation, tol, start=None):
+    """Verbatim copy of the power iteration that evaluated M @ T twice per T."""
+    base = default_base(graph.n, orientation)
+    W = row_stochastic(graph, base)
+    M = W if orientation is Orientation.LITERAL else W.T
+    T = np.array(base if start is None else start, dtype=float, copy=True)
+    hold = (1.0 - alpha) * base
+    trace = [float(np.max(np.abs(T - alpha * (M @ T) - hold)))]
+    while trace[-1] >= tol:
+        T = alpha * (M @ T) + hold
+        trace.append(float(np.max(np.abs(T - alpha * (M @ T) - hold))))
+    return T, trace
+
+
+def test_one_matvec_iteration_bit_identical_to_two_matvec_loop():
+    rng = random.Random(404)
+    for _ in range(40):
+        g = _random_graph(rng)
+        start = np.array([rng.random() for _ in range(g.n)]) if rng.random() < 0.5 else None
+        for orientation in (Orientation.LITERAL, Orientation.TRANSPOSE):
+            alpha = rng.uniform(0.1, 0.95)
+            tv = propagate_trust(g, alpha=alpha, orientation=orientation, tol=1e-11, start=start, keep_trace=True)
+            T, trace = _two_matvec_reference(g, alpha, orientation, 1e-11, start)
+            assert tv.values.tobytes() == T.tobytes()
+            assert tv.residual_trace == tuple(trace)
+            assert tv.residual == trace[-1]
+            assert tv.iterations == len(trace) - 1
+
+
 def test_propagate_validates_inputs():
     g = TrustGraph(nodes=["a", "b"], edges=[(0, 1, 1.0)])
     with pytest.raises(ValueError):
