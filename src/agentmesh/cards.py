@@ -15,7 +15,19 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .identity import AgentDid, Attestation, AttestationCheck, KeyResolver, sha256, verify_attestation
-from .wire import Reader, enc_f64, enc_str, enc_u8, enc_u32, enc_u64
+from .wire import (
+    Reader,
+    enc_f64,
+    enc_str,
+    enc_u8,
+    enc_u32,
+    enc_u64,
+    json_float,
+    json_list,
+    json_object,
+    json_str,
+    json_u64,
+)
 
 __all__ = [
     "EMBED_DIM",
@@ -88,18 +100,30 @@ class AgentFactCard:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AgentFactCard":
-        emb = obj.get("embedding")
+        obj = json_object(obj, "card")
+        did, display_name, description, endpoint_url = (
+            json_str(obj[name], f"card field {name!r}")
+            for name in ("did", "display_name", "description", "endpoint_url")
+        )
+        capabilities = json_list(obj["capabilities"], "card field 'capabilities'")
+        embedding = obj.get("embedding")
+        if embedding is not None:
+            embedding = tuple(
+                json_float(x, "card embedding entry") for x in json_list(embedding, "card field 'embedding'")
+            )
         return cls(
-            did=AgentDid.parse(obj["did"]),
-            display_name=obj["display_name"],
-            description=obj["description"],
-            capabilities=tuple(obj["capabilities"]),
-            endpoint_url=obj["endpoint_url"],
-            embedding=tuple(float(x) for x in emb) if emb is not None else None,
-            credentials=tuple(Attestation.from_json_obj(c) for c in obj.get("credentials", [])),
-            usage_count=int(obj.get("usage_count", 0)),
-            last_active=int(obj.get("last_active", 0)),
-            version=int(obj.get("version", 1)),
+            did=AgentDid.parse(did),
+            display_name=display_name,
+            description=description,
+            capabilities=tuple(json_str(c, "card capability") for c in capabilities),
+            endpoint_url=endpoint_url,
+            embedding=embedding,
+            credentials=tuple(
+                Attestation.from_json_obj(c) for c in json_list(obj.get("credentials", []), "card field 'credentials'")
+            ),
+            usage_count=json_u64(obj.get("usage_count", 0), "card field 'usage_count'"),
+            last_active=json_u64(obj.get("last_active", 0), "card field 'last_active'"),
+            version=json_u64(obj.get("version", 1), "card field 'version'"),
         )
 
 

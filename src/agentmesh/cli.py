@@ -19,6 +19,7 @@ import numpy as np
 from . import cards as cards_mod
 from . import discovery, micropay, privacy, registry, simnet, trust
 from .identity import derive_did, generate_keypair, sha256
+from .wire import json_float, json_list, json_object, json_str, json_u64
 
 __all__ = ["main", "build_parser"]
 
@@ -225,10 +226,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_trust(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
-        graph_obj = json.load(fh)
+        graph_obj = json_object(json.load(fh), "graph file")
+    edges = []
+    for edge in json_list(graph_obj["edges"], "graph field 'edges'"):
+        if len(json_list(edge, "graph edge")) != 3:
+            raise ValueError(f"graph edge {edge!r} must be [i, j, w]")
+        i, j = (json_u64(index, "graph edge index") for index in edge[:2])
+        edges.append((i, j, json_float(edge[2], "graph edge weight")))
     graph = trust.TrustGraph(
-        nodes=list(graph_obj["nodes"]),
-        edges=[(int(i), int(j), float(w)) for i, j, w in graph_obj["edges"]],
+        nodes=[json_str(node, "graph node") for node in json_list(graph_obj["nodes"], "graph field 'nodes'")],
+        edges=edges,
     )
     orientation = trust.Orientation.LITERAL if args.orientation == "literal" else trust.Orientation.TRANSPOSE
     vector = trust.propagate_trust(graph, alpha=args.alpha, orientation=orientation, tol=args.tol)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cards import EMBED_DIM, AgentFactCard
 from .identity import sha256
+from .wire import json_float, json_list, json_object, json_u64
 
 __all__ = [
     "RankFeatures",
@@ -179,11 +180,17 @@ class L2RModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "L2RModel":
+        obj = json_object(obj, "model")
+        theta = [json_float(x, "model theta entry") for x in json_list(obj["theta"], "model field 'theta'")]
+        bias = json_float(obj.get("bias", 0.0), "model field 'bias'")
+        if len(theta) != 4 or not all(math.isfinite(x) for x in theta + [bias]):
+            raise ValueError("model theta must hold 4 finite numbers and bias must be finite")
+        final_loss = obj.get("final_loss")
         return cls(
-            theta=np.array([float(x) for x in obj["theta"]]),
-            bias=float(obj.get("bias", 0.0)),
-            iterations=int(obj.get("iterations", 0)),
-            final_loss=obj.get("final_loss"),
+            theta=np.array(theta),
+            bias=bias,
+            iterations=json_u64(obj.get("iterations", 0), "model field 'iterations'"),
+            final_loss=None if final_loss is None else json_float(final_loss, "model field 'final_loss'"),
         )
 
 

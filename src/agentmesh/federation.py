@@ -19,7 +19,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .identity import KeyResolver, resolve_key, verify
+from .identity import KeyResolver, verify
 from .registry import BadSignatureError, RegistryRecord
 from .wire import enc_str, enc_u32, enc_u64
 
@@ -79,7 +79,7 @@ class ReplicaState:
     # -- local writes -------------------------------------------------------
 
     def local_put(self, record: RegistryRecord, logical_time: int, resolver: KeyResolver) -> LwwTag:
-        public_key = resolve_key(resolver, str(record.owner))
+        public_key = resolver.get(str(record.owner))
         if public_key is None or not verify(public_key, record.signing_bytes(), record.signature):
             raise BadSignatureError(f"record for {record.key!r} fails owner signature check")
         sequence = self.version_vector.get(self.replica_id, 0) + 1

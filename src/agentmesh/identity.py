@@ -13,7 +13,7 @@ import enum
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import Reader, enc_str, enc_u8, enc_u64
+from .wire import Reader, enc_str, enc_u8, enc_u64, json_object, json_str, json_u64
 
 __all__ = [
     "SEED_LEN",
@@ -42,7 +42,6 @@ __all__ = [
     "sign",
     "verify",
     "sha256",
-    "resolve_key",
     "verify_attestation",
 ]
 
@@ -54,8 +53,8 @@ DIGEST_LEN = 32
 DID_PREFIX = "did:nanda:"
 _DID_RE = re.compile(r"^did:nanda:[0-9a-f]{64}$")
 
-# DID string -> 32-byte public key, or None when unknown.
-KeyResolver = Union[Mapping[str, bytes], Callable[[str], "bytes | None"]]
+# DID string -> 32-byte public key; `.get` gives None for an unknown DID.
+KeyResolver = Mapping[str, bytes]
 
 
 def sha256(data: bytes) -> bytes:
@@ -129,12 +128,6 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def resolve_key(resolver: KeyResolver, did: str) -> bytes | None:
-    if callable(resolver):
-        return resolver(did)
-    return resolver.get(did)
-
-
 class ClaimType(enum.IntEnum):
     TASK_COMPLETED = 0
     PAYMENT_SETTLED = 1
@@ -185,13 +178,20 @@ class Attestation:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Attestation":
+        obj = json_object(obj, "credential")
+        issuer, subject, claim, payload_digest, signature = (
+            json_str(obj[name], f"credential field {name!r}")
+            for name in ("issuer", "subject", "claim_type", "payload_digest", "signature")
+        )
+        if claim.upper() not in ClaimType.__members__:
+            raise ValueError(f"credential field 'claim_type' is not a claim type: {claim!r}")
         return cls(
-            issuer=AgentDid.parse(obj["issuer"]),
-            subject=AgentDid.parse(obj["subject"]),
-            claim_type=ClaimType[obj["claim_type"].upper()],
-            payload_digest=bytes.fromhex(obj["payload_digest"]),
-            issued_at=int(obj["issued_at"]),
-            signature=bytes.fromhex(obj["signature"]),
+            issuer=AgentDid.parse(issuer),
+            subject=AgentDid.parse(subject),
+            claim_type=ClaimType[claim.upper()],
+            payload_digest=bytes.fromhex(payload_digest),
+            issued_at=json_u64(obj["issued_at"], "credential field 'issued_at'"),
+            signature=bytes.fromhex(signature),
         )
 
     @classmethod
@@ -220,10 +220,6 @@ class AttestationIssuer:
         self.keypair = keypair
         self.did = derive_did(keypair.public_key)
         self._last_issued_at: int | None = None
-
-    @property
-    def last_issued_at(self) -> int | None:
-        return self._last_issued_at
 
     def issue(
         self,
@@ -257,7 +253,7 @@ class AttestationIssuer:
 
 
 def verify_attestation(att: Attestation, resolver: KeyResolver) -> AttestationCheck:
-    public_key = resolve_key(resolver, str(att.issuer))
+    public_key = resolver.get(str(att.issuer))
     if public_key is None:
         return AttestationCheck.UNKNOWN_ISSUER
     if not verify(public_key, att.signing_bytes(), att.signature):

@@ -27,7 +27,6 @@ from .identity import (
     KeyPair,
     KeyResolver,
     derive_did,
-    resolve_key,
     sign,
     verify,
 )
@@ -362,7 +361,7 @@ class Ledger:
         if now > invoice.expires_at:
             raise SettleError(SettleReason.EXPIRED)
 
-        owner_key = resolve_key(resolver, str(header.payer))
+        owner_key = resolver.get(str(header.payer))
         if owner_key is None or derive_did(owner_key) != header.payer:
             raise SettleError(SettleReason.BAD_DELEGATION)
         if not (header.delegation_issued_at <= now <= header.delegation_expires_at):

@@ -27,6 +27,11 @@ DEFAULT_BUDGET = 4.0
 T = TypeVar("T")
 
 
+def _require_finite_positive(value: float, what: str) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DpParams:
     """Per-query privacy parameters. The Laplace mechanism used here is
@@ -38,12 +43,10 @@ class DpParams:
     sensitivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be finite and positive")
+        _require_finite_positive(self.epsilon, "epsilon")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if self.sensitivity <= 0.0:
-            raise ValueError("sensitivity must be positive")
+        _require_finite_positive(self.sensitivity, "sensitivity")
 
     @property
     def noise_scale(self) -> float:
@@ -58,8 +61,7 @@ class PrivacyBudget:
     """Additive epsilon accounting; refuses queries past the limit."""
 
     def __init__(self, total: float = DEFAULT_BUDGET) -> None:
-        if total <= 0.0:
-            raise ValueError("budget must be positive")
+        _require_finite_positive(total, "budget")
         self.total = total
         self.spent = 0.0
 
@@ -68,8 +70,7 @@ class PrivacyBudget:
         return self.total - self.spent
 
     def charge(self, epsilon: float) -> None:
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        _require_finite_positive(epsilon, "epsilon")
         if self.spent + epsilon > self.total + 1e-12:
             raise BudgetExhausted(f"spend {self.spent} + {epsilon} exceeds budget {self.total}")
         self.spent += epsilon
@@ -85,10 +86,8 @@ def laplace_noise(scale: float, rng: random.Random) -> float:
 
 
 def laplace_mechanism(true_value: float, sensitivity: float, epsilon: float, rng: random.Random) -> float:
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if sensitivity <= 0.0:
-        raise ValueError("sensitivity must be positive")
+    _require_finite_positive(epsilon, "epsilon")
+    _require_finite_positive(sensitivity, "sensitivity")
     return true_value + laplace_noise(sensitivity / epsilon, rng)
 
 

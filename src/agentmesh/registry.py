@@ -9,18 +9,26 @@ Hash rules:
                      in ascending nibble order)
 
 Keys are namespaced (0x44 'D' for DIDs, 0x4E 'N' for names) and length-
-prefixed before nibble expansion, which makes the stored key set prefix-free:
-every record lives in a leaf and internal nodes never carry values. The root
+prefixed, which makes the stored key set prefix-free: every record lives in a
+leaf and internal nodes never carry values. A key's path through the tree is
+its storage bytes in hex, one character per nibble ('0'-'f' sort as the
+nibbles do); node prefixes are substrings of it and are not hashed. The root
 digest is a function of the record set alone, independent of insert order.
+
+One descent, `MerkleRadixIndex._walk`, serves insert, resolve and prove, and
+one function, `_digest`, hashes a node for both the cached digests and the
+from-scratch `recompute_root`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
-from .identity import AgentDid, KeyResolver, resolve_key, sha256, sign, verify
-from .wire import enc_str, enc_u16, enc_u64
+from .identity import AgentDid, KeyResolver, sha256, sign, verify
+from .wire import enc_str, enc_u16, enc_u64, json_object, json_str, json_u64
 
 __all__ = [
     "EMPTY_ROOT",
@@ -93,19 +101,18 @@ class RegistryRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegistryRecord":
-        for name in ("key", "metadata_url", "card_digest", "owner", "signature"):
-            if not isinstance(obj[name], str):
-                raise ValueError(f"record field {name!r} must be a string")
-        version = obj["version"]
-        if not isinstance(version, int) or isinstance(version, bool) or not 0 <= version < 1 << 64:
-            raise ValueError("record field 'version' must be an integer in [0, 2**64)")
+        obj = json_object(obj, "record")
+        key, metadata_url, card_digest, owner, signature = (
+            json_str(obj[name], f"record field {name!r}")
+            for name in ("key", "metadata_url", "card_digest", "owner", "signature")
+        )
         return cls(
-            key=obj["key"],
-            metadata_url=obj["metadata_url"],
-            card_digest=bytes.fromhex(obj["card_digest"]),
-            owner=AgentDid.parse(obj["owner"]),
-            version=version,
-            signature=bytes.fromhex(obj["signature"]),
+            key=key,
+            metadata_url=metadata_url,
+            card_digest=bytes.fromhex(card_digest),
+            owner=AgentDid.parse(owner),
+            version=json_u64(obj["version"], "record field 'version'"),
+            signature=bytes.fromhex(signature),
         )
 
 
@@ -146,14 +153,6 @@ def _storage_key(key: str) -> bytes:
     return bytes([ns]) + struct.pack(">H", len(data)) + data
 
 
-def _nibbles(data: bytes) -> tuple[int, ...]:
-    out = []
-    for b in data:
-        out.append(b >> 4)
-        out.append(b & 0xF)
-    return tuple(out)
-
-
 def _leaf_digest(record: RegistryRecord) -> bytes:
     return sha256(_LEAF_DOMAIN + record.canonical_bytes())
 
@@ -162,38 +161,32 @@ def _internal_digest(bitmap: int, child_digests: list[bytes]) -> bytes:
     return sha256(_INTERNAL_DOMAIN + enc_u16(bitmap) + b"".join(child_digests))
 
 
+_NIBBLE_BIT = {f"{n:x}": 1 << n for n in range(16)}
+
+
+def _bitmap(nibs: list[str]) -> int:
+    return sum(map(_NIBBLE_BIT.__getitem__, nibs))
+
+
 class _Node:
     __slots__ = ("prefix", "record", "children", "digest")
 
-    def __init__(
-        self,
-        prefix: tuple[int, ...],
-        record: RegistryRecord | None = None,
-        children: dict[int, "_Node"] | None = None,
-    ) -> None:
-        self.prefix = prefix
+    def __init__(self, prefix: str, record: RegistryRecord | None = None) -> None:
+        self.prefix = prefix  # hex nibbles of the storage key below the parent
         self.record = record
-        self.children: dict[int, _Node] = children if children is not None else {}
+        self.children: dict[str, _Node] = {}
         self.digest = b""
 
     def refresh_digest(self) -> None:
-        if self.record is not None:
-            self.digest = _leaf_digest(self.record)
-            return
-        bitmap = 0
-        digests = []
-        for nib in sorted(self.children):
-            bitmap |= 1 << nib
-            digests.append(self.children[nib].digest)
-        self.digest = _internal_digest(bitmap, digests)
+        self.digest = _digest(self, lambda child: child.digest)
 
 
-def _common_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+def _digest(node: _Node, child_digest: Callable[[_Node], bytes]) -> bytes:
+    """The node's digest, given a digest for each of its children."""
+    if node.record is not None:
+        return _leaf_digest(node.record)
+    nibs = sorted(node.children)
+    return _internal_digest(_bitmap(nibs), [child_digest(node.children[nib]) for nib in nibs])
 
 
 class MerkleRadixIndex:
@@ -211,10 +204,28 @@ class MerkleRadixIndex:
     def root_digest(self) -> bytes:
         return EMPTY_ROOT if self._root is None else self._root.digest
 
+    def _walk(self, path: str) -> tuple[list[tuple[_Node, int]], _Node | None]:
+        """Descend along `path`: the nodes examined, root first, each with
+        the offset in `path` where its prefix starts, and the leaf holding
+        the key, or None."""
+        trail: list[tuple[_Node, int]] = []
+        node = self._root
+        offset = 0
+        while node is not None:
+            trail.append((node, offset))
+            if not path.startswith(node.prefix, offset):
+                break
+            offset += len(node.prefix)
+            if node.record is not None:
+                # Prefix-free paths: a leaf matched in full holds this key.
+                return trail, node
+            node = node.children.get(path[offset])
+        return trail, None
+
     # -- mutation ---------------------------------------------------------
 
     def insert(self, record: RegistryRecord, resolver: KeyResolver) -> None:
-        public_key = resolve_key(resolver, str(record.owner))
+        public_key = resolver.get(str(record.owner))
         if public_key is None or not verify(public_key, record.signing_bytes(), record.signature):
             raise BadSignatureError(f"record for {record.key!r} fails owner signature check")
         existing = self.resolve(record.key)
@@ -227,58 +238,36 @@ class MerkleRadixIndex:
     def insert_trusted(self, record: RegistryRecord) -> None:
         """Insert without signature/version checks: for records that were
         already verified (snapshot restore, replicated stores)."""
-        key_nibs = _nibbles(_storage_key(record.key))
-        is_replacement = False
-
-        if self._root is None:
-            self._root = _Node(key_nibs, record=record)
-            self._root.refresh_digest()
-            self._count = 1
-            return
-
-        path: list[_Node] = []
-        node = self._root
-        offset = 0
-        while True:
-            rel = key_nibs[offset:]
-            common = _common_len(rel, node.prefix)
-            if common == len(node.prefix):
-                if node.record is not None:
-                    # Prefix-free keys: a full prefix match on a leaf is the
-                    # same key, replacing the stored record.
-                    node.record = record
-                    is_replacement = True
-                    path.append(node)
-                    break
-                offset += common
-                nib = key_nibs[offset]
-                child = node.children.get(nib)
-                if child is None:
-                    leaf = _Node(key_nibs[offset:], record=record)
-                    leaf.refresh_digest()
-                    node.children[nib] = leaf
-                    path.append(node)
-                    break
-                path.append(node)
-                node = child
+        path = _storage_key(record.key).hex()
+        trail, leaf = self._walk(path)
+        if leaf is not None:
+            leaf.record = record
+        elif not trail:
+            self._root = _Node(path, record)
+            trail.append((self._root, 0))
+        else:
+            node, offset = trail[-1]
+            rest = path[offset:]
+            if rest.startswith(node.prefix):
+                # An internal node with no child for the next nibble: add one.
+                new = _Node(rest[len(node.prefix) :], record)
+                node.children[new.prefix[0]] = new
             else:
                 # Diverge inside this node's compressed prefix: split it.
+                common = len(os.path.commonprefix([rest, node.prefix]))
                 top = _Node(node.prefix[:common])
                 node.prefix = node.prefix[common:]
-                leaf = _Node(rel[common:], record=record)
-                leaf.refresh_digest()
-                top.children = {node.prefix[0]: node, leaf.prefix[0]: leaf}
-                parent = path[-1] if path else None
-                if parent is None:
+                new = _Node(rest[common:], record)
+                top.children = {node.prefix[0]: node, new.prefix[0]: new}
+                if len(trail) == 1:
                     self._root = top
                 else:
-                    parent.children[top.prefix[0]] = top
-                path.append(top)
-                break
-
-        for n in reversed(path):
-            n.refresh_digest()
-        if not is_replacement:
+                    trail[-2][0].children[top.prefix[0]] = top
+                trail[-1] = (top, offset)
+            trail.append((new, 0))
+        for node, _offset in reversed(trail):
+            node.refresh_digest()
+        if leaf is None:
             self._count += 1
 
     # -- lookup -----------------------------------------------------------
@@ -288,69 +277,35 @@ class MerkleRadixIndex:
 
     def resolve_with_depth(self, key: str) -> tuple[RegistryRecord | None, int]:
         """Resolve and report the number of nodes visited."""
-        key_nibs = _nibbles(_storage_key(key))
-        node = self._root
-        offset = 0
-        visits = 0
-        while node is not None:
-            visits += 1
-            end = offset + len(node.prefix)
-            if key_nibs[offset:end] != node.prefix:
-                return None, visits
-            offset = end
-            if offset == len(key_nibs):
-                return node.record, visits
-            if node.record is not None:
-                return None, visits
-            node = node.children.get(key_nibs[offset])
-        return None, visits
+        trail, leaf = self._walk(_storage_key(key).hex())
+        return (None if leaf is None else leaf.record), len(trail)
 
     def records(self) -> list[RegistryRecord]:
         """All records, sorted by key."""
         out: list[RegistryRecord] = []
-
-        def walk(node: _Node) -> None:
+        stack = [] if self._root is None else [self._root]
+        while stack:
+            node = stack.pop()
             if node.record is not None:
                 out.append(node.record)
-                return
-            for nib in sorted(node.children):
-                walk(node.children[nib])
-
-        if self._root is not None:
-            walk(self._root)
+            else:
+                stack.extend(node.children.values())
         return sorted(out, key=lambda r: r.key)
 
     # -- proofs -----------------------------------------------------------
 
     def prove_inclusion(self, key: str) -> InclusionProof:
-        key_nibs = _nibbles(_storage_key(key))
-        node = self._root
-        offset = 0
-        steps: list[ProofStep] = []
-        while node is not None:
-            end = offset + len(node.prefix)
-            if key_nibs[offset:end] != node.prefix:
-                break
-            offset = end
-            if offset == len(key_nibs):
-                if node.record is None:
-                    break
-                return InclusionProof(key=key, record=node.record, steps=tuple(steps))
-            if node.record is not None:
-                break
-            nib = key_nibs[offset]
-            child = node.children.get(nib)
-            if child is None:
-                break
-            bitmap = 0
-            siblings = []
-            for n in sorted(node.children):
-                bitmap |= 1 << n
-                if n != nib:
-                    siblings.append(node.children[n].digest)
-            steps.append(ProofStep(bitmap=bitmap, position=nib, siblings=tuple(siblings)))
-            node = child
-        raise KeyAbsentError(key)
+        path = _storage_key(key).hex()
+        trail, leaf = self._walk(path)
+        if leaf is None:
+            raise KeyAbsentError(key)
+        steps = []
+        for node, offset in trail[:-1]:
+            nib = path[offset + len(node.prefix)]
+            nibs = sorted(node.children)
+            siblings = tuple(node.children[n].digest for n in nibs if n != nib)
+            steps.append(ProofStep(bitmap=_bitmap(nibs), position=int(nib, 16), siblings=siblings))
+        return InclusionProof(key=key, record=leaf.record, steps=tuple(steps))
 
     # -- oracle / export --------------------------------------------------
 
@@ -358,18 +313,9 @@ class MerkleRadixIndex:
         """Full from-scratch recomputation, ignoring cached digests."""
 
         def walk(node: _Node) -> bytes:
-            if node.record is not None:
-                return _leaf_digest(node.record)
-            bitmap = 0
-            digests = []
-            for nib in sorted(node.children):
-                bitmap |= 1 << nib
-                digests.append(walk(node.children[nib]))
-            return _internal_digest(bitmap, digests)
+            return _digest(node, walk)
 
-        if self._root is None:
-            return EMPTY_ROOT
-        return walk(self._root)
+        return EMPTY_ROOT if self._root is None else walk(self._root)
 
     def export_snapshot(self) -> dict:
         return {

@@ -2,7 +2,9 @@
 
 Length-prefixed UTF-8 strings and big-endian fixed-width integers, fields in
 a fixed order. All signatures and content digests in this package are
-computed over these byte layouts; JSON appears only in export formats.
+computed over these byte layouts; JSON appears only in export formats, whose
+readers type-check each field with the `json_*` helpers below, raising
+ValueError for a value of the wrong type or range.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ __all__ = [
     "enc_bytes",
     "enc_str",
     "Reader",
+    "json_object",
+    "json_list",
+    "json_str",
+    "json_u64",
+    "json_float",
 ]
 
 
@@ -102,3 +109,38 @@ class Reader:
     def expect_end(self) -> None:
         if self.remaining != 0:
             raise DecodeError(f"{self.remaining} trailing bytes")
+
+
+def json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
+def json_str(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string")
+    return value
+
+
+def json_u64(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be an integer in [0, 2**64)")
+    return value
+
+
+def json_float(value: object, what: str) -> float:
+    """A JSON number as a float; NaN and infinities pass, integers too large
+    for a float do not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None

@@ -297,6 +297,68 @@ def test_dp_subcommand(tmp_path, capsys):
     assert "budget" in json.loads(stderr.strip())["error"]
 
 
+# A card with a credential, as `rank --corpus` and `dp --input` read it.
+_INPUT_CARD = random_card(random.Random(3), with_credentials=True).to_json_obj()
+
+
+def _with(obj: dict, path: tuple, value) -> dict:
+    """Deep copy of a JSON object with the value at `path` replaced."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return out
+
+
+_INPUT_MODEL = {"theta": [1.0, 0.25, 0.0, 0.0], "bias": 0.0, "iterations": 0, "final_loss": None}
+_INPUT_GRAPH = {"nodes": ["a", "b", "c"], "edges": [[0, 1, 0.9], [1, 2, 0.5], [2, 0, 0.7]]}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '"x"',
+        json.dumps(_with(_INPUT_CARD, ("description",), 5)),
+        json.dumps(_with(_INPUT_CARD, ("credentials", 0, "claim_type"), 5)),
+        json.dumps(_with(_INPUT_CARD, ("usage_count",), math.inf)),
+    ],
+    ids=["list", "string", "description-number", "claim-type-number", "usage-count-inf"],
+)
+def test_malformed_card_corpus_is_clean_error(tmp_path, capsys, line):
+    corpus = tmp_path / "cards.jsonl"
+    corpus.write_text(line + "\n")
+    for argv in (["rank", "--query", "q", "--corpus", str(corpus)], ["dp", "--input", str(corpus)]):
+        code, stdout, stderr = _run(capsys, argv)
+        assert code == 1
+        assert "error" in _one_line_diagnostic(stdout, stderr)
+
+
+def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
+    corpus = tmp_path / "cards.jsonl"
+    corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_with(_INPUT_MODEL, ("iterations",), math.inf)))
+    code, stdout, stderr = _run(capsys, ["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)])
+    assert code == 1
+    assert "iterations" in _one_line_diagnostic(stdout, stderr)["error"]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(_with(_INPUT_GRAPH, ("edges", 0, 1), math.inf)))
+    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph)])
+    assert code == 1
+    assert "graph edge index" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_dp_rejects_budget_that_is_not_finite(tmp_path, capsys, budget):
+    corpus = tmp_path / "cards.jsonl"
+    corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
+    code, stdout, stderr = _run(capsys, ["dp", "--input", str(corpus), f"--budget={budget}"])
+    assert code == 1
+    assert "budget must be finite and positive" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
 def test_missing_file_is_clean_error(capsys):
     code, _stdout, stderr = _run(capsys, ["rank", "--query", "q", "--corpus", "/nonexistent.jsonl"])
     assert code == 1
@@ -419,3 +481,40 @@ def test_cli_keeps_exit_code_and_stderr_contract(base, sim_field, sim_value, rec
         snapshot_path = Path(tmp) / "snapshot.json"
         snapshot_path.write_text(json.dumps(snapshot))
         _assert_contract(*_run_quietly(["resolve", "--snapshot", str(snapshot_path), "--key", "alpha", "--prove"]))
+
+
+_CARD_PATHS = [(name,) for name in sorted(_INPUT_CARD)]
+_CREDENTIAL_PATHS = [("credentials", 0, name) for name in sorted(_INPUT_CARD["credentials"][0])]
+_MODEL_PATHS = [(name,) for name in sorted(_INPUT_MODEL)] + [("theta", 0)]
+_GRAPH_PATHS = [("nodes",), ("edges",), ("nodes", 0), ("edges", 0)] + [("edges", 1, slot) for slot in range(3)]
+
+
+@settings(max_examples=60)
+@given(
+    card_path=st.sampled_from(_CARD_PATHS + _CREDENTIAL_PATHS),
+    card_value=_json_values,
+    line=_json_values,
+    model_path=st.sampled_from(_MODEL_PATHS),
+    model_value=_json_values,
+    graph_path=st.sampled_from(_GRAPH_PATHS),
+    graph_value=_json_values,
+)
+def test_cli_input_files_keep_exit_code_and_stderr_contract(
+    card_path, card_value, line, model_path, model_value, graph_path, graph_value
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "cards.jsonl"
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(_INPUT_MODEL))
+        for text in (json.dumps(_with(_INPUT_CARD, card_path, card_value)), json.dumps(line)):
+            corpus.write_text(text + "\n")
+            _assert_contract(*_run_quietly(["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)]))
+            _assert_contract(*_run_quietly(["dp", "--input", str(corpus)]))
+
+        corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
+        model.write_text(json.dumps(_with(_INPUT_MODEL, model_path, model_value)))
+        _assert_contract(*_run_quietly(["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)]))
+
+        graph = Path(tmp) / "graph.json"
+        graph.write_text(json.dumps(_with(_INPUT_GRAPH, graph_path, graph_value)))
+        _assert_contract(*_run_quietly(["trust", "--graph", str(graph)]))

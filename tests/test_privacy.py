@@ -122,3 +122,28 @@ def test_neighbor_histogram_ratio_small():
             assert h_a[bucket] / h_b[bucket] <= bound
             assert h_b[bucket] / h_a[bucket] <= bound
     assert checked >= 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_budget_and_charges_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError):
+        PrivacyBudget(total=bad)
+    budget = PrivacyBudget(total=4.0)
+    with pytest.raises(ValueError):
+        budget.charge(bad)
+    with pytest.raises(ValueError):
+        dp_count([1, 2, 3], lambda _r: True, bad, random.Random(0), budget=budget)
+    assert budget.spent == 0.0
+    with pytest.raises(ValueError):
+        laplace_mechanism(0.0, 1.0, bad, random.Random(0))
+    with pytest.raises(ValueError):
+        laplace_mechanism(0.0, bad, 1.0, random.Random(0))
+
+
+def test_nan_query_does_not_disable_the_budget():
+    budget = PrivacyBudget(total=4.0)
+    with pytest.raises(ValueError):
+        dp_count([1], lambda _r: True, math.nan, random.Random(0), budget=budget)
+    with pytest.raises(BudgetExhausted):
+        dp_count([1], lambda _r: True, 100.0, random.Random(0), budget=budget)
+    assert budget.remaining == 4.0
