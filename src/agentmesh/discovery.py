@@ -119,13 +119,15 @@ class RankFeatures:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "RankFeatures":
-        return cls(
-            cos_sim=float(obj["cos_sim"]),
-            trust=float(obj["trust"]),
-            log_usage=float(obj["log_usage"]),
-            recency=float(obj["recency"]),
-        )
+    def from_json_obj(cls, obj: object) -> "RankFeatures":
+        obj = json_object(obj, "rank features")
+        values = {}
+        for name in cls.__dataclass_fields__:
+            value = json_float(obj[name], f"feature {name!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"feature {name!r} must be finite")
+            values[name] = value
+        return cls(**values)
 
 
 def features_for(
@@ -195,7 +197,7 @@ class L2RModel:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss increased for 10 consecutive iterations."""
+    """Loss increased for 10 consecutive iterations, or a step overflowed."""
 
 
 def score_pairwise_loss(
@@ -258,20 +260,24 @@ def train(
     previous_loss = math.inf
     increases = 0
     history: list[float] = []
-    for iteration in range(iters):
-        loss, gradient = score_pairwise_loss(model, pairs)
-        history.append(loss)
-        if loss > previous_loss + 1e-12:
-            increases += 1
-            if increases >= 10:
-                raise TrainingDiverged(f"loss rose for {increases} consecutive iterations")
-        else:
-            increases = 0
-        previous_loss = loss
-        model.theta = model.theta - learning_rate * gradient[:4]
-        model.bias = model.bias - learning_rate * float(gradient[4])
-        model.iterations = iteration + 1
-    model.final_loss = score_pairwise_loss(model, pairs)[0]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iteration in range(iters):
+                loss, gradient = score_pairwise_loss(model, pairs)
+                history.append(loss)
+                if loss > previous_loss + 1e-12:
+                    increases += 1
+                    if increases >= 10:
+                        raise TrainingDiverged(f"loss rose for {increases} consecutive iterations")
+                else:
+                    increases = 0
+                previous_loss = loss
+                model.theta = model.theta - learning_rate * gradient[:4]
+                model.bias = model.bias - learning_rate * float(gradient[4])
+                model.iterations = iteration + 1
+            model.final_loss = score_pairwise_loss(model, pairs)[0]
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"training overflowed at iteration {model.iterations}: {exc}") from None
     history.append(model.final_loss)
     if keep_history:
         model.loss_history = tuple(history)
@@ -326,7 +332,7 @@ def load_pairs(path: str | Path) -> list[tuple[RankFeatures, RankFeatures]]:
         for line in fh:
             line = line.strip()
             if line:
-                obj = json.loads(line)
+                obj = json_object(json.loads(line), "pairs line")
                 pairs.append(
                     (RankFeatures.from_json_obj(obj["preferred"]), RankFeatures.from_json_obj(obj["other"]))
                 )

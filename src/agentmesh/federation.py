@@ -7,7 +7,9 @@ store already dominates, so exchanging deltas against the peer's vector is
 equivalent to merging full states. Each replica also keeps a per-writer log
 of its live entries sorted by sequence, so a delta is read off in
 O(writers·log S + |delta|), with S the number of live keys, not by a scan of
-the store.
+the store. A reachable replica's store is the LWW fold of exactly the writes
+its vector covers, so two replicas with equal vectors hold equal stores:
+convergence is a vector comparison, O(writers) per replica.
 """
 
 from __future__ import annotations
@@ -113,19 +115,16 @@ class ReplicaState:
     def digest(self) -> dict[int, int]:
         return dict(self.version_vector)
 
-    def _entries_after(self, digest: dict[int, int]) -> list[tuple[str, RegistryRecord, LwwTag]]:
-        """Live entries whose sequence exceeds `digest` for their writer,
-        writer-major and in ascending sequence order."""
+    def delta_for(self, remote_digest: dict[int, int]) -> DeltaSet:
+        """Live entries whose sequence exceeds `remote_digest` for their
+        writer, writer-major and in ascending sequence order."""
         store = self.store
         entries = []
         for writer, (seqs, keys) in self._log.items():
-            for key in keys[bisect.bisect_right(seqs, digest.get(writer, 0)) :]:
+            for key in keys[bisect.bisect_right(seqs, remote_digest.get(writer, 0)) :]:
                 record, tag = store[key]
                 entries.append((key, record, tag))
-        return entries
-
-    def delta_for(self, remote_digest: dict[int, int]) -> DeltaSet:
-        return DeltaSet(entries=self._entries_after(remote_digest), version_vector=dict(self.version_vector))
+        return DeltaSet(entries=entries, version_vector=dict(self.version_vector))
 
     def apply_delta(self, delta: DeltaSet) -> None:
         for key, record, tag in delta.entries:
@@ -142,9 +141,6 @@ class ReplicaState:
         out.version_vector = dict(self.version_vector)
         out._log = {writer: (list(seqs), list(keys)) for writer, (seqs, keys) in self._log.items()}
         return out
-
-    def store_tags(self) -> dict[str, LwwTag]:
-        return {key: tag for key, (_record, tag) in self.store.items()}
 
     def state_equal(self, other: "ReplicaState") -> bool:
         return self.store == other.store and self.version_vector == other.version_vector
@@ -179,11 +175,11 @@ def merge(a: ReplicaState, b: ReplicaState) -> ReplicaState:
 class Topology:
     kind: str
     n: int
-    neighbor_lists: list[list[int]]
+    neighbor_lists: list[list[int]] | None  # None: complete, every other node
 
     @classmethod
     def complete(cls, n: int) -> "Topology":
-        return cls("complete", n, [[j for j in range(n) if j != i] for i in range(n)])
+        return cls("complete", n, None)
 
     @classmethod
     def ring(cls, n: int) -> "Topology":
@@ -225,17 +221,20 @@ class Topology:
     def from_neighbors(cls, neighbor_lists: list[list[int]]) -> "Topology":
         return cls("custom", len(neighbor_lists), [sorted(l) for l in neighbor_lists])
 
-    def neighbors(self, i: int) -> list[int]:
-        return self.neighbor_lists[i]
-
     def sample_neighbor(self, i: int, rng: random.Random) -> int | None:
+        if self.neighbor_lists is None:
+            if self.n <= 1:
+                return None
+            # The same draw and pick as indexing the list of all j != i.
+            r = rng.randrange(self.n - 1)
+            return r + (r >= i)
         options = self.neighbor_lists[i]
         if not options:
             return None
         return options[rng.randrange(len(options))]
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
+        if self.n <= 1 or self.neighbor_lists is None:
             return True
         seen = {0}
         frontier = [0]
@@ -260,29 +259,26 @@ class RoundStats:
     converged: int
 
 
-def converged_count(mesh: list[ReplicaState], target_tags: dict[str, LwwTag], target_vv: dict[int, int]) -> int:
-    count = 0
-    for replica in mesh:
-        if replica.version_vector == target_vv and replica.store_tags() == target_tags:
-            count += 1
-    return count
+def converged_count(mesh: list[ReplicaState], target_vv: dict[int, int]) -> int:
+    """Replicas whose vector equals the join's: equal vectors imply equal
+    stores for reachable states, so no store is compared."""
+    return sum(1 for replica in mesh if replica.version_vector == target_vv)
 
 
-def mesh_target(mesh: list[ReplicaState]) -> tuple[dict[str, LwwTag], dict[int, int]]:
-    """Join of every replica's state. Each replica contributes only what the
-    running join's vector lacks: a reachable store dominates its own vector,
-    so the writes it skips are already dominated by the join."""
+def mesh_target(mesh: list[ReplicaState]) -> dict[int, int]:
+    """Version vector of the join of every replica's state, folded through
+    apply_delta with entry-less deltas so that one rule takes vector maxima."""
     acc = ReplicaState(-1)
     for replica in mesh:
-        acc.apply_delta(DeltaSet(replica._entries_after(acc.version_vector), replica.version_vector))
-    return acc.store_tags(), acc.version_vector
+        acc.apply_delta(DeltaSet([], replica.version_vector))
+    return acc.version_vector
 
 
 def gossip_round(
     mesh: list[ReplicaState],
     topology: Topology,
     rng: random.Random,
-    target: tuple[dict[str, LwwTag], dict[int, int]] | None = None,
+    target: dict[int, int] | None = None,
 ) -> RoundStats:
     """One synchronous push-pull round: every replica contacts one uniform-
     random neighbor, both sides exchange deltas computed against start-of-
@@ -311,8 +307,9 @@ def gossip_round(
     for i in range(n):
         for delta in inbox[i]:
             mesh[i].apply_delta(delta)
-    target_tags, target_vv = target if target is not None else mesh_target(mesh)
-    return RoundStats(messages=messages, bytes_sent=bytes_sent, converged=converged_count(mesh, target_tags, target_vv))
+    if target is None:
+        target = mesh_target(mesh)
+    return RoundStats(messages=messages, bytes_sent=bytes_sent, converged=converged_count(mesh, target))
 
 
 def default_round_cap(n: int) -> int:
@@ -358,7 +355,7 @@ def rounds_to_convergence(
         mesh[0].local_put(record, logical_time=1, resolver=resolver)
         target = mesh_target(mesh)
         rounds_used: int | None = 0
-        if converged_count(mesh, *target) < n:
+        if converged_count(mesh, target) < n:
             rounds_used = None
             for round_idx in range(1, cap + 1):
                 stats = gossip_round(mesh, topology, rng, target=target)

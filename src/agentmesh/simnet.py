@@ -805,7 +805,7 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
     target = federation.mesh_target(replicas)
     cap = config.rounds_cap if config.rounds_cap is not None else federation.default_round_cap(config.replicas)
     converged_round = 0
-    if federation.converged_count(replicas, *target) < config.replicas:
+    if federation.converged_count(replicas, target) < config.replicas:
         converged_round = -1
         for round_idx in range(1, cap + 1):
             stats = federation.gossip_round(replicas, topology, gossip_rng, target=target)

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agentmesh import cards as cards_mod
 from agentmesh import registry, simnet
@@ -313,6 +313,10 @@ def _with(obj: dict, path: tuple, value) -> dict:
 
 _INPUT_MODEL = {"theta": [1.0, 0.25, 0.0, 0.0], "bias": 0.0, "iterations": 0, "final_loss": None}
 _INPUT_GRAPH = {"nodes": ["a", "b", "c"], "edges": [[0, 1, 0.9], [1, 2, 0.5], [2, 0, 0.7]]}
+_INPUT_PAIR = {
+    "preferred": {"cos_sim": 0.9, "trust": 0.5, "log_usage": 2.0, "recency": 0.8},
+    "other": {"cos_sim": 0.2, "trust": 0.4, "log_usage": 1.0, "recency": 0.3},
+}
 
 
 @pytest.mark.parametrize(
@@ -333,6 +337,26 @@ def test_malformed_card_corpus_is_clean_error(tmp_path, capsys, line):
         code, stdout, stderr = _run(capsys, argv)
         assert code == 1
         assert "error" in _one_line_diagnostic(stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        json.dumps(_with(_INPUT_PAIR, ("other",), [0.5])),
+        json.dumps(_with(_INPUT_PAIR, ("preferred", "cos_sim"), math.inf)),
+        json.dumps(_with(_INPUT_PAIR, ("preferred", "cos_sim"), "0.9")),
+        json.dumps(_with(_INPUT_PAIR, ("other", "trust"), True)),
+        json.dumps(_with(_INPUT_PAIR, ("preferred", "log_usage"), 1e300)),
+    ],
+    ids=["list", "features-list", "cos-sim-inf", "cos-sim-string", "trust-bool", "log-usage-overflows"],
+)
+def test_malformed_training_pairs_are_clean_errors(tmp_path, capsys, line):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(line + "\n")
+    code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs), "--iters", "5"])
+    assert code == 1
+    assert "error" in _one_line_diagnostic(stdout, stderr)
 
 
 def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
@@ -446,16 +470,28 @@ _json_values = st.recursive(
 )
 
 
-def _run_quietly(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def _assert_contract(code: int, stderr: str) -> None:
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _assert_contract(code: int, stdout: str, stderr: str) -> None:
+    """Exit 0 prints only standard JSON; exit 1 prints one JSON diagnostic."""
     assert code in (0, 1)
-    if code == 1:
+    if code == 0:
+        assert stderr == ""
+        for line in stdout.splitlines():
+            _strict_json(line)
+    else:
         lines = stderr.splitlines()
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
@@ -487,6 +523,7 @@ _CARD_PATHS = [(name,) for name in sorted(_INPUT_CARD)]
 _CREDENTIAL_PATHS = [("credentials", 0, name) for name in sorted(_INPUT_CARD["credentials"][0])]
 _MODEL_PATHS = [(name,) for name in sorted(_INPUT_MODEL)] + [("theta", 0)]
 _GRAPH_PATHS = [("nodes",), ("edges",), ("nodes", 0), ("edges", 0)] + [("edges", 1, slot) for slot in range(3)]
+_PAIR_PATHS = [(side,) for side in _INPUT_PAIR] + [(side, name) for side in _INPUT_PAIR for name in _INPUT_PAIR[side]]
 
 
 @settings(max_examples=60)
@@ -498,9 +535,22 @@ _GRAPH_PATHS = [("nodes",), ("edges",), ("nodes", 0), ("edges", 0)] + [("edges",
     model_value=_json_values,
     graph_path=st.sampled_from(_GRAPH_PATHS),
     graph_value=_json_values,
+    pair_path=st.sampled_from(_PAIR_PATHS),
+    pair_value=_json_values,
+)
+@example(
+    card_path=("description",),
+    card_value="d",
+    line={},
+    model_path=("bias",),
+    model_value=0.0,
+    graph_path=("nodes", 0),
+    graph_value="a",
+    pair_path=("preferred", "cos_sim"),
+    pair_value=math.inf,
 )
 def test_cli_input_files_keep_exit_code_and_stderr_contract(
-    card_path, card_value, line, model_path, model_value, graph_path, graph_value
+    card_path, card_value, line, model_path, model_value, graph_path, graph_value, pair_path, pair_value
 ):
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "cards.jsonl"
@@ -518,3 +568,8 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
         graph = Path(tmp) / "graph.json"
         graph.write_text(json.dumps(_with(_INPUT_GRAPH, graph_path, graph_value)))
         _assert_contract(*_run_quietly(["trust", "--graph", str(graph)]))
+
+        pairs = Path(tmp) / "pairs.jsonl"
+        for text in (json.dumps(_with(_INPUT_PAIR, pair_path, pair_value)), json.dumps(line)):
+            pairs.write_text(text + "\n")
+            _assert_contract(*_run_quietly(["train", "--pairs", str(pairs), "--iters", "5"]))

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from agentmesh.federation import (
     DeltaSet,
     LwwTag,
     ReplicaState,
     Topology,
+    converged_count,
     default_round_cap,
     gossip_round,
     merge,
@@ -93,7 +95,7 @@ def test_delta_apply_equals_full_merge():
         assert via_delta.state_equal(merge(a, b))
 
 
-# -- the per-writer log behind delta_for and mesh_target ---------------------
+# -- the per-writer log behind delta_for, and the convergence target ---------
 
 
 def _colliding_states(rng: random.Random, count: int):
@@ -117,12 +119,18 @@ def _scan_delta(state: ReplicaState, digest: dict[int, int]) -> set:
     }
 
 
+def _tags(state: ReplicaState) -> dict[str, LwwTag]:
+    return {key: tag for key, (_record, tag) in state.store.items()}
+
+
 def _full_store_fold(mesh: list[ReplicaState]):
+    """(tag map, version vector) of the join of every replica's full store:
+    the convergence target compared store by store."""
     acc = ReplicaState(-1)
     for replica in mesh:
         entries = [(k, r, t) for k, (r, t) in replica.store.items()]
         acc.apply_delta(DeltaSet(entries=entries, version_vector=replica.version_vector))
-    return acc.store_tags(), acc.version_vector
+    return _tags(acc), acc.version_vector
 
 
 def test_delta_for_matches_a_store_scan():
@@ -137,12 +145,58 @@ def test_delta_for_matches_a_store_scan():
                 assert set(entries) == _scan_delta(state, digest)
 
 
-def test_mesh_target_matches_the_full_store_fold():
+def test_mesh_target_is_the_vector_of_the_full_store_fold():
     rng = random.Random(32)
     for _ in range(100):
-        _pool, mesh = _colliding_states(rng, rng.randrange(1, 6))
-        rng.shuffle(mesh)
-        assert mesh_target(mesh) == _full_store_fold(mesh)
+        _pool, states = _colliding_states(rng, rng.randrange(1, 6))
+        mesh = rng.sample(states, rng.randrange(1, len(states) + 1))
+        assert mesh_target(mesh) == _full_store_fold(mesh)[1]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32), count=st.integers(min_value=1, max_value=4))
+def test_a_replica_at_the_joined_vector_holds_the_joined_store(seed, count):
+    """The invariant behind converged_count, checked on every round of gossip
+    over reachable states: a replica whose vector equals the join's holds the
+    full-store fold's tag map, so counting equal vectors counts the replicas
+    whose vector and store both match. (The converse does not hold: a
+    replica can hold every winning write yet miss a superseded one.)"""
+    rng = random.Random(seed)
+    _pool, mesh = _colliding_states(rng, count)
+    rng.shuffle(mesh)
+    topology = Topology.complete(len(mesh))
+    for _ in range(8):
+        target_tags, target_vv = _full_store_fold(mesh)
+        for replica in mesh:
+            if replica.version_vector == target_vv:
+                assert _tags(replica) == target_tags
+        by_store = sum(1 for r in mesh if r.version_vector == target_vv and _tags(r) == target_tags)
+        assert converged_count(mesh, mesh_target(mesh)) == by_store
+        if by_store == len(mesh):
+            break
+        gossip_round(mesh, topology, rng)
+
+
+def _joined(state: ReplicaState, *deltas: DeltaSet) -> ReplicaState:
+    out = state.copy()
+    for delta in deltas:
+        out.apply_delta(delta)
+    return out
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_apply_delta_is_an_idempotent_commutative_associative_join(seed):
+    """The CRDT join laws on apply_delta itself, over deltas read off
+    reachable states that share most keys."""
+    rng = random.Random(seed)
+    _pool, states = _colliding_states(rng, 2)
+    base, *others = states
+    d1, d2, d3 = (s.delta_for(_random_digest(rng)) for s in rng.sample(others, 3))
+    assert _joined(base, d1, d1).state_equal(_joined(base, d1))
+    assert _joined(base, d1, d2).state_equal(_joined(base, d2, d1))
+    empty = ReplicaState(-1)
+    d12 = _joined(empty, d1, d2).delta_for({})
+    d23 = _joined(empty, d2, d3).delta_for({})
+    assert _joined(base, d12, d3).state_equal(_joined(base, d1, d23))
 
 
 def test_mutating_a_copy_leaves_the_original_deltas_unchanged():
@@ -257,6 +311,20 @@ def test_random_regular_topology_connected():
         Topology.random_regular(5, 3, seed=0)  # odd n*k
     with pytest.raises(ValueError):
         Topology.random_regular(4, 1, seed=0)  # every 1-regular graph on 4 nodes is disconnected
+
+
+def test_complete_topology_draws_and_picks_as_indexing_its_lists():
+    for n in range(1, 41):
+        implicit = Topology.complete(n)
+        listed = Topology.from_neighbors([[j for j in range(n) if j != i] for i in range(n)])
+        assert implicit.is_connected()
+        for seed in range(4):
+            rng_implicit, rng_listed = random.Random(seed), random.Random(seed)
+            for step in range(3 * n):
+                i = step % n
+                assert implicit.sample_neighbor(i, rng_implicit) == listed.sample_neighbor(i, rng_listed)
+            assert rng_implicit.getstate() == rng_listed.getstate()
+    assert Topology.complete(1).sample_neighbor(0, random.Random(0)) is None
 
 
 def test_round_cap_formula():
