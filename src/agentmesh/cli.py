@@ -8,8 +8,9 @@ under --strict. All errors are single-line JSON diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -52,7 +53,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--out", default=None, help="report path (default ./out/<scenario>-<seed>.json)")
     p_sim.add_argument("--trials", type=int, default=1, help="independent seeded scenario runs")
-    p_sim.add_argument("--parallel", type=int, default=1, help="worker processes for --trials")
     p_sim.add_argument("--strict", action="store_true", help="exit 2 on scenario-level failure")
 
     p_resolve = sub.add_parser("resolve", help="resolve a key from a registry snapshot")
@@ -109,47 +109,36 @@ def build_parser() -> _Parser:
 def _cmd_sim(args) -> int:
     config = simnet.ScenarioConfig.from_json_file(args.config)
     if args.seed is not None:
-        config = simnet.ScenarioConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
 
-    trial_configs = [{**config.to_dict(), "seed": config.seed + t} for t in range(args.trials)]
-    if args.parallel > 1 and args.trials > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(simnet.run_scenario_payload, trial_configs))
-    else:
-        results = [simnet.run_scenario_payload(c) for c in trial_configs]
-
+    reports = [simnet.run_scenario(dataclasses.replace(config, seed=config.seed + t)) for t in range(args.trials)]
     if args.trials == 1:
-        report = simnet.ScenarioReport(
-            payload=results[0]["payload"],
-            csv_fields=results[0]["csv_fields"],
-            csv_rows=results[0]["csv_rows"],
-        )
+        report = reports[0]
     else:
         report = simnet.ScenarioReport(
             payload={
                 "scenario": config.scenario,
                 "code_version": simnet.CODE_VERSION,
                 "config": config.to_dict(),
-                "trials": [r["payload"] for r in results],
+                "trials": [r.payload for r in reports],
             },
-            csv_fields=results[0]["csv_fields"],
-            csv_rows=[row for r in results for row in r["csv_rows"]],
+            csv_fields=reports[0].csv_fields,
+            csv_rows=[row for r in reports for row in r.csv_rows],
         )
 
     out = args.out or f"./out/{config.scenario}-{config.seed}.json"
     written = simnet.write_report(report, out)
-    failure = _scenario_failure(results)
+    failure = _scenario_failure([r.payload for r in reports])
     _emit({"written": written, "scenario": config.scenario, "seed": config.seed, "failure": failure})
     if args.strict and failure is not None:
         return 2
     return 0
 
 
-def _scenario_failure(results: list[dict]) -> str | None:
-    for result in results:
-        payload = result["payload"]
+def _scenario_failure(payloads: list[dict]) -> str | None:
+    for payload in payloads:
         if payload.get("nonconvergent_trials", 0):
             return "nonconvergent"
         if payload.get("converged_round") == -1:
@@ -191,7 +180,11 @@ def _cmd_rank(args) -> int:
             trust_obj = json.load(fh)
         if not isinstance(trust_obj, dict):
             raise ValueError("trust file must hold a JSON object mapping DID -> trust score")
-        trust_report = {k: float(v) for k, v in trust_obj.items()}
+        for did, value in trust_obj.items():
+            score = json_float(value, f"trust score for {did!r}")
+            if not math.isfinite(score):
+                raise ValueError(f"trust score for {did!r} must be finite")
+            trust_report[did] = score
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             model = discovery.L2RModel.from_json_obj(json.load(fh))
@@ -252,9 +245,11 @@ def _cmd_trust(args) -> int:
         if not isinstance(raw, dict):
             raise ValueError(f"signals for {node!r} must be a JSON object")
         signals = trust.TrustSignals(
-            policy_pass_rate=float(raw.get("policy", 1.0)),
-            anomaly_score=float(raw.get("anomaly", 1.0)),
-            attestation_score=trust.attestation_score(int(raw.get("attestations", 0))),
+            policy_pass_rate=json_float(raw.get("policy", 1.0), f"policy signal for {node!r}"),
+            anomaly_score=json_float(raw.get("anomaly", 1.0), f"anomaly signal for {node!r}"),
+            attestation_score=trust.attestation_score(
+                json_u64(raw.get("attestations", 0), f"attestations signal for {node!r}")
+            ),
         )
         propagated = float(np.clip(vector.values[i], 0.0, 1.0))
         fused = trust.fuse_signals(signals, weights, propagated)
@@ -331,7 +326,6 @@ def _cmd_pay(args) -> int:
 
 def _cmd_dp(args) -> int:
     corpus = cards_mod.load_cards(args.input)
-    params = privacy.DpParams(epsilon=args.epsilon)  # validates the domain
     rng = random.Random(args.seed)
     budget = privacy.PrivacyBudget(args.budget)
     if args.capability:
@@ -339,14 +333,14 @@ def _cmd_dp(args) -> int:
     else:
         predicate = lambda card: True  # noqa: E731
     try:
-        noisy = privacy.dp_count(corpus, predicate, params.epsilon, rng, budget=budget)
+        noisy = privacy.dp_count(corpus, predicate, args.epsilon, rng, budget=budget)
     except privacy.BudgetExhausted as exc:
         _diag(str(exc))
         return 1
     _emit(
         {
             "noisy_count": noisy,
-            "epsilon": params.epsilon,
+            "epsilon": args.epsilon,
             "budget_spent": budget.spent,
             "budget_remaining": budget.remaining,
         }

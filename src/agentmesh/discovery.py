@@ -135,9 +135,8 @@ def features_for(
     card: AgentFactCard,
     trust: float,
     now: int,
-    horizon: float = DEFAULT_RECENCY_HORIZON,
 ) -> RankFeatures:
-    return _features(query_embedding, card, card_embedding(card), trust, now, horizon)
+    return _features(query_embedding, card, card_embedding(card), trust, now)
 
 
 def _features(
@@ -146,14 +145,13 @@ def _features(
     embedding: np.ndarray,
     trust: float,
     now: int,
-    horizon: float,
 ) -> RankFeatures:
     age = max(0, now - card.last_active)
     return RankFeatures(
         cos_sim=cosine(query_embedding, embedding),
         trust=trust,
         log_usage=math.log1p(card.usage_count),
-        recency=math.exp(-age / horizon),
+        recency=math.exp(-age / DEFAULT_RECENCY_HORIZON),
     )
 
 
@@ -292,8 +290,6 @@ def rank(
     k: int,
     now: int,
     tau: float = DEFAULT_TAU,
-    horizon: float = DEFAULT_RECENCY_HORIZON,
-    default_trust: float = 0.0,
 ) -> list[tuple[str, float]]:
     """Top-k (did, score), descending by model score with (trust, DID)
     tie-breaks, deduplicated at cosine threshold tau."""
@@ -302,9 +298,9 @@ def rank(
     scored = []
     for card in cards:
         did = str(card.did)
-        trust = float(trust_report.get(did, default_trust))
+        trust = float(trust_report.get(did, 0.0))
         embedding = card_embedding(card)
-        feats = _features(query_embedding, card, embedding, trust, now, horizon)
+        feats = _features(query_embedding, card, embedding, trust, now)
         scored.append((did, model.score(feats), trust, embedding))
     scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
     kept = dedup([(did, score, emb) for did, score, trust, emb in scored], tau)

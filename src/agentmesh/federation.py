@@ -170,6 +170,8 @@ def merge(a: ReplicaState, b: ReplicaState) -> ReplicaState:
 # Topologies
 # ---------------------------------------------------------------------------
 
+_REGULAR_TRIES = 200
+
 
 @dataclass
 class Topology:
@@ -190,13 +192,13 @@ class Topology:
         return cls("ring", n, [sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)])
 
     @classmethod
-    def random_regular(cls, n: int, k: int, seed: int, max_tries: int = 200) -> "Topology":
+    def random_regular(cls, n: int, k: int, seed: int) -> "Topology":
         """Connected k-regular graph via the pairing model, retrying bounded
         times on self-loops, multi-edges, or disconnection."""
         if n * k % 2 != 0 or k >= n:
             raise ValueError(f"no {k}-regular graph on {n} nodes")
         rng = random.Random(seed)
-        for _ in range(max_tries):
+        for _ in range(_REGULAR_TRIES):
             stubs = [i for i in range(n) for _ in range(k)]
             rng.shuffle(stubs)
             edges = set()
@@ -215,7 +217,7 @@ class Topology:
             topo = cls("random_regular", n, [sorted(l) for l in lists])
             if topo.is_connected():
                 return topo
-        raise ValueError(f"no connected {k}-regular graph found in {max_tries} tries")
+        raise ValueError(f"no connected {k}-regular graph found in {_REGULAR_TRIES} tries")
 
     @classmethod
     def from_neighbors(cls, neighbor_lists: list[list[int]]) -> "Topology":

@@ -67,7 +67,6 @@ class MonotonicityViolation(ValueError):
 
 @dataclass(frozen=True)
 class KeyPair:
-    seed: bytes
     secret_key: bytes
     public_key: bytes
 
@@ -81,10 +80,6 @@ class AgentDid:
     def __post_init__(self) -> None:
         if len(self.id_hex) != 64 or not re.fullmatch(r"[0-9a-f]{64}", self.id_hex):
             raise ValueError(f"bad DID id: {self.id_hex!r}")
-
-    @property
-    def method(self) -> str:
-        return "nanda"
 
     def __str__(self) -> str:
         return DID_PREFIX + self.id_hex
@@ -102,7 +97,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     priv = Ed25519PrivateKey.from_private_bytes(seed)
     public = priv.public_key().public_bytes_raw()
-    return KeyPair(seed=seed, secret_key=seed, public_key=public)
+    return KeyPair(secret_key=seed, public_key=public)
 
 
 def derive_did(public_key: bytes) -> AgentDid:

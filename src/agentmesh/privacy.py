@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "BudgetExhausted",
-    "DpParams",
     "PrivacyBudget",
     "laplace_noise",
     "laplace_mechanism",
@@ -30,27 +28,6 @@ T = TypeVar("T")
 def _require_finite_positive(value: float, what: str) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DpParams:
-    """Per-query privacy parameters. The Laplace mechanism used here is
-    pure-epsilon (delta stays 0); delta is carried for callers that account
-    against an (epsilon, delta) budget."""
-
-    epsilon: float
-    delta: float = 0.0
-    sensitivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_finite_positive(self.epsilon, "epsilon")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
-        _require_finite_positive(self.sensitivity, "sensitivity")
-
-    @property
-    def noise_scale(self) -> float:
-        return self.sensitivity / self.epsilon
 
 
 class BudgetExhausted(RuntimeError):

@@ -44,7 +44,6 @@ __all__ = [
     "run_marketplace",
     "run_discovery_e2e",
     "run_scenario",
-    "run_scenario_payload",
     "write_report",
 ]
 
@@ -172,8 +171,10 @@ class ScenarioConfig:
             raise ValueError("replicas must be >= 1")
         if not (0.0 <= self.sybil_fraction < 0.5):
             raise ValueError("sybil_fraction must be in [0, 0.5)")
-        if self.orientation not in ("literal", "transpose"):
-            raise ValueError("orientation must be 'literal' or 'transpose'")
+        # Every scenario propagates trust in the transpose orientation; the
+        # field is kept only because reports echo it.
+        if self.orientation != "transpose":
+            raise ValueError(f"orientation must be 'transpose', got {self.orientation!r}")
 
     def to_dict(self) -> dict:
         obj = asdict(self)
@@ -929,9 +930,3 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if config.scenario == "marketplace":
         return run_marketplace(config)
     return run_discovery_e2e(config)
-
-
-def run_scenario_payload(config_dict: dict) -> dict:
-    """Process-pool-friendly wrapper: plain dict in, plain dict out."""
-    report = run_scenario(ScenarioConfig.from_dict(config_dict))
-    return {"payload": report.payload, "csv_fields": report.csv_fields, "csv_rows": report.csv_rows}

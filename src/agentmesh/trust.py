@@ -167,7 +167,6 @@ def propagate_trust(
     base: np.ndarray | None = None,
     orientation: Orientation = Orientation.TRANSPOSE,
     tol: float = 1e-9,
-    max_iters: int | None = None,
     start: np.ndarray | None = None,
     keep_trace: bool = False,
 ) -> TrustVector:
@@ -183,8 +182,7 @@ def propagate_trust(
     base_vec = _validate_base(base if base is not None else default_base(n, orientation), n)
     W = row_stochastic(graph, base_vec)
     M = W if orientation is Orientation.LITERAL else W.T
-    if max_iters is None:
-        max_iters = math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
+    max_iters = math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
     T = np.array(base_vec if start is None else np.asarray(start, dtype=float), copy=True)
     if T.shape != (n,):
         raise ValueError(f"start vector must have shape ({n},)")

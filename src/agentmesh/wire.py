@@ -84,9 +84,6 @@ class Reader:
     def u8(self) -> int:
         return struct.unpack(">B", self.take(1))[0]
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 

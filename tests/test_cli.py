@@ -62,19 +62,37 @@ def test_sim_strict_nonconvergent_exits_2(tmp_path, capsys):
     assert code == 0  # without --strict the failure is reported, not fatal
 
 
-def test_sim_multi_trial_parallel_matches_serial(tmp_path, capsys):
+def test_sim_trials_are_single_runs_at_consecutive_seeds(tmp_path, capsys):
     config = _write_convergence_config(tmp_path, n=8, trials=5)
-    out_serial = tmp_path / "serial.json"
-    out_parallel = tmp_path / "parallel.json"
-    code, _o, _e = _run(capsys, ["sim", "--config", str(config), "--trials", "3", "--out", str(out_serial)])
+    out = tmp_path / "trials.json"
+    code, _o, _e = _run(capsys, ["sim", "--config", str(config), "--trials", "3", "--out", str(out)])
     assert code == 0
-    code, _o, _e = _run(
-        capsys,
-        ["sim", "--config", str(config), "--trials", "3", "--parallel", "2", "--out", str(out_parallel)],
-    )
-    assert code == 0
-    assert out_serial.read_bytes() == out_parallel.read_bytes()
-    assert len(json.loads(out_serial.read_text())["trials"]) == 3
+    report = json.loads(out.read_text())
+    single_payloads, single_rows = [], []
+    for t in range(3):
+        single = tmp_path / f"single-{t}.json"
+        code, _o, _e = _run(capsys, ["sim", "--config", str(config), "--seed", str(7 + t), "--out", str(single)])
+        assert code == 0
+        single_payloads.append(json.loads(single.read_text()))
+        header, *rows = single.with_suffix(".csv").read_text().splitlines()
+        single_rows += rows
+    assert report["trials"] == single_payloads
+    assert out.with_suffix(".csv").read_text().splitlines() == [header] + single_rows
+
+
+def test_sim_parallel_flag_is_gone(tmp_path, capsys):
+    config = _write_convergence_config(tmp_path, n=8, trials=5)
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--trials", "3", "--parallel", "2"])
+    assert code == 1
+    assert "--parallel" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+def test_sim_refuses_an_orientation_no_scenario_runs(tmp_path, capsys):
+    config = _write_convergence_config(tmp_path, orientation="literal")
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "orientation" in _one_line_diagnostic(stdout, stderr)["error"]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_flag_rejected_with_json_diagnostic(capsys):
@@ -317,6 +335,10 @@ _INPUT_PAIR = {
     "preferred": {"cos_sim": 0.9, "trust": 0.5, "log_usage": 2.0, "recency": 0.8},
     "other": {"cos_sim": 0.2, "trust": 0.4, "log_usage": 1.0, "recency": 0.3},
 }
+# A trust report for `rank --trust`: the corpus card's DID and one it lacks.
+_INPUT_TRUST = {_INPUT_CARD["did"]: 0.5, str(derive_did(keypair_for("cli-absent").public_key)): 0.2}
+# Signals for `trust --signals` over the nodes of _INPUT_GRAPH.
+_INPUT_SIGNALS = {"a": {"policy": 0.9, "anomaly": 0.8, "attestations": 3}, "b": {}}
 
 
 @pytest.mark.parametrize(
@@ -524,6 +546,10 @@ _CREDENTIAL_PATHS = [("credentials", 0, name) for name in sorted(_INPUT_CARD["cr
 _MODEL_PATHS = [(name,) for name in sorted(_INPUT_MODEL)] + [("theta", 0)]
 _GRAPH_PATHS = [("nodes",), ("edges",), ("nodes", 0), ("edges", 0)] + [("edges", 1, slot) for slot in range(3)]
 _PAIR_PATHS = [(side,) for side in _INPUT_PAIR] + [(side, name) for side in _INPUT_PAIR for name in _INPUT_PAIR[side]]
+_TRUST_PATHS = [(did,) for did in sorted(_INPUT_TRUST)]
+_SIGNALS_PATHS = [(node,) for node in sorted(_INPUT_SIGNALS)] + [
+    (node, name) for node in sorted(_INPUT_SIGNALS) for name in ("policy", "anomaly", "attestations")
+]
 
 
 @settings(max_examples=60)
@@ -537,6 +563,10 @@ _PAIR_PATHS = [(side,) for side in _INPUT_PAIR] + [(side, name) for side in _INP
     graph_value=_json_values,
     pair_path=st.sampled_from(_PAIR_PATHS),
     pair_value=_json_values,
+    trust_path=st.sampled_from(_TRUST_PATHS),
+    trust_value=_json_values,
+    signals_path=st.sampled_from(_SIGNALS_PATHS),
+    signals_value=_json_values,
 )
 @example(
     card_path=("description",),
@@ -548,9 +578,40 @@ _PAIR_PATHS = [(side,) for side in _INPUT_PAIR] + [(side, name) for side in _INP
     graph_value="a",
     pair_path=("preferred", "cos_sim"),
     pair_value=math.inf,
+    trust_path=(_INPUT_CARD["did"],),
+    trust_value=math.inf,  # what a trust file holding 1e400 parses to
+    signals_path=("a", "attestations"),
+    signals_value=math.inf,
+)
+@example(
+    card_path=("description",),
+    card_value="d",
+    line={},
+    model_path=("bias",),
+    model_value=0.0,
+    graph_path=("nodes", 0),
+    graph_value="a",
+    pair_path=("preferred", "cos_sim"),
+    pair_value=0.5,
+    trust_path=(_INPUT_CARD["did"],),
+    trust_value=math.nan,
+    signals_path=("b", "attestations"),
+    signals_value=1e300,
 )
 def test_cli_input_files_keep_exit_code_and_stderr_contract(
-    card_path, card_value, line, model_path, model_value, graph_path, graph_value, pair_path, pair_value
+    card_path,
+    card_value,
+    line,
+    model_path,
+    model_value,
+    graph_path,
+    graph_value,
+    pair_path,
+    pair_value,
+    trust_path,
+    trust_value,
+    signals_path,
+    signals_value,
 ):
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "cards.jsonl"
@@ -573,3 +634,17 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
         for text in (json.dumps(_with(_INPUT_PAIR, pair_path, pair_value)), json.dumps(line)):
             pairs.write_text(text + "\n")
             _assert_contract(*_run_quietly(["train", "--pairs", str(pairs), "--iters", "5"]))
+
+        graph.write_text(json.dumps(_INPUT_GRAPH))
+        trust_report = Path(tmp) / "trust.json"
+        signals = Path(tmp) / "signals.json"
+        for trust_obj, signals_obj in (
+            (_with(_INPUT_TRUST, trust_path, trust_value), _with(_INPUT_SIGNALS, signals_path, signals_value)),
+            (line, line),
+        ):
+            trust_report.write_text(json.dumps(trust_obj))
+            _assert_contract(
+                *_run_quietly(["rank", "--query", "q", "--corpus", str(corpus), "--trust", str(trust_report)])
+            )
+            signals.write_text(json.dumps(signals_obj))
+            _assert_contract(*_run_quietly(["trust", "--graph", str(graph), "--signals", str(signals)]))
