@@ -9,7 +9,6 @@ grid first so digests are reproducible across platforms.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,11 +21,13 @@ from .wire import (
     enc_u8,
     enc_u32,
     enc_u64,
+    dumps,
     json_float,
     json_list,
     json_object,
     json_str,
     json_u64,
+    load_jsonl,
 )
 
 __all__ = [
@@ -194,10 +195,15 @@ def _encode_body(card: AgentFactCard, embedding_bytes: bytes) -> bytes:
     return b"".join(parts)
 
 
-def canonical_encode(card: AgentFactCard) -> bytes:
+def _refuse_violations(card: AgentFactCard) -> AgentFactCard:
     violations = structural_violations(card)
     if violations:
-        raise EncodingRefused(", ".join(v.value for v in violations))
+        raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
+    return card
+
+
+def canonical_encode(card: AgentFactCard) -> bytes:
+    _refuse_violations(card)
     return _encode_body(card, _encode_embedding_exact(card.embedding))
 
 
@@ -232,25 +238,17 @@ def decode_card(data: bytes) -> AgentFactCard:
 
 def card_digest(card: AgentFactCard) -> bytes:
     """32-byte content digest, stable across platforms (embedding quantized)."""
-    violations = structural_violations(card)
-    if violations:
-        raise EncodingRefused(", ".join(v.value for v in violations))
+    _refuse_violations(card)
     return sha256(_DIGEST_DOMAIN + _encode_body(card, _encode_embedding_quantized(card.embedding)))
 
 
 def load_cards(path: str | Path) -> list[AgentFactCard]:
-    """Read a JSON Lines card corpus."""
-    cards = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                cards.append(AgentFactCard.from_json_obj(json.loads(line)))
-    return cards
+    """Read a JSON Lines card corpus, refusing any card that fails the
+    structural checks."""
+    return load_jsonl(path, lambda obj: _refuse_violations(AgentFactCard.from_json_obj(obj)))
 
 
 def write_cards(path: str | Path, cards: list[AgentFactCard]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for card in cards:
-            fh.write(json.dumps(card.to_json_obj(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(dumps(card.to_json_obj()) + "\n")

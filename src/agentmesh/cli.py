@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import random
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 from . import cards as cards_mod
 from . import discovery, micropay, privacy, registry, simnet, trust
 from .identity import derive_did, generate_keypair, sha256
-from .wire import json_float, json_list, json_object, json_str, json_u64
+from .wire import dumps, json_float, json_list, json_object, json_str, json_u64, load_json
 
 __all__ = ["main", "build_parser"]
 
@@ -35,13 +34,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _diag(message: str, **extra) -> None:
-    payload = {"error": message}
-    payload.update(extra)
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+    print(dumps({"error": message, **extra}), file=sys.stderr)
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(dumps(obj))
+
+
+def _write(path: str, obj) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
 
 
 def build_parser() -> _Parser:
@@ -118,12 +120,7 @@ def _cmd_sim(args) -> int:
         report = reports[0]
     else:
         report = simnet.ScenarioReport(
-            payload={
-                "scenario": config.scenario,
-                "code_version": simnet.CODE_VERSION,
-                "config": config.to_dict(),
-                "trials": [r.payload for r in reports],
-            },
+            payload={**simnet.report_header(config), "trials": [r.payload for r in reports]},
             csv_fields=reports[0].csv_fields,
             csv_rows=[row for r in reports for row in r.csv_rows],
         )
@@ -156,9 +153,7 @@ def _scenario_failure(payloads: list[dict]) -> str | None:
 
 
 def _cmd_resolve(args) -> int:
-    with open(args.snapshot, "r", encoding="utf-8") as fh:
-        snapshot = json.load(fh)
-    index = registry.MerkleRadixIndex.import_snapshot(snapshot)
+    index = registry.MerkleRadixIndex.import_snapshot(load_json(args.snapshot))
     record = index.resolve(args.key)
     if record is None:
         _emit({"key": args.key, "found": False})
@@ -176,8 +171,7 @@ def _cmd_rank(args) -> int:
     corpus = cards_mod.load_cards(args.corpus)
     trust_report = {}
     if args.trust:
-        with open(args.trust, "r", encoding="utf-8") as fh:
-            trust_obj = json.load(fh)
+        trust_obj = load_json(args.trust)
         if not isinstance(trust_obj, dict):
             raise ValueError("trust file must hold a JSON object mapping DID -> trust score")
         for did, value in trust_obj.items():
@@ -186,8 +180,7 @@ def _cmd_rank(args) -> int:
                 raise ValueError(f"trust score for {did!r} must be finite")
             trust_report[did] = score
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            model = discovery.L2RModel.from_json_obj(json.load(fh))
+        model = discovery.L2RModel.from_json_obj(load_json(args.model))
     else:
         # Similarity-dominant fallback so an untrained CLI call is useful.
         model = discovery.L2RModel(theta=np.array([1.0, 0.25, 0.0, 0.0]))
@@ -211,15 +204,13 @@ def _cmd_train(args) -> int:
     model = discovery.train(pairs, learning_rate=args.lr, iters=args.iters)
     obj = model.to_json_obj()
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+        _write(args.out, obj)
     _emit(obj)
     return 0
 
 
 def _cmd_trust(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph_obj = json_object(json.load(fh), "graph file")
+    graph_obj = json_object(load_json(args.graph), "graph file")
     edges = []
     for edge in json_list(graph_obj["edges"], "graph field 'edges'"):
         if len(json_list(edge, "graph edge")) != 3:
@@ -234,8 +225,7 @@ def _cmd_trust(args) -> int:
     vector = trust.propagate_trust(graph, alpha=args.alpha, orientation=orientation, tol=args.tol)
     signals_by_node = {}
     if args.signals:
-        with open(args.signals, "r", encoding="utf-8") as fh:
-            signals_by_node = json.load(fh)
+        signals_by_node = load_json(args.signals)
         if not isinstance(signals_by_node, dict):
             raise ValueError("signals file must hold a JSON object mapping node -> signals")
     weights = trust.ContextWeights.for_context(trust.ContextKind(args.context))
@@ -252,18 +242,7 @@ def _cmd_trust(args) -> int:
             ),
         )
         propagated = float(np.clip(vector.values[i], 0.0, 1.0))
-        fused = trust.fuse_signals(signals, weights, propagated)
-        report.append(
-            {
-                "did": node,
-                "propagated": propagated,
-                "policy": signals.policy_pass_rate,
-                "behavior": signals.anomaly_score,
-                "attest": signals.attestation_score,
-                "fused": fused,
-                "tier": trust.verification_tier(fused).value,
-            }
-        )
+        report.append({"did": node, **trust.trust_breakdown(signals, weights, propagated)})
     out = {
         "alpha": args.alpha,
         "orientation": args.orientation,
@@ -273,8 +252,7 @@ def _cmd_trust(args) -> int:
         "agents": report,
     }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+        _write(args.out, out)
     _emit(out)
     return 0
 
@@ -298,6 +276,8 @@ def _cmd_pay(args) -> int:
         )
         return 0
 
+    if not -(1 << 63) <= args.seed < 1 << 63:
+        raise _UsageError("--seed must fit in a signed 64-bit integer")
     payer_kp = generate_keypair(sha256(b"pay-demo-payer" + args.seed.to_bytes(8, "big", signed=True)))
     payee_kp = generate_keypair(sha256(b"pay-demo-payee" + args.seed.to_bytes(8, "big", signed=True)))
     payer, payee = derive_did(payer_kp.public_key), derive_did(payee_kp.public_key)

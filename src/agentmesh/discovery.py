@@ -10,7 +10,6 @@ fallback.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from .cards import EMBED_DIM, AgentFactCard
 from .identity import sha256
-from .wire import json_float, json_list, json_object, json_u64
+from .wire import json_float, json_list, json_object, json_u64, load_jsonl
 
 __all__ = [
     "RankFeatures",
@@ -323,13 +322,9 @@ def dedup(
 
 def load_pairs(path: str | Path) -> list[tuple[RankFeatures, RankFeatures]]:
     """Read training pairs from JSON Lines of {preferred, other} features."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json_object(json.loads(line), "pairs line")
-                pairs.append(
-                    (RankFeatures.from_json_obj(obj["preferred"]), RankFeatures.from_json_obj(obj["other"]))
-                )
-    return pairs
+
+    def parse(obj: object) -> tuple[RankFeatures, RankFeatures]:
+        obj = json_object(obj, "pairs line")
+        return RankFeatures.from_json_obj(obj["preferred"]), RankFeatures.from_json_obj(obj["other"])
+
+    return load_jsonl(path, parse)

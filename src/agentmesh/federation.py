@@ -36,6 +36,7 @@ __all__ = [
     "ConvergenceSummary",
     "merge",
     "gossip_round",
+    "gossip_to_convergence",
     "rounds_to_convergence",
     "default_round_cap",
 ]
@@ -318,6 +319,29 @@ def default_round_cap(n: int) -> int:
     return 64 * max(1, math.ceil(math.log2(max(2, n)))) + 64
 
 
+def gossip_to_convergence(
+    mesh: list[ReplicaState],
+    topology: Topology,
+    rng: random.Random,
+    rounds_cap: int | None,
+) -> tuple[int | None, list[RoundStats]]:
+    """Gossip until every replica holds the join of the mesh's state at the
+    call, or until `rounds_cap` rounds (default `default_round_cap`) have run.
+    Returns the rounds used (0 for a mesh already converged, None at the cap)
+    and the stats of each round run."""
+    n = len(mesh)
+    cap = rounds_cap if rounds_cap is not None else default_round_cap(n)
+    target = mesh_target(mesh)
+    stats: list[RoundStats] = []
+    if converged_count(mesh, target) == n:
+        return 0, stats
+    while len(stats) < cap:
+        stats.append(gossip_round(mesh, topology, rng, target=target))
+        if stats[-1].converged == n:
+            return len(stats), stats
+    return None, stats
+
+
 @dataclass
 class ConvergenceSummary:
     n: int
@@ -347,7 +371,6 @@ def rounds_to_convergence(
     replica. `record_source(trial)` must return (record, resolver)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cap = rounds_cap if rounds_cap is not None else default_round_cap(n)
     per_trial: list[int | None] = []
     stats_rows: list[dict] = []
     for trial in range(trials):
@@ -355,24 +378,11 @@ def rounds_to_convergence(
         mesh = [ReplicaState(i) for i in range(n)]
         record, resolver = record_source(trial)
         mesh[0].local_put(record, logical_time=1, resolver=resolver)
-        target = mesh_target(mesh)
-        rounds_used: int | None = 0
-        if converged_count(mesh, target) < n:
-            rounds_used = None
-            for round_idx in range(1, cap + 1):
-                stats = gossip_round(mesh, topology, rng, target=target)
-                stats_rows.append(
-                    {
-                        "trial": trial,
-                        "round": round_idx,
-                        "converged_count": stats.converged,
-                        "messages": stats.messages,
-                        "bytes": stats.bytes_sent,
-                    }
-                )
-                if stats.converged == n:
-                    rounds_used = round_idx
-                    break
+        rounds_used, stats = gossip_to_convergence(mesh, topology, rng, rounds_cap)
+        stats_rows.extend(
+            {"trial": trial, "round": r, "converged_count": s.converged, "messages": s.messages, "bytes": s.bytes_sent}
+            for r, s in enumerate(stats, start=1)
+        )
         per_trial.append(rounds_used)
     converged_rounds = [r for r in per_trial if r is not None]
     median_rounds = float(statistics.median(converged_rounds)) if converged_rounds else None

@@ -106,6 +106,8 @@ def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expire
     owner key."""
     from .identity import generate_keypair
 
+    if not (0 <= issued_at <= MAX_U64 and 0 <= expires_at <= MAX_U64):
+        raise MicropayError("validity window bounds must lie in [0, 2**64)")
     if issued_at > expires_at:
         raise MicropayError("empty validity window")
     keypair = generate_keypair(ephemeral_seed)
@@ -328,6 +330,8 @@ class Ledger:
         for did, amount in self.balances.items():
             if amount < 0:
                 raise MicropayError(f"negative opening balance for {did}")
+            if amount > MAX_U64:
+                raise MicropayError(f"opening balance for {did} exceeds u64")
         self.seen_nonces: set[tuple[str, bytes]] = set()
         self.receipts: list[Receipt] = []
         # Canonical encodings kept as settlements land. Every payer renders as
@@ -339,6 +343,8 @@ class Ledger:
         if amount < 0:
             raise MicropayError("credit must be nonnegative")
         key = str(did)
+        if self.balances.get(key, 0) + amount > MAX_U64:
+            raise MicropayError(f"credit would take the balance of {key} past u64")
         self.balances[key] = self.balances.get(key, 0) + amount
 
     def balance(self, did: AgentDid | str) -> int:

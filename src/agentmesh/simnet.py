@@ -9,7 +9,6 @@ produces a byte-identical report.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -31,6 +30,7 @@ from .identity import (
     verify_attestation,
     AttestationCheck,
 )
+from .wire import dumps, load_json
 
 __all__ = [
     "CODE_VERSION",
@@ -44,6 +44,7 @@ __all__ = [
     "run_marketplace",
     "run_discovery_e2e",
     "run_scenario",
+    "report_header",
     "write_report",
 ]
 
@@ -194,8 +195,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 @dataclass
@@ -205,13 +205,18 @@ class ScenarioReport:
     csv_rows: list[dict] = field(default_factory=list)
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        return dumps(self.payload).encode() + b"\n"
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.csv_fields)]
         for row in self.csv_rows:
-            lines.append(",".join(str(row[f]) for f in self.csv_fields))
+            lines.append(",".join("" if row[f] is None else str(row[f]) for f in self.csv_fields))
         return "\n".join(lines) + "\n"
+
+
+def report_header(config: ScenarioConfig) -> dict:
+    """The keys every report payload opens with."""
+    return {"scenario": config.scenario, "code_version": CODE_VERSION, "config": config.to_dict()}
 
 
 def write_report(report: ScenarioReport, out_path: str | Path) -> list[str]:
@@ -242,6 +247,10 @@ class SimAgent:
     card: AgentFactCard
 
 
+def _keypair(label: bytes, seed: int, i: int) -> KeyPair:
+    return generate_keypair(sha256(label + seed.to_bytes(8, "big", signed=True) + i.to_bytes(4, "big")))
+
+
 def synthetic_agents(
     n: int,
     seed: int,
@@ -254,8 +263,7 @@ def synthetic_agents(
     rng = subsystem_rng(seed, "corpus")
     agents: list[SimAgent] = []
     for i in range(n):
-        key_seed = sha256(b"agent-seed" + seed.to_bytes(8, "big", signed=True) + i.to_bytes(4, "big"))
-        keypair = generate_keypair(key_seed)
+        keypair = _keypair(b"agent-seed", seed, i)
         did = derive_did(keypair.public_key)
         if oddball_last and i == n - 1:
             domain, base_desc, caps = _ODDBALL_DOMAIN
@@ -292,26 +300,17 @@ def _records_for(agents: list[SimAgent]) -> list[registry.RegistryRecord]:
     records = []
     for agent in agents:
         digest = cards_mod.card_digest(agent.card)
-        records.append(
-            registry.make_record(
-                key=str(agent.did),
-                metadata_url=agent.card.endpoint_url,
-                card_digest=digest,
-                owner_secret_key=agent.keypair.secret_key,
-                owner=agent.did,
-                version=1,
+        for key in (str(agent.did), agent.name):
+            records.append(
+                registry.make_record(
+                    key=key,
+                    metadata_url=agent.card.endpoint_url,
+                    card_digest=digest,
+                    owner_secret_key=agent.keypair.secret_key,
+                    owner=agent.did,
+                    version=1,
+                )
             )
-        )
-        records.append(
-            registry.make_record(
-                key=agent.name,
-                metadata_url=agent.card.endpoint_url,
-                card_digest=digest,
-                owner_secret_key=agent.keypair.secret_key,
-                owner=agent.did,
-                version=1,
-            )
-        )
     return records
 
 
@@ -351,12 +350,10 @@ def _load_or_generate_agents(config: ScenarioConfig, duplicate_every: int = 0) -
         # External corpora carry no keys; mint deterministic stand-in keys,
         # bound to each card's DID by the resolver, so records stay
         # verifiable inside the simulation.
-        key_seed = sha256(b"corpus-agent" + config.seed.to_bytes(8, "big", signed=True) + i.to_bytes(4, "big"))
-        keypair = generate_keypair(key_seed)
         agents.append(
             SimAgent(
                 index=i,
-                keypair=keypair,
+                keypair=_keypair(b"corpus-agent", config.seed, i),
                 did=card.did,
                 name=card.display_name,
                 domain=card.capabilities[0].split(".")[0] if card.capabilities else "unknown",
@@ -383,8 +380,7 @@ def run_convergence(config: ScenarioConfig) -> ScenarioReport:
     topology = _topology_for(config)
 
     def record_source(trial: int):
-        key_seed = sha256(b"conv-record" + config.seed.to_bytes(8, "big", signed=True) + trial.to_bytes(4, "big"))
-        keypair = generate_keypair(key_seed)
+        keypair = _keypair(b"conv-record", config.seed, trial)
         did = derive_did(keypair.public_key)
         record = registry.make_record(
             key=str(did),
@@ -406,9 +402,7 @@ def run_convergence(config: ScenarioConfig) -> ScenarioReport:
     )
     bound = 3.0 * math.log2(config.n) if config.n > 1 else 0.0
     payload = {
-        "scenario": "convergence",
-        "code_version": CODE_VERSION,
-        "config": config.to_dict(),
+        **report_header(config),
         "topology": topology.kind,
         "rounds_per_trial": summary.rounds,
         "median_rounds": summary.median_rounds,
@@ -448,12 +442,16 @@ def _honest_graph_edges(n: int, rng: random.Random, hubs: int) -> dict[tuple[int
     return edges
 
 
+def _trust_graph(nodes: list[str], edges: dict[tuple[int, int], float]) -> trust.TrustGraph:
+    return trust.TrustGraph(nodes=nodes, edges=[(i, j, w) for (i, j), w in sorted(edges.items())])
+
+
 def _sybil_graph(
     n_honest: int,
     n_sybil: int,
-    internal_weight: float,
+    internal_weight: float | None,
     honest_edges: dict[tuple[int, int], float],
-    honest_to_sybil: float | None = None,
+    honest_to_sybil: bool,
 ) -> trust.TrustGraph:
     nodes = [f"honest-{i}" for i in range(n_honest)] + [f"sybil-{i}" for i in range(n_sybil)]
     edges = dict(honest_edges)
@@ -461,10 +459,9 @@ def _sybil_graph(
         for b in range(n_sybil):
             if a != b:
                 edges[(n_honest + a, n_honest + b)] = internal_weight
-    if honest_to_sybil is not None and n_sybil > 0:
-        edges[(0, n_honest)] = honest_to_sybil
-    edge_list = [(i, j, w) for (i, j), w in sorted(edges.items())]
-    return trust.TrustGraph(nodes=nodes, edges=edge_list)
+    if honest_to_sybil:
+        edges[(0, n_honest)] = 1.0
+    return _trust_graph(nodes, edges)
 
 
 def run_sybil(config: ScenarioConfig) -> ScenarioReport:
@@ -474,7 +471,6 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
     hubs = max(1, n_sybil)
     honest_edges = _honest_graph_edges(n, rng, hubs)
     base_value = 0.5
-    runs = []
 
     def masses(graph: trust.TrustGraph) -> dict:
         total = graph.n
@@ -492,61 +488,41 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
             "total_mass": float(solved.sum()),
         }
 
+    # (internal weight, honest-to-Sybil edge): both internal weights without
+    # the edge, then the second with it; with no Sybils, the honest graph alone.
+    w_a, w_b = config.sybil_internal_weights
+    settings = [(w_a, False), (w_b, False), (w_b, True)] if n_sybil > 0 else [(None, False)]
+    runs = [
+        {
+            **masses(_sybil_graph(n, n_sybil, w_int, honest_edges, edge)),
+            "internal_weight": w_int,
+            "honest_to_sybil_edge": edge,
+        }
+        for w_int, edge in settings
+    ]
     if n_sybil > 0:
-        for w_int in config.sybil_internal_weights:
-            graph = _sybil_graph(n, n_sybil, w_int, honest_edges)
-            result = masses(graph)
-            result["internal_weight"] = w_int
-            result["honest_to_sybil_edge"] = False
-            runs.append(result)
-        with_edge = masses(_sybil_graph(n, n_sybil, config.sybil_internal_weights[1], honest_edges, honest_to_sybil=1.0))
-        with_edge["internal_weight"] = config.sybil_internal_weights[1]
-        with_edge["honest_to_sybil_edge"] = True
-        runs.append(with_edge)
-        mass_a = runs[0]["sybil_mass"]
-        mass_b = runs[1]["sybil_mass"]
+        mass_a, mass_b, mass_edge = (r["sybil_mass"] for r in runs)
         invariant = abs(mass_a - mass_b) <= 1e-9
-        increase = runs[2]["sybil_mass"] > mass_b + 1e-12
-        expected_base_mass = base_value * n_sybil
+        increase = mass_edge > mass_b + 1e-12
         sybil_below_hubs = mass_b < runs[1]["hub_mass"]
     else:
-        graph = _sybil_graph(n, 0, 0.0, honest_edges)
-        result = masses(graph)
-        result["internal_weight"] = None
-        result["honest_to_sybil_edge"] = False
-        runs.append(result)
-        invariant = True
-        increase = True
-        expected_base_mass = 0.0
-        sybil_below_hubs = True
+        invariant = increase = sybil_below_hubs = True
 
     payload = {
-        "scenario": "sybil",
-        "code_version": CODE_VERSION,
-        "config": config.to_dict(),
+        **report_header(config),
         "n_honest": n,
         "n_sybil": n_sybil,
         "base_value": base_value,
-        "expected_sybil_base_mass": expected_base_mass,
+        "expected_sybil_base_mass": base_value * n_sybil,
         "runs": runs,
         "sybil_mass_invariant_to_internal_weights": invariant,
         "honest_edge_strictly_increases_mass": increase,
         "sybil_mass_below_equal_size_honest_hubs": sybil_below_hubs,
     }
-    csv_rows = [
-        {
-            "run": idx,
-            "internal_weight": r["internal_weight"] if r["internal_weight"] is not None else "",
-            "honest_to_sybil_edge": r["honest_to_sybil_edge"],
-            "sybil_mass": r["sybil_mass"],
-            "hub_mass": r["hub_mass"],
-        }
-        for idx, r in enumerate(runs)
-    ]
     return ScenarioReport(
         payload=payload,
         csv_fields=["run", "internal_weight", "honest_to_sybil_edge", "sybil_mass", "hub_mass"],
-        csv_rows=csv_rows,
+        csv_rows=[{"run": idx, **r} for idx, r in enumerate(runs)],
     )
 
 
@@ -564,8 +540,7 @@ def _market_graph(n: int, successes: dict[tuple[int, int], int]) -> trust.TrustG
     for (i, j), count in successes.items():
         weight = 1.0 - 0.5**count
         edges[(i, j)] = max(edges.get((i, j), 0.0), weight)
-    edge_list = [(i, j, w) for (i, j), w in sorted(edges.items())]
-    return trust.TrustGraph(nodes=[str(i) for i in range(n)], edges=edge_list)
+    return _trust_graph([str(i) for i in range(n)], edges)
 
 
 def _check_dp_budget(epsilon: float, releases: int) -> None:
@@ -617,24 +592,29 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     payment_attestations = 0
     successes: dict[tuple[int, int], int] = {}
     events = {a.index: {"requests": 0.0, "successes": 0.0, "failures": 0.0, "spend": 0.0} for a in agents}
-    actions = {a.index: {"total": 0, "compliant": 0} for a in agents}
     received = {a.index: 0 for a in agents}
     event_clock = 0
 
-    fused: dict[int, float] = {a.index: 0.5 for a in agents}
-    last_breakdown: dict[int, dict] = {
-        a.index: {"propagated": 0.5, "policy": 1.0, "behavior": 1.0, "attest": 0.0} for a in agents
-    }
+    # Trust rows as of the last round close; before the first, every agent
+    # stands at the neutral prior.
+    prior = {"propagated": 0.5, "policy": 1.0, "behavior": 1.0, "attest": 0.0, "fused": 0.5}
+    standing = {a.index: {**prior, "tier": trust.verification_tier(0.5).value} for a in agents}
     rows = []
     regular_domains = list(_DOMAINS)
-    deadbeat_amount = config.max_payment + config.task_price
+    amounts = {a.index: config.task_price for a in agents}
+    amounts[deadbeat] = config.max_payment + config.task_price
+    # An agent asks the same amount at the same rate every time, so either
+    # all of its requests comply with the payment policy or none do.
+    within_rate = config.tasks_per_round <= config.max_requests_per_round
+    compliant = {i: within_rate and amount <= config.max_payment for i, amount in amounts.items()}
 
     for round_idx in range(1, config.rounds + 1):
         now = round_idx
         settle_ok = 0
         settle_fail = 0
+        # No agent is among its own candidates, so one report serves them all.
+        trust_report = {str(a.did): standing[a.index]["fused"] for a in agents}
         for agent in agents:
-            trust_report = {str(a.did): fused[a.index] for a in agents if a.index != agent.index}
             for _task in range(config.tasks_per_round):
                 _domain, domain_desc, _caps = regular_domains[(agent.index + round_idx) % len(regular_domains)]
                 query = f"need a {domain_desc}"
@@ -650,7 +630,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 if not ranked:
                     continue
                 provider = by_did[ranked[0][0]]
-                amount = deadbeat_amount if agent.index == deadbeat else config.task_price
+                amount = amounts[agent.index]
                 task_id = f"task-r{round_idx}-a{agent.index}"
                 invoice = micropay.create_invoice(provider.did, amount, task_id, expires_at=now + 2, rng=invoice_rng)
                 ephemeral = micropay.make_ephemeral(agent.keypair, eph_rng.randbytes(32), now, now + 5)
@@ -659,9 +639,6 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 header = micropay.parse_payment_header(header_line)
 
                 events[agent.index]["requests"] += 1.0
-                actions[agent.index]["total"] += 1
-                if amount <= config.max_payment and config.tasks_per_round <= config.max_requests_per_round:
-                    actions[agent.index]["compliant"] += 1
                 try:
                     ledger.settle(header, invoice, resolver, now)
                 except micropay.SettleError:
@@ -701,25 +678,18 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
             if verify_attestation(att, resolver) is AttestationCheck.VALID:
                 valid_counts[by_did[str(att.subject)].index] += 1
         unverified.clear()
-        new_fused = {}
-        breakdown = {}
-        for agent in agents:
-            i = agent.index
-            policy_rate = actions[i]["compliant"] / actions[i]["total"] if actions[i]["total"] else 1.0
-            signals = trust.TrustSignals(
-                policy_pass_rate=policy_rate,
-                anomaly_score=trust.behavior_score(population[i], population),
-                attestation_score=trust.attestation_score(valid_counts[i]),
+        standing = {
+            i: trust.trust_breakdown(
+                trust.TrustSignals(
+                    policy_pass_rate=1.0 if compliant[i] or not events[i]["requests"] else 0.0,
+                    anomaly_score=trust.behavior_score(population[i], population),
+                    attestation_score=trust.attestation_score(valid_counts[i]),
+                ),
+                weights,
+                float(propagated[i]),
             )
-            new_fused[i] = trust.fuse_signals(signals, weights, float(propagated[i]))
-            breakdown[i] = {
-                "propagated": float(propagated[i]),
-                "policy": policy_rate,
-                "behavior": signals.anomaly_score,
-                "attest": signals.attestation_score,
-            }
-        fused = new_fused
-        last_breakdown = breakdown
+            for i in range(n)
+        }
 
         conservation_ok = ledger.total() == initial_total
         attested_ok = payment_attestations == len(ledger.receipts)
@@ -731,17 +701,14 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 "ledger_total": ledger.total(),
                 "conservation_ok": conservation_ok,
                 "payments_attested": attested_ok,
-                "deadbeat_fused": fused[deadbeat],
+                "deadbeat_fused": standing[deadbeat]["fused"],
             }
         )
 
-    high_trust = privacy.dp_count(
-        list(fused.values()), lambda v: v >= 0.5, config.epsilon, dp_rng, budget=privacy.PrivacyBudget()
-    )
+    fused = [standing[i]["fused"] for i in range(n)]
+    high_trust = privacy.dp_count(fused, lambda v: v >= 0.5, config.epsilon, dp_rng, budget=privacy.PrivacyBudget())
     payload = {
-        "scenario": "marketplace",
-        "code_version": CODE_VERSION,
-        "config": config.to_dict(),
+        **report_header(config),
         "agents": [
             {
                 "index": a.index,
@@ -749,12 +716,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 "name": a.name,
                 "domain": a.domain,
                 "balance": ledger.balance(a.did),
-                "propagated": last_breakdown[a.index]["propagated"],
-                "policy": last_breakdown[a.index]["policy"],
-                "behavior": last_breakdown[a.index]["behavior"],
-                "attest": last_breakdown[a.index]["attest"],
-                "fused": fused[a.index],
-                "tier": trust.verification_tier(fused[a.index]).value,
+                **standing[a.index],
                 "received_payments": received[a.index],
             }
             for a in agents
@@ -801,18 +763,9 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
     for idx, record in enumerate(records):
         replicas[idx % config.replicas].local_put(record, logical_time=idx + 1, resolver=resolver)
 
-    topology = federation.Topology.complete(config.replicas)
-    gossip_rng = subsystem_rng(config.seed, "gossip")
-    target = federation.mesh_target(replicas)
-    cap = config.rounds_cap if config.rounds_cap is not None else federation.default_round_cap(config.replicas)
-    converged_round = 0
-    if federation.converged_count(replicas, target) < config.replicas:
-        converged_round = -1
-        for round_idx in range(1, cap + 1):
-            stats = federation.gossip_round(replicas, topology, gossip_rng, target=target)
-            if stats.converged == config.replicas:
-                converged_round = round_idx
-                break
+    rounds, _stats = federation.gossip_to_convergence(
+        replicas, federation.Topology.complete(config.replicas), subsystem_rng(config.seed, "gossip"), config.rounds_cap
+    )
 
     indexes = []
     for replica in replicas:
@@ -830,10 +783,7 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
             j = graph_rng.randrange(n)
             if j != i:
                 edges.setdefault((i, j), round(graph_rng.uniform(0.2, 1.0), 6))
-    graph = trust.TrustGraph(
-        nodes=[str(a.did) for a in agents],
-        edges=[(i, j, w) for (i, j), w in sorted(edges.items())],
-    )
+    graph = _trust_graph([str(a.did) for a in agents], edges)
     propagated = trust.propagate_trust(graph, alpha=config.alpha, orientation=trust.Orientation.TRANSPOSE).values
     trust_report = {str(a.did): float(np.clip(propagated[a.index], 0.0, 1.0)) for a in agents}
     if config.trust_overrides:
@@ -869,13 +819,11 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
             dedup_ok = False
         results = []
         for rank_pos, (did, score) in enumerate(ranked):
-            proof = indexes[0].prove_inclusion(did)
-            proof_ok = registry.verify_proof(roots[0], proof)
+            # Replica 0 lacks a hit only when gossip stopped at the cap.
+            proof_ok = did in replicas[0].store and registry.verify_proof(roots[0], indexes[0].prove_inclusion(did))
             all_proofs_ok = all_proofs_ok and proof_ok
             results.append({"did": did, "score": float(score), "proof_ok": proof_ok})
-            csv_rows.append(
-                {"query": query, "rank": rank_pos, "did": did, "score": float(score), "proof_ok": proof_ok}
-            )
+            csv_rows.append({"query": query, "rank": rank_pos, **results[-1]})
         query_results.append({"query": query, "results": results, "max_pairwise_cosine": float(max_pairwise)})
 
     dp_rng = subsystem_rng(config.seed, "dp")
@@ -891,11 +839,9 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         )
 
     payload = {
-        "scenario": "discovery_e2e",
-        "code_version": CODE_VERSION,
-        "config": config.to_dict(),
+        **report_header(config),
         "n_agents": n,
-        "converged_round": converged_round,
+        "converged_round": -1 if rounds is None else rounds,
         "replica_roots_equal": roots_equal,
         "root_digest": roots[0].hex(),
         "queries": query_results,

@@ -36,6 +36,7 @@ __all__ = [
     "propagate_trust",
     "solve_trust_exact",
     "fuse_signals",
+    "trust_breakdown",
     "verification_tier",
     "behavior_score",
     "attestation_score",
@@ -96,9 +97,6 @@ class TrustGraph:
 @dataclass
 class TrustVector:
     values: np.ndarray
-    alpha: float
-    base: np.ndarray
-    orientation: Orientation
     iterations: int
     residual: float
     residual_trace: tuple[float, ...] | None = None
@@ -161,6 +159,14 @@ def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndar
     return W
 
 
+def _operator(graph: TrustGraph, base: np.ndarray | None, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
+    """The validated base vector e and the matrix M of the fixed point
+    T = alpha*M*T + (1-alpha)*e."""
+    base_vec = _validate_base(base if base is not None else default_base(graph.n, orientation), graph.n)
+    W = row_stochastic(graph, base_vec)
+    return base_vec, W if orientation is Orientation.LITERAL else W.T
+
+
 def propagate_trust(
     graph: TrustGraph,
     alpha: float = 0.85,
@@ -179,9 +185,7 @@ def propagate_trust(
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")
-    base_vec = _validate_base(base if base is not None else default_base(n, orientation), n)
-    W = row_stochastic(graph, base_vec)
-    M = W if orientation is Orientation.LITERAL else W.T
+    base_vec, M = _operator(graph, base, orientation)
     max_iters = math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
     T = np.array(base_vec if start is None else np.asarray(start, dtype=float), copy=True)
     if T.shape != (n,):
@@ -206,9 +210,6 @@ def propagate_trust(
             trace.append(residual)
     return TrustVector(
         values=T,
-        alpha=alpha,
-        base=base_vec,
-        orientation=orientation,
         iterations=iterations,
         residual=residual,
         residual_trace=tuple(trace) if keep_trace else None,
@@ -225,11 +226,8 @@ def solve_trust_exact(
     route the power iteration is checked against."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0,1)")
-    n = graph.n
-    base_vec = _validate_base(base if base is not None else default_base(n, orientation), n)
-    W = row_stochastic(graph, base_vec)
-    M = W if orientation is Orientation.LITERAL else W.T
-    return np.linalg.solve(np.eye(n) - alpha * M, (1.0 - alpha) * base_vec)
+    base_vec, M = _operator(graph, base, orientation)
+    return np.linalg.solve(np.eye(graph.n) - alpha * M, (1.0 - alpha) * base_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +298,20 @@ def fuse_signals(signals: TrustSignals, weights: ContextWeights, propagated: flo
         + weights.w_attest * signals.attestation_score
     )
     return propagated * blended
+
+
+def trust_breakdown(signals: TrustSignals, weights: ContextWeights, propagated: float) -> dict:
+    """One agent's trust row: its propagated trust, each signal, the fused
+    score and the verification tier that score earns."""
+    fused = fuse_signals(signals, weights, propagated)
+    return {
+        "propagated": propagated,
+        "policy": signals.policy_pass_rate,
+        "behavior": signals.anomaly_score,
+        "attest": signals.attestation_score,
+        "fused": fused,
+        "tier": verification_tier(fused).value,
+    }
 
 
 def verification_tier(score: float, thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS) -> VerificationTier:

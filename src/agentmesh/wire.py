@@ -2,14 +2,18 @@
 
 Length-prefixed UTF-8 strings and big-endian fixed-width integers, fields in
 a fixed order. All signatures and content digests in this package are
-computed over these byte layouts; JSON appears only in export formats, whose
-readers type-check each field with the `json_*` helpers below, raising
-ValueError for a value of the wrong type or range.
+computed over these byte layouts; JSON appears only in export formats, written
+by `dumps` and read by `load_json` or `load_jsonl`, whose callers type-check
+each field with the `json_*` helpers below, raising ValueError for a value of
+the wrong type or range.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from pathlib import Path
+from typing import Callable
 
 __all__ = [
     "DecodeError",
@@ -21,6 +25,9 @@ __all__ = [
     "enc_bytes",
     "enc_str",
     "Reader",
+    "dumps",
+    "load_json",
+    "load_jsonl",
     "json_object",
     "json_list",
     "json_str",
@@ -106,6 +113,32 @@ class Reader:
     def expect_end(self) -> None:
         if self.remaining != 0:
             raise DecodeError(f"{self.remaining} trailing bytes")
+
+
+def dumps(obj: object) -> str:
+    """The one JSON rendering: sorted keys, no whitespace, and standard JSON
+    only, so a NaN or an infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def load_json(path: str | Path) -> object:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
+    """`parse` applied to each non-blank line of a JSON Lines file; a
+    ValueError names the line it came from."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return out
 
 
 def json_object(value: object, what: str) -> dict:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -131,3 +132,17 @@ def test_jsonl_corpus_round_trip(tmp_path):
     path = tmp_path / "cards.jsonl"
     write_cards(path, cards)
     assert load_cards(path) == cards
+
+
+def test_load_cards_refuses_a_card_that_fails_the_structural_checks(tmp_path):
+    path = tmp_path / "cards.jsonl"
+    good = _card()
+    bad = _card(embedding=(float("nan"),) + (0.0,) * (EMBED_DIM - 1))
+    path.write_text(
+        "\n".join(json.dumps(card.to_json_obj()) for card in (good, good.bump(capabilities=()), bad)) + "\n"
+    )
+    with pytest.raises(ValueError, match="^line 2: card violates NoCapabilities$"):
+        load_cards(path)
+    path.write_text("\n".join(json.dumps(card.to_json_obj()) for card in (good, bad)) + "\n")
+    with pytest.raises(ValueError, match="^line 2: card violates EmbeddingNotFinite$"):
+        load_cards(path)

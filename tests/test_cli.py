@@ -62,6 +62,26 @@ def test_sim_strict_nonconvergent_exits_2(tmp_path, capsys):
     assert code == 0  # without --strict the failure is reported, not fatal
 
 
+@pytest.mark.parametrize(("replicas", "rounds_cap"), [(3, 0), (8, 1)])
+def test_sim_discovery_e2e_stopped_at_the_round_cap_reports_nonconvergent(tmp_path, capsys, replicas, rounds_cap):
+    config = tmp_path / "e2e.json"
+    config.write_text(
+        json.dumps({"scenario": "discovery_e2e", "n": 24, "replicas": replicas, "seed": 5, "rounds_cap": rounds_cap})
+    )
+    out = tmp_path / "r.json"
+    code, stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out), "--strict"])
+    assert code == 2
+    assert json.loads(stdout)["failure"] == "nonconvergent"
+    report = json.loads(out.read_text())
+    assert report["converged_round"] == -1
+    assert report["replica_roots_equal"] is False
+    assert report["all_proofs_verified"] is False
+    held = {record["key"] for record in report["snapshot"]["records"]}
+    hits = [hit for query in report["queries"] for hit in query["results"]]
+    assert {hit["proof_ok"] for hit in hits} == {True, False}
+    assert all(hit["proof_ok"] == (hit["did"] in held) for hit in hits)
+
+
 def test_sim_trials_are_single_runs_at_consecutive_seeds(tmp_path, capsys):
     config = _write_convergence_config(tmp_path, n=8, trials=5)
     out = tmp_path / "trials.json"
@@ -297,6 +317,24 @@ def test_pay_insufficient_funds_diagnostic(capsys):
     code, _stdout, stderr = _run(capsys, ["pay", "--seed", "3", "--amount", "10", "--payer-balance", "5"])
     assert code == 1
     assert json.loads(stderr.strip())["reason"] == "InsufficientFunds"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--seed", "99999999999999999999"], "--seed must fit in a signed 64-bit integer"),
+        (["--seed", str(1 << 63)], "--seed must fit in a signed 64-bit integer"),
+        (["--now", "99999999999999999999999"], "validity window bounds"),
+        (["--now", "-1"], "validity window bounds"),
+        (["--now", str((1 << 64) - 10)], "validity window bounds"),
+        (["--payer-balance", "99999999999999999999999"], "exceeds u64"),
+    ],
+    ids=["seed-overflows", "seed-2**63", "now-overflows", "now-negative", "window-end-overflows", "balance-overflows"],
+)
+def test_pay_out_of_range_integers_are_clean_errors(capsys, argv, message):
+    code, stdout, stderr = _run(capsys, ["pay", *argv])
+    assert code == 1
+    assert message in _one_line_diagnostic(stdout, stderr)["error"]
 
 
 def test_dp_subcommand(tmp_path, capsys):
@@ -541,7 +579,7 @@ def test_cli_keeps_exit_code_and_stderr_contract(base, sim_field, sim_value, rec
         _assert_contract(*_run_quietly(["resolve", "--snapshot", str(snapshot_path), "--key", "alpha", "--prove"]))
 
 
-_CARD_PATHS = [(name,) for name in sorted(_INPUT_CARD)]
+_CARD_PATHS = [(name,) for name in sorted(_INPUT_CARD)] + [("embedding", 0)]
 _CREDENTIAL_PATHS = [("credentials", 0, name) for name in sorted(_INPUT_CARD["credentials"][0])]
 _MODEL_PATHS = [(name,) for name in sorted(_INPUT_MODEL)] + [("theta", 0)]
 _GRAPH_PATHS = [("nodes",), ("edges",), ("nodes", 0), ("edges", 0)] + [("edges", 1, slot) for slot in range(3)]
@@ -597,6 +635,36 @@ _SIGNALS_PATHS = [(node,) for node in sorted(_INPUT_SIGNALS)] + [
     trust_value=math.nan,
     signals_path=("b", "attestations"),
     signals_value=1e300,
+)
+@example(
+    card_path=("embedding", 0),
+    card_value=math.nan,
+    line={},
+    model_path=("bias",),
+    model_value=0.0,
+    graph_path=("nodes", 0),
+    graph_value="a",
+    pair_path=("preferred", "cos_sim"),
+    pair_value=0.5,
+    trust_path=(_INPUT_CARD["did"],),
+    trust_value=0.5,
+    signals_path=("a", "policy"),
+    signals_value=0.5,
+)
+@example(
+    card_path=("embedding", 0),
+    card_value=1e308,
+    line={},
+    model_path=("bias",),
+    model_value=0.0,
+    graph_path=("nodes", 0),
+    graph_value="a",
+    pair_path=("preferred", "cos_sim"),
+    pair_value=0.5,
+    trust_path=(_INPUT_CARD["did"],),
+    trust_value=0.5,
+    signals_path=("a", "policy"),
+    signals_value=0.5,
 )
 def test_cli_input_files_keep_exit_code_and_stderr_contract(
     card_path,

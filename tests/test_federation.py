@@ -13,6 +13,7 @@ from agentmesh.federation import (
     converged_count,
     default_round_cap,
     gossip_round,
+    gossip_to_convergence,
     merge,
     mesh_target,
     rounds_to_convergence,
@@ -263,6 +264,45 @@ def test_gossip_round_stats_accounting():
     assert stats.messages == 12  # 3 messages per contact, 4 contacts
     assert stats.bytes_sent > 0
     assert 0 <= stats.converged <= 4
+
+
+def _mesh_with_one_write(n: int) -> list[ReplicaState]:
+    record, resolver = _seeded_record()
+    mesh = [ReplicaState(i) for i in range(n)]
+    mesh[0].local_put(record, logical_time=1, resolver=resolver)
+    return mesh
+
+
+def test_gossip_to_convergence_on_a_converged_mesh_runs_no_round():
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert gossip_to_convergence([ReplicaState(i) for i in range(5)], Topology.complete(5), rng, None) == (0, [])
+    assert gossip_to_convergence(_mesh_with_one_write(1), Topology.complete(1), rng, None) == (0, [])
+    assert rng.getstate() == state
+
+
+def test_gossip_to_convergence_at_a_zero_cap_is_not_converged():
+    mesh = _mesh_with_one_write(6)
+    assert gossip_to_convergence(mesh, Topology.complete(6), random.Random(0), 0) == (None, [])
+    assert [len(replica.store) for replica in mesh] == [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(("n", "cap"), [(16, None), (64, None), (64, 2), (8, 1)])
+def test_gossip_to_convergence_matches_a_hand_written_round_loop(n, cap):
+    topology = Topology.ring(n)
+    loop_mesh, loop_rng = _mesh_with_one_write(n), random.Random(n)
+    target = mesh_target(loop_mesh)
+    expected_rounds, expected_stats = None, []
+    for round_idx in range(1, (default_round_cap(n) if cap is None else cap) + 1):
+        expected_stats.append(gossip_round(loop_mesh, topology, loop_rng, target=target))
+        if expected_stats[-1].converged == n:
+            expected_rounds = round_idx
+            break
+
+    mesh, rng = _mesh_with_one_write(n), random.Random(n)
+    assert gossip_to_convergence(mesh, topology, rng, cap) == (expected_rounds, expected_stats)
+    assert rng.getstate() == loop_rng.getstate()
+    assert [m.store_fingerprint() for m in mesh] == [m.store_fingerprint() for m in loop_mesh]
 
 
 def test_single_replica_converges_in_zero_rounds():

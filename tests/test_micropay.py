@@ -82,6 +82,14 @@ def test_ephemeral_window_must_be_nonempty():
         make_ephemeral(payer_kp, bytes(32), 10, 9)
 
 
+@pytest.mark.parametrize(("issued_at", "expires_at"), [(-1, 9), (0, 1 << 64), (1 << 64, 1 << 65)])
+def test_ephemeral_window_bounds_must_fit_in_u64(issued_at, expires_at):
+    payer_kp, _payee_kp, _payer, _payee, _resolver = _parties()
+    with pytest.raises(MicropayError, match="bounds"):
+        make_ephemeral(payer_kp, bytes(32), issued_at, expires_at)
+    assert make_ephemeral(payer_kp, bytes(32), 0, (1 << 64) - 1).expires_at == (1 << 64) - 1
+
+
 def test_header_contains_no_secret_material():
     payer_kp, _payee_kp, _payer, payee, _resolver = _parties()
     rng = random.Random(3)
@@ -271,6 +279,20 @@ def test_canonical_bytes_match_reference_encoder_over_mixed_settles():
             outcomes.add(exc.reason)
         assert ledger.canonical_bytes() == _reference_canonical_bytes(ledger)
     assert {"ok", SettleReason.DUPLICATE_NONCE, SettleReason.EXPIRED, SettleReason.INSUFFICIENT_FUNDS} <= outcomes
+
+
+def test_ledger_balances_stay_within_u64():
+    max_u64 = (1 << 64) - 1
+    with pytest.raises(MicropayError, match="opening balance"):
+        Ledger({"did:a": max_u64 + 1})
+    ledger = Ledger({"did:a": max_u64 - 1})
+    ledger.credit("did:a", 1)
+    ledger.credit("did:b", max_u64)
+    before = ledger.canonical_bytes()
+    for did, amount in (("did:a", 1), ("did:b", 1), ("did:c", max_u64 + 1)):
+        with pytest.raises(MicropayError, match="past u64"):
+            ledger.credit(did, amount)
+    assert ledger.canonical_bytes() == before
 
 
 def test_ledger_export_shape():

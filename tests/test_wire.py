@@ -1,0 +1,51 @@
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from agentmesh.wire import dumps, load_json, load_jsonl
+
+_finite_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_finite_json)
+def test_dumps_is_the_sorted_compact_rendering_on_finite_input(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_what_standard_json_cannot_hold(value):
+    for obj in (value, [1.0, value], {"a": {"b": value}}):
+        with pytest.raises(ValueError):
+            dumps(obj)
+
+
+def test_loaders_read_what_dumps_writes(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(dumps({"b": [1, 2.5], "a": None}))
+    assert load_json(path) == {"a": None, "b": [1, 2.5]}
+    path.write_text("\n".join([dumps(1), "", "  ", dumps(2)]) + "\n")
+    assert load_jsonl(path, lambda obj: obj * 10) == [10, 20]
+
+
+def test_load_jsonl_names_the_line_a_value_error_comes_from(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('1\n\n"x"\n')
+
+    def parse(obj):
+        if not isinstance(obj, int):
+            raise ValueError("not an integer")
+        return obj
+
+    with pytest.raises(ValueError, match="^line 3: not an integer$"):
+        load_jsonl(path, parse)
+    path.write_text("1\n{\n")
+    with pytest.raises(ValueError, match="^line 2: "):
+        load_jsonl(path, parse)
