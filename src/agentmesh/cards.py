@@ -1,9 +1,9 @@
 """Semantic agent cards: capability descriptions, embeddings, credentials,
-and usage history, with a canonical encoding and a content digest.
+and usage history, exchanged as JSON and identified by a content digest.
 
-The exact canonical encoding round-trips losslessly (raw IEEE-754 doubles for
-the embedding). The digest encoding quantizes embedding coordinates to a 1e-9
-grid first so digests are reproducible across platforms.
+The digest is taken over a canonical binary layout whose embedding
+coordinates are quantized to a 1e-9 grid first, so digests are reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from pathlib import Path
 
 from .identity import AgentDid, Attestation, AttestationCheck, KeyResolver, sha256, verify_attestation
 from .wire import (
-    Reader,
-    enc_f64,
     enc_str,
     enc_u8,
     enc_u32,
@@ -39,8 +37,6 @@ __all__ = [
     "EncodingRefused",
     "validate_card",
     "structural_violations",
-    "canonical_encode",
-    "decode_card",
     "card_digest",
     "load_cards",
     "write_cards",
@@ -161,12 +157,6 @@ def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> l
     return out
 
 
-def _encode_embedding_exact(embedding: tuple[float, ...] | None) -> bytes:
-    if embedding is None:
-        return enc_u8(0)
-    return enc_u8(1) + b"".join(enc_f64(x) for x in embedding)
-
-
 def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
     if embedding is None:
         return enc_u8(0)
@@ -177,7 +167,7 @@ def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
     return b"".join(parts)
 
 
-def _encode_body(card: AgentFactCard, embedding_bytes: bytes) -> bytes:
+def _digest_body(card: AgentFactCard) -> bytes:
     parts = [
         enc_str(str(card.did)),
         enc_str(card.display_name),
@@ -186,7 +176,7 @@ def _encode_body(card: AgentFactCard, embedding_bytes: bytes) -> bytes:
     ]
     parts.extend(enc_str(c) for c in card.capabilities)
     parts.append(enc_str(card.endpoint_url))
-    parts.append(embedding_bytes)
+    parts.append(_encode_embedding_quantized(card.embedding))
     parts.append(enc_u32(len(card.credentials)))
     parts.extend(c.canonical_bytes() for c in card.credentials)
     parts.append(enc_u64(card.usage_count))
@@ -202,44 +192,10 @@ def _refuse_violations(card: AgentFactCard) -> AgentFactCard:
     return card
 
 
-def canonical_encode(card: AgentFactCard) -> bytes:
-    _refuse_violations(card)
-    return _encode_body(card, _encode_embedding_exact(card.embedding))
-
-
-def decode_card(data: bytes) -> AgentFactCard:
-    r = Reader(data)
-    did = AgentDid.parse(r.str_())
-    display_name = r.str_()
-    description = r.str_()
-    capabilities = tuple(r.str_() for _ in range(r.u32()))
-    endpoint_url = r.str_()
-    embedding: tuple[float, ...] | None = None
-    if r.u8():
-        embedding = tuple(r.f64() for _ in range(EMBED_DIM))
-    credentials = tuple(Attestation._read(r) for _ in range(r.u32()))
-    usage_count = r.u64()
-    last_active = r.u64()
-    version = r.u64()
-    r.expect_end()
-    return AgentFactCard(
-        did=did,
-        display_name=display_name,
-        description=description,
-        capabilities=capabilities,
-        endpoint_url=endpoint_url,
-        embedding=embedding,
-        credentials=credentials,
-        usage_count=usage_count,
-        last_active=last_active,
-        version=version,
-    )
-
-
 def card_digest(card: AgentFactCard) -> bytes:
     """32-byte content digest, stable across platforms (embedding quantized)."""
     _refuse_violations(card)
-    return sha256(_DIGEST_DOMAIN + _encode_body(card, _encode_embedding_quantized(card.embedding)))
+    return sha256(_DIGEST_DOMAIN + _digest_body(card))
 
 
 def load_cards(path: str | Path) -> list[AgentFactCard]:

@@ -266,7 +266,7 @@ def _cmd_pay(args) -> int:
             return 1
         _emit(
             {
-                "version": header.version,
+                "version": micropay.HEADER_VERSION,
                 "invoice_id": header.invoice_id.hex(),
                 "payer": str(header.payer),
                 "amount": header.amount,

@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import Reader, enc_str, enc_u8, enc_u64, json_object, json_str, json_u64
+from .wire import enc_str, enc_u8, enc_u64, json_object, json_str, json_u64
 
 __all__ = [
     "SEED_LEN",
@@ -188,23 +188,6 @@ class Attestation:
             issued_at=json_u64(obj["issued_at"], "credential field 'issued_at'"),
             signature=bytes.fromhex(signature),
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Attestation":
-        r = Reader(data)
-        att = cls._read(r)
-        r.expect_end()
-        return att
-
-    @classmethod
-    def _read(cls, r: Reader) -> "Attestation":
-        issuer = AgentDid.parse(r.str_())
-        subject = AgentDid.parse(r.str_())
-        claim = ClaimType(r.u8())
-        digest = r.take(DIGEST_LEN)
-        issued_at = r.u64()
-        signature = r.take(SIG_LEN)
-        return cls(issuer, subject, claim, digest, issued_at, signature)
 
 
 class AttestationIssuer:

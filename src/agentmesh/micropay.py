@@ -2,7 +2,8 @@
 a strict header grammar, and atomic idempotent settlement against a
 conservation-checked ledger.
 
-Header line (fixed field order, single ';' separators, no extra whitespace):
+Header line (fixed field order, single ';' separators, no extra whitespace;
+every field must match its grammar in full):
 
     X-Payment: v1;inv=<32hex>;payer=<did>;eph=<64hex>;nonce=<32hex>;
                amt=<decimal u64>;deleg=<160hex>;sig=<128hex>
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import random
 import re
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .identity import (
@@ -27,6 +28,7 @@ from .identity import (
     KeyPair,
     KeyResolver,
     derive_did,
+    generate_keypair,
     sign,
     verify,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "SettleReason",
     "MicropayError",
     "HEADER_PREFIX",
+    "HEADER_VERSION",
     "create_invoice",
     "make_ephemeral",
     "build_payment_header",
@@ -50,12 +53,15 @@ __all__ = [
 ]
 
 HEADER_PREFIX = "X-Payment: "
+HEADER_VERSION = "v1"
 MAX_U64 = 2**64 - 1
 
-_HEX_RE = re.compile(r"^[0-9a-f]*$")
-_AMT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
-_FIELD_ORDER = ("inv", "payer", "eph", "nonce", "amt", "deleg", "sig")
-_HEX_LENGTHS = {"inv": 32, "eph": 64, "nonce": 32, "deleg": 160, "sig": 128}
+# The header grammar after the version: each field in order, with its exact
+# length in lowercase hex, or None for the DID (`payer`) and the decimal u64
+# (`amt`). Both `PaymentHeader.render` and `parse_payment_header` read it.
+_FIELDS = {"inv": 32, "payer": None, "eph": 64, "nonce": 32, "amt": None, "deleg": 160, "sig": 128}
+_HEX_RE = re.compile(r"[0-9a-f]*")
+_AMT_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class MicropayError(ValueError):
@@ -104,8 +110,6 @@ def _delegation_message(ephemeral_pub: bytes, issued_at: int, expires_at: int) -
 def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expires_at: int) -> EphemeralKey:
     """Derive a short-lived payment key and sign its delegation with the
     owner key."""
-    from .identity import generate_keypair
-
     if not (0 <= issued_at <= MAX_U64 and 0 <= expires_at <= MAX_U64):
         raise MicropayError("validity window bounds must lie in [0, 2**64)")
     if issued_at > expires_at:
@@ -127,7 +131,6 @@ def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonc
 
 @dataclass(frozen=True)
 class PaymentHeader:
-    version: str
     invoice_id: bytes
     payer: AgentDid
     ephemeral_pub: bytes
@@ -139,21 +142,18 @@ class PaymentHeader:
     signature: bytes
 
     def render(self) -> str:
-        deleg = (
-            self.delegation_sig.hex()
+        values = {
+            "inv": self.invoice_id.hex(),
+            "payer": str(self.payer),
+            "eph": self.ephemeral_pub.hex(),
+            "nonce": self.nonce.hex(),
+            "amt": str(self.amount),
+            "deleg": self.delegation_sig.hex()
             + enc_u64(self.delegation_issued_at).hex()
-            + enc_u64(self.delegation_expires_at).hex()
-        )
-        return (
-            f"{HEADER_PREFIX}{self.version}"
-            f";inv={self.invoice_id.hex()}"
-            f";payer={self.payer}"
-            f";eph={self.ephemeral_pub.hex()}"
-            f";nonce={self.nonce.hex()}"
-            f";amt={self.amount}"
-            f";deleg={deleg}"
-            f";sig={self.signature.hex()}"
-        )
+            + enc_u64(self.delegation_expires_at).hex(),
+            "sig": self.signature.hex(),
+        }
+        return HEADER_PREFIX + ";".join([HEADER_VERSION] + [f"{name}={values[name]}" for name in _FIELDS])
 
 
 def build_payment_header(
@@ -177,7 +177,6 @@ def build_payment_header(
         _payment_signing_bytes(invoice.invoice_id, payer, invoice.amount, nonce),
     )
     header = PaymentHeader(
-        version="v1",
         invoice_id=invoice.invoice_id,
         payer=payer,
         ephemeral_pub=ephemeral.keypair.public_key,
@@ -205,24 +204,20 @@ def parse_payment_header(text: str) -> PaymentHeader:
         raise HeaderParseError(0, "NotText")
     if not text.startswith(HEADER_PREFIX):
         raise HeaderParseError(0, "BadPrefix")
-    body = text[len(HEADER_PREFIX) :]
-    offset = len(HEADER_PREFIX)
     tokens: list[tuple[int, str]] = []
-    cursor = offset
-    for token in body.split(";"):
+    cursor = len(HEADER_PREFIX)
+    for token in text[cursor:].split(";"):
         tokens.append((cursor, token))
         cursor += len(token) + 1
-    if not tokens:
-        raise HeaderParseError(offset, "MissingField")
 
     pos, version = tokens[0]
-    if version != "v1":
+    if version != HEADER_VERSION:
         raise HeaderParseError(pos, "UnsupportedVersion")
 
+    fields = list(_FIELDS)
     values: dict[str, str] = {}
-    consumed: set[str] = set()
     rest = tokens[1:]
-    for idx, expected in enumerate(_FIELD_ORDER):
+    for idx, expected in enumerate(fields):
         if idx >= len(rest):
             raise HeaderParseError(len(text), "MissingField")
         pos, token = rest[idx]
@@ -231,20 +226,18 @@ def parse_payment_header(text: str) -> PaymentHeader:
             raise HeaderParseError(pos, "MalformedField")
         key, value = token[:eq], token[eq + 1 :]
         if key != expected:
-            if key in consumed:
+            if key in fields[:idx]:
                 raise HeaderParseError(pos, "DuplicateField")
-            if key in _FIELD_ORDER:
+            if key in _FIELDS:
                 raise HeaderParseError(pos, "MissingField")
             raise HeaderParseError(pos, "UnknownField")
         _check_value(expected, value, pos + eq + 1)
         values[expected] = value
-        consumed.add(expected)
-    if len(rest) > len(_FIELD_ORDER):
-        raise HeaderParseError(rest[len(_FIELD_ORDER)][0], "TrailingData")
+    if len(rest) > len(fields):
+        raise HeaderParseError(rest[len(fields)][0], "TrailingData")
 
     deleg = values["deleg"]
     return PaymentHeader(
-        version="v1",
         invoice_id=bytes.fromhex(values["inv"]),
         payer=AgentDid.parse(values["payer"]),
         ephemeral_pub=bytes.fromhex(values["eph"]),
@@ -265,15 +258,12 @@ def _check_value(key: str, value: str, position: int) -> None:
             raise HeaderParseError(position, "BadDid") from None
         return
     if key == "amt":
-        if not _AMT_RE.match(value):
-            raise HeaderParseError(position, "BadInteger")
-        if int(value) > MAX_U64:
+        if not _AMT_RE.fullmatch(value) or int(value) > MAX_U64:
             raise HeaderParseError(position, "BadInteger")
         return
-    expected_len = _HEX_LENGTHS[key]
-    if len(value) != expected_len:
+    if len(value) != _FIELDS[key]:
         raise HeaderParseError(position, "BadFieldLength")
-    if not _HEX_RE.match(value):
+    if not _HEX_RE.fullmatch(value):
         raise HeaderParseError(position, "BadHex")
 
 
@@ -290,6 +280,7 @@ class SettleReason(enum.Enum):
     BAD_SIGNATURE = "BadSignature"
     DUPLICATE_NONCE = "DuplicateNonce"
     INSUFFICIENT_FUNDS = "InsufficientFunds"
+    BALANCE_OVERFLOW = "BalanceOverflow"
 
 
 class SettleError(ValueError):
@@ -319,6 +310,16 @@ class Receipt:
             "settled_at": self.settled_at,
         }
 
+    def canonical_bytes(self) -> bytes:
+        return (
+            self.invoice_id
+            + enc_str(str(self.payer))
+            + enc_str(str(self.payee))
+            + enc_u64(self.amount)
+            + self.nonce
+            + enc_u64(self.settled_at)
+        )
+
 
 class Ledger:
     """Single-writer balance store. A settlement either applies completely
@@ -332,10 +333,10 @@ class Ledger:
                 raise MicropayError(f"negative opening balance for {did}")
             if amount > MAX_U64:
                 raise MicropayError(f"opening balance for {did} exceeds u64")
-        self.seen_nonces: set[tuple[str, bytes]] = set()
         self.receipts: list[Receipt] = []
         # Canonical encodings kept as settlements land. Every payer renders as
-        # a fixed-length DID, so the nonce encodings sort as (payer, nonce) does.
+        # a fixed-length DID, so the nonce encodings sort as (payer, nonce) does
+        # and a replay is found by bisection.
         self._nonce_bytes: list[bytes] = []
         self._receipt_bytes: list[bytes] = []
 
@@ -382,18 +383,20 @@ class Ledger:
         if not verify(header.ephemeral_pub, payment_msg, header.signature):
             raise SettleError(SettleReason.BAD_SIGNATURE)
 
-        nonce_key = (str(header.payer), header.nonce)
-        if nonce_key in self.seen_nonces:
-            raise SettleError(SettleReason.DUPLICATE_NONCE)
         payer_key = str(header.payer)
+        nonce_bytes = enc_str(payer_key) + header.nonce
+        slot = bisect_left(self._nonce_bytes, nonce_bytes)
+        if slot < len(self._nonce_bytes) and self._nonce_bytes[slot] == nonce_bytes:
+            raise SettleError(SettleReason.DUPLICATE_NONCE)
         if self.balances.get(payer_key, 0) < header.amount:
             raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
-
         payee_key = str(invoice.payee)
+        if payee_key != payer_key and self.balances.get(payee_key, 0) + header.amount > MAX_U64:
+            raise SettleError(SettleReason.BALANCE_OVERFLOW)
+
         self.balances[payer_key] -= header.amount
         self.balances[payee_key] = self.balances.get(payee_key, 0) + header.amount
-        self.seen_nonces.add(nonce_key)
-        insort(self._nonce_bytes, enc_str(payer_key) + header.nonce)
+        self._nonce_bytes.insert(slot, nonce_bytes)
         receipt = Receipt(
             index=len(self.receipts),
             invoice_id=header.invoice_id,
@@ -404,14 +407,7 @@ class Ledger:
             settled_at=now,
         )
         self.receipts.append(receipt)
-        self._receipt_bytes.append(
-            receipt.invoice_id
-            + enc_str(payer_key)
-            + enc_str(payee_key)
-            + enc_u64(receipt.amount)
-            + receipt.nonce
-            + enc_u64(receipt.settled_at)
-        )
+        self._receipt_bytes.append(receipt.canonical_bytes())
         return receipt
 
     def export_json_obj(self) -> dict:

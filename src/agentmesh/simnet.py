@@ -160,6 +160,8 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.rounds_cap is not None and self.rounds_cap < 0:
+            raise ValueError("rounds_cap must be >= 0 or null")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0,1)")
         if not (0.0 < self.tau <= 1.0):

@@ -2,10 +2,10 @@
 
 Length-prefixed UTF-8 strings and big-endian fixed-width integers, fields in
 a fixed order. All signatures and content digests in this package are
-computed over these byte layouts; JSON appears only in export formats, written
-by `dumps` and read by `load_json` or `load_jsonl`, whose callers type-check
-each field with the `json_*` helpers below, raising ValueError for a value of
-the wrong type or range.
+computed over these byte layouts, which are only ever written, never decoded:
+values travel as JSON, written by `dumps` and read by `load_json` or
+`load_jsonl`, whose callers type-check each field with the `json_*` helpers
+below, raising ValueError for a value of the wrong type or range.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from pathlib import Path
 from typing import Callable
 
 __all__ = [
-    "DecodeError",
     "enc_u8",
     "enc_u16",
     "enc_u32",
     "enc_u64",
-    "enc_f64",
     "enc_bytes",
     "enc_str",
-    "Reader",
     "dumps",
     "load_json",
     "load_jsonl",
@@ -34,10 +31,6 @@ __all__ = [
     "json_u64",
     "json_float",
 ]
-
-
-class DecodeError(ValueError):
-    """Canonical bytes are truncated or malformed."""
 
 
 def enc_u8(value: int) -> bytes:
@@ -56,10 +49,6 @@ def enc_u64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def enc_f64(value: float) -> bytes:
-    return struct.pack(">d", value)
-
-
 def enc_bytes(data: bytes) -> bytes:
     if len(data) > 0xFFFFFFFF:
         raise ValueError("byte field too long")
@@ -68,51 +57,6 @@ def enc_bytes(data: bytes) -> bytes:
 
 def enc_str(text: str) -> bytes:
     return enc_bytes(text.encode("utf-8"))
-
-
-class Reader:
-    """Sequential decoder over canonical bytes."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise DecodeError("truncated input")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack(">B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def bytes_(self) -> bytes:
-        return self.take(self.u32())
-
-    def str_(self) -> str:
-        raw = self.bytes_()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"invalid utf-8: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self.remaining != 0:
-            raise DecodeError(f"{self.remaining} trailing bytes")
 
 
 def dumps(obj: object) -> str:

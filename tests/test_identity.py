@@ -165,4 +165,3 @@ def test_attestation_json_round_trip():
     issuer = AttestationIssuer(keypair_for("issuer"))
     att = _issue_one(issuer)
     assert Attestation.from_json_obj(att.to_json_obj()) == att
-    assert Attestation.decode(att.canonical_bytes()) == att

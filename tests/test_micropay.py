@@ -4,14 +4,15 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from agentmesh.identity import derive_did, generate_keypair, sha256
+from agentmesh.identity import AgentDid, derive_did, generate_keypair, sha256
 from agentmesh.micropay import (
     HEADER_PREFIX,
     HeaderParseError,
     Ledger,
     MicropayError,
+    PaymentHeader,
     SettleError,
     SettleReason,
     build_payment_header,
@@ -20,6 +21,8 @@ from agentmesh.micropay import (
     parse_payment_header,
 )
 from agentmesh.wire import enc_str, enc_u64
+
+MAX_U64 = (1 << 64) - 1
 
 
 def _parties():
@@ -146,6 +149,65 @@ def test_parse_rejections_each_reason():
     with pytest.raises(HeaderParseError) as err:
         parse_payment_header(line.replace(f";payer={payer_value}", ";payer=did:nanda:xyz", 1))
     assert err.value.reason == "BadDid"
+    # a trailing newline inside a field is not part of its grammar
+    inv_at, deleg_at = line.index(";inv=") + 5, line.index(";deleg=") + 7
+    deleg_value = line[deleg_at:].split(";", 1)[0]
+    for edited, reason, position in (
+        (line.replace(";amt=40;", ";amt=40\n;", 1), "BadInteger", line.index(";amt=") + 5),
+        (line.replace(deleg_value, deleg_value[:159] + "\n", 1), "BadHex", deleg_at),
+        (line.replace(inv_value, inv_value[:31] + "\n", 1), "BadHex", inv_at),
+    ):
+        with pytest.raises(HeaderParseError) as err:
+            parse_payment_header(edited)
+        assert (err.value.reason, err.value.position) == (reason, position)
+
+
+_U64 = st.integers(min_value=0, max_value=MAX_U64)
+_HEADERS = st.builds(
+    PaymentHeader,
+    invoice_id=st.binary(min_size=16, max_size=16),
+    payer=st.binary(min_size=32, max_size=32).map(lambda raw: AgentDid(raw.hex())),
+    ephemeral_pub=st.binary(min_size=32, max_size=32),
+    nonce=st.binary(min_size=16, max_size=16),
+    amount=_U64,
+    delegation_sig=st.binary(min_size=64, max_size=64),
+    delegation_issued_at=_U64,
+    delegation_expires_at=_U64,
+    signature=st.binary(min_size=64, max_size=64),
+)
+# (operation, position modulo the line length + 1, character)
+_EDITS = st.tuples(
+    st.sampled_from(("insert", "delete", "substitute")),
+    st.integers(min_value=0, max_value=1000),
+    st.sampled_from("0a9fF;= \n\t-") | st.characters(),
+)
+_SAMPLE = PaymentHeader(bytes(16), AgentDid("ab" * 32), bytes(32), bytes(16), 40, bytes(64), 1, 11, bytes(64))
+_SAMPLE_LINE = _SAMPLE.render()
+
+
+@given(_HEADERS)
+def test_render_then_parse_gives_the_header_back(header):
+    assert parse_payment_header(header.render()) == header
+
+
+@given(_HEADERS, _EDITS)
+# a newline after the amt value, and in place of the last deleg and inv digits
+@example(_SAMPLE, ("insert", _SAMPLE_LINE.index(";deleg="), "\n"))
+@example(_SAMPLE, ("substitute", _SAMPLE_LINE.index(";sig=") - 1, "\n"))
+@example(_SAMPLE, ("substitute", _SAMPLE_LINE.index(";payer=") - 1, "\n"))
+def test_one_character_edit_is_refused_or_renders_back_exactly(header, edit):
+    line = header.render()
+    op, position, char = edit
+    i = position % (len(line) + 1)
+    if op == "delete":
+        edited = line[:i] + line[i + 1 :]
+    else:
+        edited = line[:i] + char + line[i + (op == "substitute") :]
+    try:
+        parsed = parse_payment_header(edited)
+    except HeaderParseError:
+        return
+    assert parsed.render() == edited
 
 
 @given(st.text(max_size=80))
@@ -198,6 +260,25 @@ def test_settle_insufficient_funds():
     assert ledger.canonical_bytes() == snapshot
 
 
+def test_settle_refuses_to_take_the_payee_past_u64():
+    ledger, header, invoice, resolver, payer, payee, _line = _setup(amount=5, balance=100)
+    ledger.credit(payee, MAX_U64)
+    snapshot = ledger.canonical_bytes()
+    with pytest.raises(SettleError) as err:
+        ledger.settle(header, invoice, resolver, now=5)
+    assert err.value.reason is SettleReason.BALANCE_OVERFLOW
+    assert ledger.canonical_bytes() == snapshot
+    # a payee five short of the limit can take the five
+    ledger, header, invoice, resolver, payer, payee, _line = _setup(amount=5, balance=100)
+    ledger.credit(payee, MAX_U64 - 5)
+    ledger.settle(header, invoice, resolver, now=5)
+    assert ledger.balance(payee) == MAX_U64
+    # paying oneself moves nothing, even at the limit
+    ledger = Ledger({str(payer): MAX_U64})
+    ledger.settle(header, dataclasses.replace(invoice, payee=payer), resolver, now=5)
+    assert ledger.balance(payer) == MAX_U64 and len(ledger.receipts) == 1
+
+
 def test_settle_every_error_reason_is_atomic():
     ledger, header, invoice, resolver, payer, payee, _line = _setup(amount=40, balance=100)
     rng = random.Random(4)
@@ -244,7 +325,7 @@ def _reference_canonical_bytes(ledger: Ledger) -> bytes:
     """Encode the ledger from scratch: balances by DID, nonces by
     (payer, nonce), receipts in settlement order."""
     parts = [enc_str(did) + enc_u64(ledger.balances[did]) for did in sorted(ledger.balances)]
-    parts += [enc_str(payer) + nonce for payer, nonce in sorted(ledger.seen_nonces)]
+    parts += [enc_str(payer) + nonce for payer, nonce in sorted((str(r.payer), r.nonce) for r in ledger.receipts)]
     parts += [
         r.invoice_id + enc_str(str(r.payer)) + enc_str(str(r.payee)) + enc_u64(r.amount) + r.nonce + enc_u64(r.settled_at)
         for r in ledger.receipts

@@ -56,6 +56,7 @@ def test_config_validation():
         {"sybil_internal_weights": [0.1, 1.5]},
         {"sybil_internal_weights": ["a", "b"]},
         {"sybil_internal_weights": None},
+        {"rounds_cap": -5},
     ],
 )
 def test_config_rejects_mistyped_fields(overrides):
