@@ -251,6 +251,8 @@ def train(
     full-batch descent has no stochastic component."""
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters!r}")
     model = L2RModel.zeros()
     if iters == 0:
         return model

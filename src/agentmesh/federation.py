@@ -196,6 +196,8 @@ class Topology:
     def random_regular(cls, n: int, k: int, seed: int) -> "Topology":
         """Connected k-regular graph via the pairing model, retrying bounded
         times on self-loops, multi-edges, or disconnection."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
         if n * k % 2 != 0 or k >= n:
             raise ValueError(f"no {k}-regular graph on {n} nodes")
         rng = random.Random(seed)

@@ -15,6 +15,7 @@ __all__ = [
     "BudgetExhausted",
     "PrivacyBudget",
     "laplace_noise",
+    "laplace_scale",
     "laplace_mechanism",
     "dp_count",
     "DEFAULT_BUDGET",
@@ -62,10 +63,18 @@ def laplace_noise(scale: float, rng: random.Random) -> float:
             return -scale * math.copysign(math.log(inner), u)
 
 
-def laplace_mechanism(true_value: float, sensitivity: float, epsilon: float, rng: random.Random) -> float:
+def laplace_scale(sensitivity: float, epsilon: float) -> float:
+    """The noise scale sensitivity / epsilon, refused unless it is finite."""
     _require_finite_positive(epsilon, "epsilon")
     _require_finite_positive(sensitivity, "sensitivity")
-    return true_value + laplace_noise(sensitivity / epsilon, rng)
+    scale = sensitivity / epsilon
+    if not math.isfinite(scale):
+        raise ValueError(f"epsilon {epsilon!r} is too small: the noise scale sensitivity / epsilon overflows")
+    return scale
+
+
+def laplace_mechanism(true_value: float, sensitivity: float, epsilon: float, rng: random.Random) -> float:
+    return true_value + laplace_noise(laplace_scale(sensitivity, epsilon), rng)
 
 
 def dp_count(

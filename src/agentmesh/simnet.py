@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,22 +51,36 @@ __all__ = [
 
 CODE_VERSION = "agentmesh-0.1.0"
 
-_SCENARIOS = ("convergence", "sybil", "marketplace", "discovery_e2e")
-_TOPOLOGIES = ("complete", "ring", "random_regular")
-_INT_FIELDS = (
-    "n",
-    "seed",
-    "rounds",
-    "trials",
-    "regular_degree",
-    "replicas",
-    "k",
-    "tasks_per_round",
-    "task_price",
-    "max_payment",
-    "max_requests_per_round",
-)
-_REAL_FIELDS = ("alpha", "tau", "epsilon", "sybil_fraction")
+# The type and range of every settable ScenarioConfig field, stated once and
+# read by __post_init__ and by the tests' config generator. Rules of one
+# scenario (marketplace's n >= 2, the DP budget) stay in its runner.
+# Integers: (lowest, highest), both ends included.
+INT_RANGES: dict[str, tuple[int, float]] = {
+    "n": (1, math.inf),
+    "seed": (-(1 << 63), (1 << 63) - 1),
+    "rounds": (0, math.inf),
+    "rounds_cap": (0, math.inf),
+    "trials": (1, math.inf),
+    "regular_degree": (1, math.inf),
+    "replicas": (1, math.inf),
+    "k": (1, math.inf),
+    "tasks_per_round": (0, math.inf),
+    # task_price + max_payment, the most an invoice asks, then fits a u64.
+    "task_price": (1, (1 << 63) - 1),
+    "max_payment": (0, (1 << 63) - 1),
+    "max_requests_per_round": (0, math.inf),
+}
+# Finite numbers; a square bracket includes its end.
+REAL_RANGES = {"alpha": "(0, 1)", "tau": "(0, 1]", "epsilon": "(0, inf)", "sybil_fraction": "[0, 0.5)"}
+# Each value of trust_overrides (a trust score) and each sybil_internal_weight.
+ELEMENT_RANGES = {"trust_overrides": "[0, 1]", "sybil_internal_weights": "[0, 1]"}
+CHOICES = {
+    "scenario": ("convergence", "sybil", "marketplace", "discovery_e2e"),
+    "topology": ("complete", "ring", "random_regular"),
+    "orientation": ("transpose",),  # the one every scenario propagates trust in; reports echo it
+}
+NULLABLE = frozenset({"rounds_cap", "corpus", "queries", "trust_overrides"})
+_INDEX_KEY = re.compile(r"0|[1-9][0-9]*")  # a trust_overrides key
 
 
 def _is_int(value) -> bool:
@@ -77,6 +92,14 @@ def _is_real(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     return _is_int(value)
+
+
+def _in_interval(value, interval: str) -> bool:
+    """Whether value is a finite number in an interval such as "(0, 1]"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above_low = _is_real(value) and (low < value or interval[0] == "[" and low == value)
+    return above_low and (value < high or interval[-1] == "]" and value == high)
+
 
 _DOMAINS: list[tuple[str, str, list[str]]] = [
     ("weather", "weather forecasting and storm alert service", ["weather.forecast", "weather.alerts"]),
@@ -127,57 +150,31 @@ class ScenarioConfig:
     orientation: str = "transpose"
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.rounds_cap is not None and not _is_int(self.rounds_cap):
-            raise ValueError("rounds_cap must be an integer or null")
-        for name in _REAL_FIELDS:
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
+        for name, (low, high) in INT_RANGES.items():
+            value = getattr(self, name)
+            if not (value is None and name in NULLABLE or _is_int(value) and low <= value <= high):
+                raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        for name, interval in REAL_RANGES.items():
+            if not _in_interval(getattr(self, name), interval):
+                raise ValueError(f"{name} must be a finite number in {interval}, got {getattr(self, name)!r}")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {choices}")
         if self.corpus is not None and not isinstance(self.corpus, str):
             raise ValueError("corpus must be a path string or null")
-        if self.queries is not None and not (
-            isinstance(self.queries, list) and all(isinstance(q, str) for q in self.queries)
-        ):
+        queries = self.queries
+        if queries is not None and not (isinstance(queries, list) and all(isinstance(q, str) for q in queries)):
             raise ValueError("queries must be a list of strings or null")
-        if self.trust_overrides is not None and not (
-            isinstance(self.trust_overrides, dict) and all(_is_real(v) for v in self.trust_overrides.values())
+        overrides, score = self.trust_overrides, ELEMENT_RANGES["trust_overrides"]
+        if overrides is not None and not (
+            isinstance(overrides, dict)
+            and all(isinstance(k, str) and _INDEX_KEY.fullmatch(k) for k in overrides)
+            and all(_in_interval(v, score) for v in overrides.values())
         ):
-            raise ValueError("trust_overrides must map agent indexes to finite numbers, or be null")
-        weights = self.sybil_internal_weights
-        if not (isinstance(weights, tuple) and len(weights) == 2 and all(_is_real(w) and 0 <= w <= 1 for w in weights)):
-            raise ValueError("sybil_internal_weights must be two weights in [0, 1]")
-        if not -(1 << 63) <= self.seed < 1 << 63:
-            raise ValueError("seed must fit in a signed 64-bit integer")
-        if self.scenario not in _SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {_SCENARIOS}")
-        if self.topology not in _TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}; expected one of {_TOPOLOGIES}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.rounds_cap is not None and self.rounds_cap < 0:
-            raise ValueError("rounds_cap must be >= 0 or null")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0,1)")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must be in (0,1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if not (0.0 <= self.sybil_fraction < 0.5):
-            raise ValueError("sybil_fraction must be in [0, 0.5)")
-        # Every scenario propagates trust in the transpose orientation; the
-        # field is kept only because reports echo it.
-        if self.orientation != "transpose":
-            raise ValueError(f"orientation must be 'transpose', got {self.orientation!r}")
+            raise ValueError(f"trust_overrides must map agent indexes such as 0 or 12 to scores in {score}, or be null")
+        weights, weight = self.sybil_internal_weights, ELEMENT_RANGES["sybil_internal_weights"]
+        if not (isinstance(weights, tuple) and len(weights) == 2 and all(_in_interval(w, weight) for w in weights)):
+            raise ValueError(f"sybil_internal_weights must be two weights in {weight}")
 
     def to_dict(self) -> dict:
         obj = asdict(self)
@@ -185,13 +182,14 @@ class ScenarioConfig:
         return obj
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+    def from_dict(cls, obj) -> "ScenarioConfig":
+        if not (isinstance(obj, dict) and "scenario" in obj):
+            raise ValueError("a scenario config must be a JSON object with a 'scenario' key")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(obj)
-        if "sybil_internal_weights" in kwargs and kwargs["sybil_internal_weights"] is not None:
+        if isinstance(kwargs.get("sybil_internal_weights"), list):
             kwargs["sybil_internal_weights"] = tuple(kwargs["sybil_internal_weights"])
         return cls(**kwargs)
 
@@ -547,7 +545,9 @@ def _market_graph(n: int, successes: dict[tuple[int, int], int]) -> trust.TrustG
 
 def _check_dp_budget(epsilon: float, releases: int) -> None:
     """Refuse up front a config whose DP releases would overrun the default
-    budget, rather than fail after the scenario has run."""
+    budget or overflow the noise scale, rather than fail after the scenario
+    has run."""
+    privacy.laplace_scale(1.0, epsilon)
     budget = privacy.PrivacyBudget()
     try:
         for _ in range(releases):

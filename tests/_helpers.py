@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
+from agentmesh import privacy, simnet
 from agentmesh.cards import EMBED_DIM, AgentFactCard
 from agentmesh.identity import AgentDid, AttestationIssuer, ClaimType, KeyPair, derive_did, generate_keypair, sha256
 from agentmesh.registry import RegistryRecord, make_record
@@ -96,3 +99,74 @@ def random_card(rng: random.Random, with_credentials: bool = False) -> AgentFact
         last_active=rng.randrange(0, 10**6),
         version=rng.randrange(1, 1000),
     )
+
+
+# -- scenario configs drawn from simnet's range tables --------------------------
+
+# Sizes: caps on the fields that set how much work a scenario does, so that
+# each drawn config runs in a fraction of a second. Alpha is a size too:
+# trust propagation takes about 1 / (1 - alpha) iterations.
+_SIZE_CAPS = {"n": 10, "rounds": 2, "trials": 3, "replicas": 3, "tasks_per_round": 2}
+_ALPHA_CAP = 0.99
+# Runner rule: each scenario's DP releases charge epsilon against the default
+# budget, and its noise scale 1 / epsilon must be finite.
+_DP_RELEASES = {"marketplace": 1, "discovery_e2e": 2}
+_SMALLEST_DP_EPSILON = 1e-300
+# Runner rule: a random_regular topology needs degree < n and n * degree even,
+# and the pairing model in Topology.random_regular finds a connected graph in
+# its tries only at degree 2 or 3, or at degree 1 with n = 2.
+_REGULAR_SHAPES = [
+    (n, k) for n in range(2, _SIZE_CAPS["n"] + 1) for k in (1, 2, 3) if k < n and n * k % 2 == 0 and (k > 1 or n == 2)
+]
+
+
+def interval_floats(interval: str, high: float | None = None) -> st.SearchStrategy[float]:
+    """Finite floats in an interval written as in simnet.REAL_RANGES, such as
+    "(0, 1]"; `high` narrows it to [.., high]."""
+    low, top = (float(end) for end in interval[1:-1].split(","))
+    open_top = interval[-1] == ")"
+    if high is not None and high < top:
+        top, open_top = high, False
+    return st.floats(
+        min_value=low,
+        max_value=None if math.isinf(top) else top,
+        exclude_min=interval[0] == "(",
+        exclude_max=open_top and not math.isinf(top),
+        allow_nan=False,
+        allow_infinity=False,
+    )
+
+
+@st.composite
+def runnable_configs(draw) -> dict:
+    """A scenario config, as its JSON object, with every field drawn inside
+    simnet's range tables. The draw narrows only sizes and the rules each
+    scenario's runner adds, as the comments above and below say."""
+    config = {name: draw(st.sampled_from(choices)) for name, choices in simnet.CHOICES.items()}
+    for name, (low, high) in simnet.INT_RANGES.items():
+        top = min(high, _SIZE_CAPS.get(name, high))
+        values = st.integers(low, None if math.isinf(top) else top)
+        config[name] = draw(st.none() | values if name in simnet.NULLABLE else values)
+    for name, interval in simnet.REAL_RANGES.items():
+        config[name] = draw(interval_floats(interval, high=_ALPHA_CAP if name == "alpha" else None))
+    weight = interval_floats(simnet.ELEMENT_RANGES["sybil_internal_weights"])
+    config["sybil_internal_weights"] = draw(st.lists(weight, min_size=2, max_size=2))
+    config["queries"] = draw(st.none() | st.lists(st.text(max_size=12), max_size=2))
+    # Runner rule: marketplace refuses a corpus, and the others need the file
+    # to exist; loaded corpora have tests of their own.
+    config["corpus"] = None
+
+    scenario = config["scenario"]
+    if scenario == "marketplace":  # runner rule: a payer and a payee
+        config["n"] = draw(st.integers(2, _SIZE_CAPS["n"]))
+    if scenario in _DP_RELEASES:
+        top = privacy.DEFAULT_BUDGET / _DP_RELEASES[scenario]
+        config["epsilon"] = draw(st.floats(_SMALLEST_DP_EPSILON, top))
+    if scenario == "convergence" and config["topology"] == "random_regular":
+        config["n"], config["regular_degree"] = draw(st.sampled_from(_REGULAR_SHAPES))
+    # Runner rule: discovery_e2e refuses an override index outside its n agents.
+    highest_index = config["n"] - 1 if scenario == "discovery_e2e" else None
+    index = st.integers(0, highest_index).map(str)
+    score = interval_floats(simnet.ELEMENT_RANGES["trust_overrides"])
+    config["trust_overrides"] = draw(st.none() | st.dictionaries(index, score, max_size=3))
+    return config

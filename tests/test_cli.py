@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from agentmesh import cards as cards_mod
 from agentmesh import registry, simnet
-from agentmesh.cli import main
+from agentmesh.cli import build_parser, main
 from agentmesh.identity import derive_did, sha256
 from _helpers import keypair_for, random_card
 
@@ -434,6 +436,22 @@ def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
     assert "graph edge index" in _one_line_diagnostic(stdout, stderr)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (["dp", "--input", "cards.jsonl", "--epsilon", "1e-320"], "epsilon"),
+        (["train", "--pairs", "pairs.jsonl", "--iters", "-1"], "iters"),
+    ],
+)
+def test_parameters_out_of_range_are_refused_by_name(tmp_path, capsys, monkeypatch, argv, parameter):
+    monkeypatch.chdir(tmp_path)
+    Path("cards.jsonl").write_text(json.dumps(_INPUT_CARD) + "\n")
+    Path("pairs.jsonl").write_text(json.dumps(_INPUT_PAIR) + "\n")
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 1
+    assert parameter in _one_line_diagnostic(stdout, stderr)["error"]
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 def test_dp_rejects_budget_that_is_not_finite(tmp_path, capsys, budget):
     corpus = tmp_path / "cards.jsonl"
@@ -716,3 +734,85 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
             )
             signals.write_text(json.dumps(signals_obj))
             _assert_contract(*_run_quietly(["trust", "--graph", str(graph), "--signals", str(signals)]))
+
+
+# -- the CLI contract over generated argument lists ---------------------------
+
+
+_SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(command: str) -> list[argparse.Action]:
+    """The options of a subcommand as the parser declares them, except
+    --help, which prints text."""
+    return [
+        a for a in _SUBPARSERS[command]._actions if a.option_strings and not isinstance(a, argparse._HelpAction)
+    ]
+
+
+_DEMO_HEADER = json.loads(_run_quietly(["pay", "--seed", "3"])[1])["header"]
+# The input each file option expects, written into the working directory.
+_ARGV_FILES = {
+    "--config": ("config.json", {"scenario": "convergence", "n": 4, "trials": 2, "seed": 1}),
+    "--snapshot": ("snapshot.json", _small_snapshot()),
+    "--corpus": ("cards.jsonl", _INPUT_CARD),
+    "--input": ("cards.jsonl", _INPUT_CARD),
+    "--pairs": ("pairs.jsonl", _INPUT_PAIR),
+    "--model": ("model.json", _INPUT_MODEL),
+    "--graph": ("graph.json", _INPUT_GRAPH),
+    "--trust": ("trust.json", _INPUT_TRUST),
+    "--signals": ("signals.json", _INPUT_SIGNALS),
+}
+_FITTING = {flag: name for flag, (name, _obj) in _ARGV_FILES.items()}
+_FITTING.update({"--out": "out/o.json", "--query": "weather forecast", "--key": "alpha", "--parse": _DEMO_HEADER})
+# Numbers stay small, so that --iters, --trials and the scenario sizes keep
+# every example short (train --iters 10**29 would run for ever). The text has
+# no digits and no "h", so it never spells a large number or --help.
+_argv_ints = st.integers(min_value=-3, max_value=12).map(str)
+_argv_floats = st.sampled_from(["nan", "inf", "-inf", "1e-320", "0.0", "-0.0", "0.5", "1.5", "1e308"])
+_argv_values = st.one_of(
+    st.sampled_from(sorted({name for name, _obj in _ARGV_FILES.values()}) + ["missing.json", "out/o.json", "."]),
+    _argv_ints,
+    _argv_floats,
+    st.text(alphabet="abc-_.:;= ", max_size=6),
+)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A subcommand with its required options and some of the others. Most
+    values have the option's type (or are the file it expects); the rest, and
+    now and then a trailing flag or value, are drawn from every kind."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    argv = [command]
+    for action in _options(command):
+        flag = action.option_strings[-1]
+        if not (action.required or draw(st.booleans())):
+            continue
+        argv.append(flag)
+        if action.nargs == 0:
+            continue
+        if action.choices:
+            typed = st.sampled_from(action.choices)
+        elif action.type in (int, float):
+            typed = _argv_ints if action.type is int else _argv_floats
+        else:
+            typed = st.sampled_from([_FITTING[flag]]) if flag in _FITTING else _argv_values
+        argv.append(draw(_argv_values if draw(st.integers(0, 3)) == 0 else typed))
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from([a.option_strings[-1] for a in _options(command)]) | _argv_values))
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=_argv())
+def test_every_subcommand_keeps_exit_code_and_stderr_contract(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, obj in _ARGV_FILES.values():
+                Path(name).write_text(json.dumps(obj) + "\n")
+            _assert_contract(*_run_quietly(argv))
+        finally:
+            os.chdir(cwd)

@@ -249,6 +249,13 @@ def test_train_validates_learning_rate():
             train(pairs, learning_rate=learning_rate)
 
 
+def test_train_refuses_a_negative_iteration_count():
+    rng = random.Random(4)
+    pairs = [(_rand_features(rng), _rand_features(rng)) for _ in range(5)]
+    with pytest.raises(ValueError, match="iters"):
+        train(pairs, learning_rate=0.1, iters=-1)
+
+
 def test_train_duplicated_pairs_same_model():
     rng = random.Random(5)
     pairs = [(_rand_features(rng), _rand_features(rng)) for _ in range(20)]

@@ -353,6 +353,12 @@ def test_random_regular_topology_connected():
         Topology.random_regular(4, 1, seed=0)  # every 1-regular graph on 4 nodes is disconnected
 
 
+@pytest.mark.parametrize("n, k", [(1, 0), (4, 0), (4, -2)])
+def test_random_regular_refuses_a_degree_below_1_before_drawing(n, k):
+    with pytest.raises(ValueError, match=r"^k must be >= 1"):
+        Topology.random_regular(n, k, seed=0)
+
+
 def test_complete_topology_draws_and_picks_as_indexing_its_lists():
     for n in range(1, 41):
         implicit = Topology.complete(n)

@@ -11,6 +11,7 @@ from agentmesh.privacy import (
     dp_count,
     laplace_mechanism,
     laplace_noise,
+    laplace_scale,
 )
 
 
@@ -131,3 +132,16 @@ def test_nan_query_does_not_disable_the_budget():
     with pytest.raises(BudgetExhausted):
         dp_count([1], lambda _r: True, 100.0, random.Random(0), budget=budget)
     assert budget.remaining == 4.0
+
+
+@pytest.mark.parametrize("epsilon", [1e-320, 5e-324, 5e-309])
+def test_an_epsilon_whose_noise_scale_overflows_is_refused(epsilon):
+    assert math.isinf(1.0 / epsilon)
+    for call in (
+        lambda: laplace_scale(1.0, epsilon),
+        lambda: laplace_mechanism(3.0, 1.0, epsilon, random.Random(1)),
+        lambda: dp_count([1, 2], bool, epsilon, random.Random(1)),
+    ):
+        with pytest.raises(ValueError, match="epsilon"):
+            call()
+    assert laplace_scale(1.0, 1e-300) == 1.0 / 1e-300

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from agentmesh import simnet
 from agentmesh.cards import write_cards
+from agentmesh.cli import main
 from agentmesh.simnet import (
     ScenarioConfig,
     run_convergence,
@@ -15,6 +24,7 @@ from agentmesh.simnet import (
     synthetic_agents,
     write_report,
 )
+from _helpers import runnable_configs
 
 
 def test_config_validation():
@@ -57,17 +67,37 @@ def test_config_validation():
         {"sybil_internal_weights": ["a", "b"]},
         {"sybil_internal_weights": None},
         {"rounds_cap": -5},
+        {"tasks_per_round": -2},
+        {"max_payment": -5},
+        {"max_requests_per_round": -1},
+        {"regular_degree": 0},
+        {"task_price": 0},
+        {"task_price": 2**63},
+        {"trust_overrides": {"1": 0.5, "01": 0.7}},
+        {"trust_overrides": {"+1": 0.5}},
+        {"trust_overrides": {" 1": 0.5}},
+        {"trust_overrides": {"\u0661": 0.5}},
+        {"trust_overrides": {"abc": 0.5}},
+        {"trust_overrides": {"1.0": 0.5}},
+        {"trust_overrides": {"1": 1.5}},
     ],
 )
 def test_config_rejects_mistyped_fields(overrides):
-    with pytest.raises(ValueError):
+    (field,) = overrides
+    with pytest.raises(ValueError, match=field):
         ScenarioConfig.from_dict({"scenario": "sybil", "n": 8, **overrides})
+
+
+@pytest.mark.parametrize("obj", [123, None, "abc", [], ["scenario"], {"n": 8}, {}])
+def test_from_dict_refuses_anything_but_an_object_with_a_scenario(obj):
+    with pytest.raises(ValueError, match="JSON object with a 'scenario' key"):
+        ScenarioConfig.from_dict(obj)
 
 
 @pytest.mark.parametrize("index", ["10", "-1"])
 def test_discovery_trust_override_outside_the_agents_is_value_error(index):
-    config = ScenarioConfig(scenario="discovery_e2e", n=10, replicas=2, seed=9, trust_overrides={index: 0.5})
     with pytest.raises(ValueError, match="trust_overrides"):
+        config = ScenarioConfig(scenario="discovery_e2e", n=10, replicas=2, seed=9, trust_overrides={index: 0.5})
         run_discovery_e2e(config)
 
 
@@ -75,6 +105,17 @@ def test_discovery_trust_override_outside_the_agents_is_value_error(index):
 def test_epsilon_past_the_dp_budget_is_refused_before_running(scenario, epsilon):
     config = ScenarioConfig(scenario=scenario, n=4, rounds=1, replicas=2, epsilon=epsilon)
     with pytest.raises(ValueError, match="DP release"):
+        run_scenario(config)
+
+
+@pytest.mark.parametrize("scenario", ["marketplace", "discovery_e2e"])
+def test_epsilon_whose_noise_scale_overflows_is_refused_before_running(scenario, monkeypatch):
+    def no_agents(*args, **kwargs):
+        raise AssertionError("the scenario started")
+
+    monkeypatch.setattr(simnet, "synthetic_agents", no_agents)
+    config = ScenarioConfig(scenario=scenario, n=4, rounds=1, replicas=2, epsilon=1e-320)
+    with pytest.raises(ValueError, match="epsilon"):
         run_scenario(config)
 
 
@@ -243,3 +284,103 @@ def test_write_report_files(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["scenario"] == "convergence"
     assert loaded["config"]["seed"] == 1
+
+
+# -- properties over configs drawn from the range tables -----------------------
+
+_STRUCTURED_FIELDS = {"corpus", "queries", "trust_overrides", "sybil_internal_weights"}
+
+
+def test_the_range_tables_state_every_settable_field_once():
+    tables = [simnet.INT_RANGES, simnet.REAL_RANGES, simnet.CHOICES, _STRUCTURED_FIELDS]
+    named = [name for table in tables for name in table]
+    assert len(named) == len(set(named)) == len(ScenarioConfig.__dataclass_fields__) == 23
+    assert set(named) == set(ScenarioConfig.__dataclass_fields__)
+    assert set(simnet.ELEMENT_RANGES) <= _STRUCTURED_FIELDS
+
+
+def _sim(config: dict) -> tuple[int, str, str, bool]:
+    """main(["sim", ...]) on a config object: exit code, stdout, stderr and
+    whether it wrote the report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sim", "--config", str(path), "--out", str(Path(tmp) / "r.json")])
+        written = (Path(tmp) / "r.json").exists()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=40)
+@given(config=runnable_configs())
+def test_a_config_drawn_inside_the_tables_runs_to_exit_0(config):
+    code, stdout, stderr, written = _sim(config)
+    assert (code, stderr) == (0, ""), stderr
+    assert written
+    assert json.loads(stdout)["scenario"] == config["scenario"]
+
+
+def _just_outside(interval: str) -> list[float]:
+    """The nearest values outside an interval such as "(0, 1]", and NaN."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    below = low if interval[0] == "(" else math.nextafter(low, -math.inf)
+    above = high if interval[-1] == ")" else math.nextafter(high, math.inf)
+    return [below, above, math.nan]
+
+
+def _outside(name: str) -> st.SearchStrategy:
+    """Values of one field just outside the range tables, or of another type."""
+    other_types = [True, [1], {"a": "b"}] + (["1"] if name != "corpus" else [])
+    other_types += [] if name in simnet.NULLABLE else [None]
+    if name in simnet.INT_RANGES:
+        low, high = simnet.INT_RANGES[name]
+        return st.sampled_from(other_types + [low - 1, float(low)] + ([] if math.isinf(high) else [high + 1]))
+    if name in simnet.REAL_RANGES:
+        return st.sampled_from(other_types + _just_outside(simnet.REAL_RANGES[name]))
+    if name in simnet.CHOICES:
+        return st.sampled_from(other_types) | st.text(max_size=8).filter(lambda v: v not in simnet.CHOICES[name])
+    if name == "trust_overrides":
+        bad_key = st.tuples(st.sampled_from(["01", "+1", " 1", "\u0661", "abc", "-1"]), st.just(0.5))
+        scores = _just_outside(simnet.ELEMENT_RANGES[name]) + ["high", None]
+        bad_score = st.tuples(st.just("0"), st.sampled_from(scores))
+        return st.sampled_from(other_types) | (bad_key | bad_score).map(lambda item: dict([item]))
+    if name == "sybil_internal_weights":
+        weights = _just_outside(simnet.ELEMENT_RANGES[name]) + ["a", None]
+        return st.sampled_from(other_types + [[0.5], [0.5, 0.5, 0.5]]) | st.lists(
+            st.sampled_from(weights), min_size=2, max_size=2
+        )
+    return st.sampled_from(other_types)  # corpus, queries
+
+
+@settings(max_examples=60)
+@given(config=runnable_configs(), data=st.data())
+def test_each_field_just_outside_the_tables_exits_1_naming_it(config, data):
+    for name in sorted(ScenarioConfig.__dataclass_fields__):
+        value = data.draw(_outside(name), label=name)
+        code, stdout, stderr, written = _sim({**config, name: value})
+        assert code == 1, (name, value)
+        assert stdout == "" and not written
+        (line,) = stderr.splitlines()
+        assert re.search(rf"\b{name}\b", json.loads(line)["error"])
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(sorted(ScenarioConfig.__dataclass_fields__)) | st.text(max_size=4), children, max_size=4
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(obj=_json | st.dictionaries(st.sampled_from(sorted(ScenarioConfig.__dataclass_fields__)), _json))
+@example(obj={"scenario": "sybil", "sybil_internal_weights": 5})
+def test_from_dict_on_any_json_raises_only_value_error(obj):
+    try:
+        config = ScenarioConfig.from_dict(obj)
+    except ValueError:
+        return
+    assert config.to_dict()["scenario"] in simnet.CHOICES["scenario"]
