@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .identity import AgentDid, Attestation, AttestationCheck, KeyResolver, sha256, verify_attestation
 from .wire import (
     enc_str,
@@ -160,11 +162,9 @@ def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> l
 def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
     if embedding is None:
         return enc_u8(0)
-    parts = [enc_u8(1)]
-    for x in embedding:
-        q = round(x * _QUANT)
-        parts.append(q.to_bytes(8, "big", signed=True))
-    return b"".join(parts)
+    # np.rint rounds half to even, as round() does; card_digest refuses a
+    # non-unit embedding first, so every coordinate times 1e9 fits an int64.
+    return enc_u8(1) + np.rint(np.asarray(embedding, dtype=float) * _QUANT).astype(">i8").tobytes()
 
 
 def _digest_body(card: AgentFactCard) -> bytes:

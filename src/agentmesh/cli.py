@@ -184,15 +184,18 @@ def _cmd_rank(args) -> int:
     else:
         # Similarity-dominant fallback so an untrained CLI call is useful.
         model = discovery.L2RModel(theta=np.array([1.0, 0.25, 0.0, 0.0]))
-    results = discovery.rank(
-        discovery.embed_text(args.query),
-        corpus,
-        trust_report,
-        model,
-        k=args.k,
-        now=args.now,
-        tau=args.tau,
-    )
+    # An overflowing score raises FloatingPointError instead of printing a
+    # numpy warning; main() reports it as one JSON line.
+    with np.errstate(over="raise", invalid="raise"):
+        results = discovery.rank(
+            discovery.embed_text(args.query),
+            corpus,
+            trust_report,
+            model,
+            k=args.k,
+            now=args.now,
+            tau=args.tau,
+        )
     _emit([{"did": did, "score": score} for did, score in results])
     return 0
 
@@ -347,7 +350,15 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _diag(str(exc))
         return 1
-    except (ValueError, TypeError, OSError, KeyError, trust.NonConvergentError, discovery.TrainingDiverged) as exc:
+    except (
+        ValueError,
+        TypeError,
+        OSError,
+        KeyError,
+        FloatingPointError,
+        trust.NonConvergentError,
+        discovery.TrainingDiverged,
+    ) as exc:
         _diag(f"{type(exc).__name__}: {exc}")
         return 1
 

@@ -5,11 +5,13 @@ push-pull gossip (fanout 1 per round). Merge is commutative, associative,
 and idempotent; a replica's version vector summarizes which writes its
 store already dominates, so exchanging deltas against the peer's vector is
 equivalent to merging full states. Each replica also keeps a per-writer log
-of its live entries sorted by sequence, so a delta is read off in
-O(writers·log S + |delta|), with S the number of live keys, not by a scan of
-the store. A reachable replica's store is the LWW fold of exactly the writes
-its vector covers, so two replicas with equal vectors hold equal stores:
-convergence is a vector comparison, O(writers) per replica.
+of its live entries sorted by sequence, so a delta costs one comparison per
+writer, plus O(log S) for each writer with entries the peer lacks, plus
+O(|delta|), with S the number of live keys, not a scan of the store; its size
+sums the wire sizes each record computes once. A reachable replica's store is
+the LWW fold of exactly the writes its vector covers, so two replicas with
+equal vectors hold equal stores: convergence is a vector comparison,
+O(writers) per replica.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class DeltaSet:
     version_vector: dict[int, int]
 
     def encoded_size(self) -> int:
-        size = 12 * len(self.version_vector)
-        for key, record, _tag in self.entries:
-            size += len(enc_str(key)) + 20 + len(record.canonical_bytes())
-        return size
+        # An entry's key is its record's key, so an entry is the record's wire
+        # size plus a 20-byte tag; the vector is 12 bytes a writer.
+        sizes = sum(record.wire_size for _key, record, _tag in self.entries)
+        return 12 * len(self.version_vector) + 20 * len(self.entries) + sizes
 
 
 def _digest_size(version_vector: dict[int, int]) -> int:
@@ -118,11 +120,15 @@ class ReplicaState:
 
     def delta_for(self, remote_digest: dict[int, int]) -> DeltaSet:
         """Live entries whose sequence exceeds `remote_digest` for their
-        writer, writer-major and in ascending sequence order."""
+        writer, writer-major and in ascending sequence order. A writer whose
+        newest live entry the peer has seen costs one comparison."""
         store = self.store
         entries = []
         for writer, (seqs, keys) in self._log.items():
-            for key in keys[bisect.bisect_right(seqs, remote_digest.get(writer, 0)) :]:
+            seen = remote_digest.get(writer, 0)
+            if not seqs or seqs[-1] <= seen:
+                continue
+            for key in keys[bisect.bisect_right(seqs, seen) :]:
                 record, tag = store[key]
                 entries.append((key, record, tag))
         return DeltaSet(entries=entries, version_vector=dict(self.version_vector))

@@ -10,6 +10,7 @@ payment delegations, trust credentials) anchors on these primitives.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -106,10 +107,16 @@ def derive_did(public_key: bytes) -> AgentDid:
     return AgentDid(sha256(public_key).hex())
 
 
+# Parsing a private key costs about as much as one signature, so each signer's
+# key is parsed once. Bounded, because every payment signs with a fresh
+# ephemeral key; public keys parse in about 1 µs and are not cached.
+_private_key = functools.lru_cache(maxsize=1024)(Ed25519PrivateKey.from_private_bytes)
+
+
 def sign(secret_key: bytes, message: bytes) -> bytes:
     if len(secret_key) != KEY_LEN:
         raise ValueError("secret key must be 32 bytes")
-    return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+    return _private_key(secret_key).sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

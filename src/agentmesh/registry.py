@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .identity import AgentDid, KeyResolver, sha256, sign, verify
@@ -88,6 +89,12 @@ class RegistryRecord:
 
     def canonical_bytes(self) -> bytes:
         return self.signing_bytes() + self.signature
+
+    @cached_property
+    def wire_size(self) -> int:
+        """Bytes of the keyed record on the wire, `enc_str(key)` then
+        `canonical_bytes()`; computed once, since records are frozen."""
+        return len(enc_str(self.key)) + len(self.canonical_bytes())
 
     def to_json_obj(self) -> dict:
         return {

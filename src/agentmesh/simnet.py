@@ -72,8 +72,9 @@ INT_RANGES: dict[str, tuple[int, float]] = {
 }
 # Finite numbers; a square bracket includes its end.
 REAL_RANGES = {"alpha": "(0, 1)", "tau": "(0, 1]", "epsilon": "(0, inf)", "sybil_fraction": "[0, 0.5)"}
-# Each value of trust_overrides (a trust score) and each sybil_internal_weight.
-ELEMENT_RANGES = {"trust_overrides": "[0, 1]", "sybil_internal_weights": "[0, 1]"}
+# Each value of trust_overrides (a trust score) and each sybil_internal_weight
+# (at 0 the Sybil clique's rows sum to 0 and count as dangling: no clique).
+ELEMENT_RANGES = {"trust_overrides": "[0, 1]", "sybil_internal_weights": "(0, 1]"}
 CHOICES = {
     "scenario": ("convergence", "sybil", "marketplace", "discovery_e2e"),
     "topology": ("complete", "ring", "random_regular"),

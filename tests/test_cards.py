@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from agentmesh import cards
 from agentmesh.cards import (
     EMBED_DIM,
     AgentFactCard,
@@ -137,3 +140,29 @@ def test_load_cards_refuses_a_card_that_fails_the_structural_checks(tmp_path):
     path.write_text("\n".join(json.dumps(card.to_json_obj()) for card in (good, bad)) + "\n")
     with pytest.raises(ValueError, match="^line 2: card violates EmbeddingNotFinite$"):
         load_cards(path)
+
+
+def _loop_quantized(embedding) -> bytes:
+    """The per-coordinate encoding the numpy one replaced, kept as its oracle."""
+    if embedding is None:
+        return b"\x00"
+    parts = [b"\x01"]
+    for x in embedding:
+        parts.append(round(x * 10**9).to_bytes(8, "big", signed=True))
+    return b"".join(parts)
+
+
+def _near_half(k: int, direction: float) -> float:
+    """The grid's half step after k, or the float next to it towards direction."""
+    half = (k + 0.5) / 10**9
+    return half if direction == 0 else math.nextafter(half, direction)
+
+
+_near_halves = st.builds(_near_half, st.integers(-(10**9), 10**9 - 1), st.sampled_from([-math.inf, 0, math.inf]))
+_coordinate = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-10, -5e-10, 1.5e-9]) | _near_halves
+
+
+@given(embedding=st.none() | st.lists(_coordinate, max_size=EMBED_DIM).map(tuple))
+@example(embedding=(0.0, -0.0, 1.0, -1.0, 5e-10, -5e-10, 2.5e-9, -2.5e-9))
+def test_quantized_embedding_matches_the_per_coordinate_loop(embedding):
+    assert cards._encode_embedding_quantized(embedding) == _loop_quantized(embedding)

@@ -436,6 +436,21 @@ def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
     assert "graph edge index" in _one_line_diagnostic(stdout, stderr)["error"]
 
 
+
+def test_rank_score_overflow_is_one_json_line(tmp_path, capsys):
+    # theta[1] times a trust of 1e308 overflows in the model's dot product.
+    corpus = tmp_path / "cards.jsonl"
+    corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_with(_INPUT_MODEL, ("theta",), [1.0, 1e308, 0, 0])))
+    trust = tmp_path / "trust.json"
+    trust.write_text(json.dumps(dict.fromkeys(_INPUT_TRUST, 1e308)))
+    code, stdout, stderr = _run(
+        capsys, ["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model), "--trust", str(trust)]
+    )
+    assert code == 1
+    assert _one_line_diagnostic(stdout, stderr)["error"].startswith("FloatingPointError: overflow")
+
 @pytest.mark.parametrize(
     "argv, parameter",
     [
@@ -510,7 +525,12 @@ def test_resolve_malformed_snapshot_record_is_clean_error(tmp_path, capsys, fiel
 
 @pytest.mark.parametrize(
     "config_text",
-    ['{"scenario":"sybil","n":1e400}', '{"scenario":"sybil","n":8,"sybil_internal_weights":[0.1]}'],
+    [
+        '{"scenario":"sybil","n":1e400}',
+        '{"scenario":"sybil","n":8,"sybil_internal_weights":[0.1]}',
+        # At weight 0 the Sybil rows count as dangling: no clique.
+        '{"scenario":"sybil","n":20,"seed":1,"sybil_internal_weights":[0,1]}',
+    ],
 )
 def test_sim_malformed_config_is_clean_error(tmp_path, capsys, config_text):
     config = tmp_path / "config.json"

@@ -19,6 +19,7 @@ from agentmesh.federation import (
     rounds_to_convergence,
 )
 from agentmesh.registry import BadSignatureError, MerkleRadixIndex
+from agentmesh.wire import enc_str
 from _helpers import signed_record, state_from_pool, unsigned_record, write_pool
 
 
@@ -145,6 +146,50 @@ def test_delta_for_matches_a_store_scan():
                 assert len(entries) == len(set(entries))
                 assert set(entries) == _scan_delta(state, digest)
 
+
+
+# Signed records over three keys, so that puts supersede one another.
+_PUTS = [signed_record(f"k{i % 3}", version=i + 1, owner_label="sync-owner") for i in range(9)]
+_PUT_RESOLVER = _PUTS[0][1]
+_mesh_ops = st.lists(
+    st.tuples(st.just("put"), st.integers(0, 4), st.integers(0, len(_PUTS) - 1), st.integers(1, 6))
+    | st.tuples(st.just("gossip"), st.integers(0, 2**32)),
+    max_size=20,
+)
+
+
+def _reference_delta(state: ReplicaState, digest: dict[int, int]) -> list:
+    """Entries a full store scan finds, writer by writer, sequences ascending."""
+    found = [(k, r, t) for k, (r, t) in state.store.items() if t.sequence > digest.get(t.writer_id, 0)]
+    return sorted(found, key=lambda entry: (entry[2].writer_id, entry[2].sequence))
+
+
+def _old_encoded_size(delta: DeltaSet) -> int:
+    size = 12 * len(delta.version_vector)
+    for key, record, _tag in delta.entries:
+        size += len(enc_str(key)) + 20 + len(record.canonical_bytes())
+    return size
+
+
+@given(n=st.integers(2, 5), ops=_mesh_ops, extra=st.dictionaries(st.integers(0, 6), st.integers(0, 8), max_size=4))
+def test_delta_for_and_its_size_match_a_store_scan_through_puts_and_gossip(n, ops, extra):
+    mesh = [ReplicaState(i) for i in range(n)]
+    for op in ops:
+        if op[0] == "put":
+            _name, replica, record, logical_time = op
+            mesh[replica % n].local_put(_PUTS[record][0], logical_time, _PUT_RESOLVER)
+        else:
+            gossip_round(mesh, Topology.complete(n), random.Random(op[1]))
+        digests = [replica.digest() for replica in mesh] + [{}, extra]
+        for state in mesh:
+            for digest in digests:
+                delta = state.delta_for(digest)
+                writers = [tag.writer_id for _key, _record, tag in delta.entries]
+                # Writer-major: each writer's entries form one block.
+                assert sum(i == 0 or writers[i - 1] != w for i, w in enumerate(writers)) == len(set(writers))
+                assert sorted(delta.entries, key=lambda e: e[2].writer_id) == _reference_delta(state, digest)
+                assert delta.encoded_size() == _old_encoded_size(delta)
+                assert all(key == record.key for key, record, _tag in delta.entries)
 
 def test_mesh_target_is_the_vector_of_the_full_store_fold():
     rng = random.Random(32)

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, strategies as st
 
+from agentmesh import identity
 from agentmesh.identity import (
     AgentDid,
     Attestation,
@@ -107,6 +110,24 @@ def test_signature_soundness_1000_pairs():
         bad_sig = bytearray(sig)
         bad_sig[s_bit // 8] ^= 1 << (s_bit % 8)
         assert not verify(kp.public_key, message, bytes(bad_sig))
+
+
+@given(secret_key=st.binary(min_size=32, max_size=32), message=st.binary(max_size=200), repeat=st.integers(1, 3))
+def test_sign_equals_a_freshly_parsed_key(secret_key, message, repeat):
+    expected = Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+    for _ in range(repeat):
+        assert sign(secret_key, message) == expected
+
+
+@pytest.mark.parametrize("length", [0, 31, 33, 64])
+def test_sign_refuses_a_key_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="secret key must be 32 bytes"):
+        sign(bytes(length), b"m")
+
+
+def test_parsed_key_cache_is_bounded():
+    maxsize = identity._private_key.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
 
 
 def _issue_one(issuer: AttestationIssuer, at: int = 5) -> Attestation:

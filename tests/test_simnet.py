@@ -80,6 +80,7 @@ def test_config_validation():
         {"trust_overrides": {"abc": 0.5}},
         {"trust_overrides": {"1.0": 0.5}},
         {"trust_overrides": {"1": 1.5}},
+        {"sybil_internal_weights": [0, 1]},
     ],
 )
 def test_config_rejects_mistyped_fields(overrides):
