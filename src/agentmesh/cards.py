@@ -1,6 +1,10 @@
 """Semantic agent cards: capability descriptions, embeddings, credentials,
 and usage history, exchanged as JSON and identified by a content digest.
 
+A card is structurally valid by construction: `AgentFactCard.__post_init__`
+refuses one that fails a structural check, however it is built. Only its
+credentials, which need a key resolver, are checked later, by `validate_card`.
+
 The digest is taken over a canonical binary layout whose embedding
 coordinates are quantized to a 1e-9 grid first, so digests are reproducible
 across platforms.
@@ -38,7 +42,6 @@ __all__ = [
     "CardViolation",
     "EncodingRefused",
     "validate_card",
-    "structural_violations",
     "card_digest",
     "load_cards",
     "write_cards",
@@ -63,7 +66,7 @@ class CardViolation(str, enum.Enum):
 
 
 class EncodingRefused(ValueError):
-    """Card failed structural validation; refusing to encode it."""
+    """A card failed a structural check, so it was not built."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,11 @@ class AgentFactCard:
     usage_count: int = 0
     last_active: int = 0
     version: int = 1
+
+    def __post_init__(self) -> None:
+        violations = _structural_violations(self)
+        if violations:
+            raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
 
     def bump(self, **changes) -> "AgentFactCard":
         """Copy with changes and the version advanced."""
@@ -101,10 +109,10 @@ class AgentFactCard:
     def from_json_obj(cls, obj: dict) -> "AgentFactCard":
         obj = json_object(obj, "card")
         did, display_name, description, endpoint_url = (
-            json_str(obj[name], f"card field {name!r}")
+            json_str(obj.get(name), f"card field {name!r}")
             for name in ("did", "display_name", "description", "endpoint_url")
         )
-        capabilities = json_list(obj["capabilities"], "card field 'capabilities'")
+        capabilities = json_list(obj.get("capabilities"), "card field 'capabilities'")
         embedding = obj.get("embedding")
         if embedding is not None:
             embedding = tuple(
@@ -126,7 +134,7 @@ class AgentFactCard:
         )
 
 
-def structural_violations(card: AgentFactCard) -> list[CardViolation]:
+def _structural_violations(card: AgentFactCard) -> list[CardViolation]:
     """Invariant checks that need no key resolver."""
     out: list[CardViolation] = []
     if not card.capabilities:
@@ -138,32 +146,28 @@ def structural_violations(card: AgentFactCard) -> list[CardViolation]:
     if card.embedding is not None:
         if len(card.embedding) != EMBED_DIM:
             out.append(CardViolation.EMBEDDING_WRONG_LENGTH)
-        elif any(not math.isfinite(x) for x in card.embedding):
+        elif not all(map(math.isfinite, card.embedding)):
             out.append(CardViolation.EMBEDDING_NOT_FINITE)
-        else:
-            norm = math.sqrt(math.fsum(x * x for x in card.embedding))
-            if abs(norm - 1.0) > NORM_TOL:
-                out.append(CardViolation.EMBEDDING_NOT_UNIT)
+        elif abs(math.hypot(*card.embedding) - 1.0) > NORM_TOL:  # hypot does not overflow
+            out.append(CardViolation.EMBEDDING_NOT_UNIT)
     return out
 
 
 def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> list[CardViolation]:
-    """Full validation; credentials are checked against the resolver (an
-    absent resolver resolves nothing, so cards with credentials fail)."""
-    out = structural_violations(card)
+    """Each credential against the resolver (an absent resolver resolves
+    nothing, so cards with credentials fail)."""
     lookup: KeyResolver = resolver if resolver is not None else {}
     for cred in card.credentials:
         if verify_attestation(cred, lookup) is not AttestationCheck.VALID:
-            out.append(CardViolation.BAD_CREDENTIAL)
-            break
-    return out
+            return [CardViolation.BAD_CREDENTIAL]
+    return []
 
 
 def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
     if embedding is None:
         return enc_u8(0)
-    # np.rint rounds half to even, as round() does; card_digest refuses a
-    # non-unit embedding first, so every coordinate times 1e9 fits an int64.
+    # np.rint rounds half to even, as round() does; a card's embedding is unit,
+    # so every coordinate times 1e9 fits an int64.
     return enc_u8(1) + np.rint(np.asarray(embedding, dtype=float) * _QUANT).astype(">i8").tobytes()
 
 
@@ -185,23 +189,15 @@ def _digest_body(card: AgentFactCard) -> bytes:
     return b"".join(parts)
 
 
-def _refuse_violations(card: AgentFactCard) -> AgentFactCard:
-    violations = structural_violations(card)
-    if violations:
-        raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
-    return card
-
-
 def card_digest(card: AgentFactCard) -> bytes:
     """32-byte content digest, stable across platforms (embedding quantized)."""
-    _refuse_violations(card)
     return sha256(_DIGEST_DOMAIN + _digest_body(card))
 
 
 def load_cards(path: str | Path) -> list[AgentFactCard]:
-    """Read a JSON Lines card corpus, refusing any card that fails the
-    structural checks."""
-    return load_jsonl(path, lambda obj: _refuse_violations(AgentFactCard.from_json_obj(obj)))
+    """Read a JSON Lines card corpus; a card that fails a check is refused as
+    it is read, with its line number."""
+    return load_jsonl(path, AgentFactCard.from_json_obj)
 
 
 def write_cards(path: str | Path, cards: list[AgentFactCard]) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import random
 import sys
 from pathlib import Path
@@ -174,11 +173,7 @@ def _cmd_rank(args) -> int:
         trust_obj = load_json(args.trust)
         if not isinstance(trust_obj, dict):
             raise ValueError("trust file must hold a JSON object mapping DID -> trust score")
-        for did, value in trust_obj.items():
-            score = json_float(value, f"trust score for {did!r}")
-            if not math.isfinite(score):
-                raise ValueError(f"trust score for {did!r} must be finite")
-            trust_report[did] = score
+        trust_report = {did: json_float(value, f"trust score for {did!r}") for did, value in trust_obj.items()}
     if args.model:
         model = discovery.L2RModel.from_json_obj(load_json(args.model))
     else:

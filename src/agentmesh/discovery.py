@@ -120,13 +120,7 @@ class RankFeatures:
     @classmethod
     def from_json_obj(cls, obj: object) -> "RankFeatures":
         obj = json_object(obj, "rank features")
-        values = {}
-        for name in cls.__dataclass_fields__:
-            value = json_float(obj[name], f"feature {name!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"feature {name!r} must be finite")
-            values[name] = value
-        return cls(**values)
+        return cls(**{name: json_float(obj.get(name), f"feature {name!r}") for name in cls.__dataclass_fields__})
 
 
 def features_for(
@@ -180,14 +174,13 @@ class L2RModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "L2RModel":
         obj = json_object(obj, "model")
-        theta = [json_float(x, "model theta entry") for x in json_list(obj["theta"], "model field 'theta'")]
-        bias = json_float(obj.get("bias", 0.0), "model field 'bias'")
-        if len(theta) != 4 or not all(math.isfinite(x) for x in theta + [bias]):
-            raise ValueError("model theta must hold 4 finite numbers and bias must be finite")
+        theta = [json_float(x, "model theta entry") for x in json_list(obj.get("theta"), "model field 'theta'")]
+        if len(theta) != 4:
+            raise ValueError("model theta must hold 4 numbers")
         final_loss = obj.get("final_loss")
         return cls(
             theta=np.array(theta),
-            bias=bias,
+            bias=json_float(obj.get("bias", 0.0), "model field 'bias'"),
             iterations=json_u64(obj.get("iterations", 0), "model field 'iterations'"),
             final_loss=None if final_loss is None else json_float(final_loss, "model field 'final_loss'"),
         )

@@ -13,7 +13,7 @@ import enum
 import functools
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from cryptography.exceptions import InvalidSignature
@@ -52,7 +52,7 @@ SIG_LEN = 64
 DIGEST_LEN = 32
 
 DID_PREFIX = "did:nanda:"
-_DID_RE = re.compile(r"^did:nanda:[0-9a-f]{64}$")
+_DID_HEX = re.compile(r"[0-9a-f]{64}")
 
 # DID string -> 32-byte public key; `.get` gives None for an unknown DID.
 KeyResolver = Mapping[str, bytes]
@@ -74,12 +74,13 @@ class KeyPair:
 
 @dataclass(frozen=True, order=True)
 class AgentDid:
-    """`did:nanda:<64 lowercase hex>` identifier."""
+    """`did:nanda:<64 lowercase hex>` identifier. The hex is checked here,
+    once, with one `fullmatch`, so a trailing newline is refused too."""
 
     id_hex: str
 
     def __post_init__(self) -> None:
-        if len(self.id_hex) != 64 or not re.fullmatch(r"[0-9a-f]{64}", self.id_hex):
+        if not _DID_HEX.fullmatch(self.id_hex):
             raise ValueError(f"bad DID id: {self.id_hex!r}")
 
     def __str__(self) -> str:
@@ -87,7 +88,7 @@ class AgentDid:
 
     @classmethod
     def parse(cls, text: str) -> "AgentDid":
-        if not _DID_RE.match(text):
+        if not text.startswith(DID_PREFIX):
             raise ValueError(f"not a did:nanda identifier: {text!r}")
         return cls(text[len(DID_PREFIX) :])
 
@@ -145,7 +146,8 @@ class AttestationCheck(enum.Enum):
 
 @dataclass(frozen=True)
 class Attestation:
-    """A signed claim one agent makes about another."""
+    """A signed claim one agent makes about another. Its payload digest is
+    checked when it is built, so every attestation has signing bytes."""
 
     issuer: AgentDid
     subject: AgentDid
@@ -154,9 +156,11 @@ class Attestation:
     issued_at: int
     signature: bytes
 
-    def signing_bytes(self) -> bytes:
+    def __post_init__(self) -> None:
         if len(self.payload_digest) != DIGEST_LEN:
-            raise ValueError("payload digest must be 32 bytes")
+            raise ValueError(f"payload digest must be {DIGEST_LEN} bytes, got {len(self.payload_digest)}")
+
+    def signing_bytes(self) -> bytes:
         return (
             enc_str(str(self.issuer))
             + enc_str(str(self.subject))
@@ -182,7 +186,7 @@ class Attestation:
     def from_json_obj(cls, obj: dict) -> "Attestation":
         obj = json_object(obj, "credential")
         issuer, subject, claim, payload_digest, signature = (
-            json_str(obj[name], f"credential field {name!r}")
+            json_str(obj.get(name), f"credential field {name!r}")
             for name in ("issuer", "subject", "claim_type", "payload_digest", "signature")
         )
         if claim.upper() not in ClaimType.__members__:
@@ -192,7 +196,7 @@ class Attestation:
             subject=AgentDid.parse(subject),
             claim_type=ClaimType[claim.upper()],
             payload_digest=bytes.fromhex(payload_digest),
-            issued_at=json_u64(obj["issued_at"], "credential field 'issued_at'"),
+            issued_at=json_u64(obj.get("issued_at"), "credential field 'issued_at'"),
             signature=bytes.fromhex(signature),
         )
 
@@ -227,14 +231,7 @@ class AttestationIssuer:
         )
         signature = sign(self.keypair.secret_key, unsigned.signing_bytes())
         self._last_issued_at = issued_at
-        return Attestation(
-            issuer=self.did,
-            subject=subject,
-            claim_type=claim_type,
-            payload_digest=payload_digest,
-            issued_at=issued_at,
-            signature=signature,
-        )
+        return replace(unsigned, signature=signature)
 
 
 def verify_attestation(att: Attestation, resolver: KeyResolver) -> AttestationCheck:

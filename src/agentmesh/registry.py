@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable
 
 from .identity import AgentDid, KeyResolver, sha256, sign, verify
-from .wire import enc_str, enc_u16, enc_u64, json_object, json_str, json_u64
+from .wire import enc_str, enc_u16, enc_u64, json_list, json_object, json_str, json_u64
 
 __all__ = [
     "EMPTY_ROOT",
@@ -110,7 +110,7 @@ class RegistryRecord:
     def from_json_obj(cls, obj: dict) -> "RegistryRecord":
         obj = json_object(obj, "record")
         key, metadata_url, card_digest, owner, signature = (
-            json_str(obj[name], f"record field {name!r}")
+            json_str(obj.get(name), f"record field {name!r}")
             for name in ("key", "metadata_url", "card_digest", "owner", "signature")
         )
         return cls(
@@ -118,7 +118,7 @@ class RegistryRecord:
             metadata_url=metadata_url,
             card_digest=bytes.fromhex(card_digest),
             owner=AgentDid.parse(owner),
-            version=json_u64(obj["version"], "record field 'version'"),
+            version=json_u64(obj.get("version"), "record field 'version'"),
             signature=bytes.fromhex(signature),
         )
 
@@ -331,14 +331,16 @@ class MerkleRadixIndex:
         }
 
     @classmethod
-    def import_snapshot(cls, obj: dict) -> "MerkleRadixIndex":
+    def import_snapshot(cls, obj: object) -> "MerkleRadixIndex":
         """Rebuild from a snapshot. This is a trusted restore path: record
         signatures were checked at original insert time, and integrity is
-        enforced by requiring the rebuilt root to match the declared one."""
+        enforced by requiring the rebuilt root to match the declared one.
+        Any JSON value that is not such a snapshot raises ValueError."""
+        obj = json_object(obj, "snapshot")
         index = cls()
-        for rec_obj in obj["records"]:
+        for rec_obj in json_list(obj.get("records"), "snapshot field 'records'"):
             index.insert_trusted(RegistryRecord.from_json_obj(rec_obj))
-        declared = bytes.fromhex(obj["root_digest"])
+        declared = bytes.fromhex(json_str(obj.get("root_digest"), "snapshot field 'root_digest'"))
         if index.root_digest != declared:
             raise SnapshotRootMismatch(
                 f"rebuilt root {index.root_digest.hex()} != declared {declared.hex()}"

@@ -5,12 +5,14 @@ a fixed order. All signatures and content digests in this package are
 computed over these byte layouts, which are only ever written, never decoded:
 values travel as JSON, written by `dumps` and read by `load_json` or
 `load_jsonl`, whose callers type-check each field with the `json_*` helpers
-below, raising ValueError for a value of the wrong type or range.
+below, raising ValueError for a value of the wrong type or range. A number
+read by `json_float` is finite, so no caller checks that again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable
@@ -110,11 +112,15 @@ def json_u64(value: object, what: str) -> int:
 
 
 def json_float(value: object, what: str) -> float:
-    """A JSON number as a float; NaN and infinities pass, integers too large
-    for a float do not."""
+    """A JSON number as a finite float. NaN and the infinities (which `json`
+    reads from `NaN`, `Infinity` and `1e400`) are refused, and so are
+    integers too large for a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{what} must be a number")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite")
+    return number

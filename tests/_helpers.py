@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -99,6 +100,38 @@ def random_card(rng: random.Random, with_credentials: bool = False) -> AgentFact
         last_active=rng.randrange(0, 10**6),
         version=rng.randrange(1, 1000),
     )
+
+
+# -- JSON inputs with one value replaced ---------------------------------------
+
+
+def json_with(obj: dict, path: tuple, value) -> dict:
+    """Deep copy of a JSON object with the value at `path` replaced."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return out
+
+
+# Any small JSON value, with the numbers a float reader must refuse (NaN and
+# the infinities, which `json` reads from `NaN`, `Infinity` and `1e400`).
+# Integers stay small so that no example runs a large scenario.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=8),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 0.5]),
+    st.text(alphabet="0123456789abcdef:é", max_size=6),
+)
+json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet="0123456789ab", max_size=2), children, max_size=3),
+    max_leaves=6,
+)
 
 
 # -- scenario configs drawn from simnet's range tables --------------------------

@@ -20,7 +20,7 @@ from agentmesh.cards import (
     write_cards,
 )
 from agentmesh.identity import AttestationIssuer, ClaimType, sha256
-from _helpers import did_for, keypair_for, random_card, unit_embedding
+from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding
 
 
 def _card(**overrides) -> AgentFactCard:
@@ -40,25 +40,27 @@ def _card(**overrides) -> AgentFactCard:
 
 def test_well_formed_card_has_no_violations():
     assert validate_card(_card()) == []
-
-
-def test_embedding_norm_violation():
-    bad = _card(embedding=tuple([0.5] + [0.0] * (EMBED_DIM - 1)))
-    assert CardViolation.EMBEDDING_NOT_UNIT in validate_card(bad)
-
-
-def test_embedding_length_violation():
-    bad = _card(embedding=(1.0, 0.0))
-    assert CardViolation.EMBEDDING_WRONG_LENGTH in validate_card(bad)
-
-
-def test_empty_capabilities_violation():
-    assert CardViolation.NO_CAPABILITIES in validate_card(_card(capabilities=()))
-
-
-def test_display_name_length_violation():
-    assert CardViolation.DISPLAY_NAME_TOO_LONG in validate_card(_card(display_name="x" * 129))
     assert validate_card(_card(display_name="x" * 128)) == []
+
+
+# One card per structural violation, as overrides of the well-formed `_card()`.
+_VIOLATING = {
+    CardViolation.EMBEDDING_NOT_UNIT: {"embedding": (0.5,) + (0.0,) * (EMBED_DIM - 1)},
+    CardViolation.EMBEDDING_WRONG_LENGTH: {"embedding": (1.0, 0.0)},
+    CardViolation.EMBEDDING_NOT_FINITE: {"embedding": (math.nan,) + (0.0,) * (EMBED_DIM - 1)},
+    CardViolation.NO_CAPABILITIES: {"capabilities": ()},
+    CardViolation.EMPTY_CAPABILITY: {"capabilities": ("weather.forecast", "")},
+    CardViolation.DISPLAY_NAME_TOO_LONG: {"display_name": "x" * 129},
+}
+
+
+@pytest.mark.parametrize("violation", list(_VIOLATING), ids=lambda violation: violation.value)
+def test_construction_refuses_each_structural_violation(violation):
+    # `dataclasses.replace` and `bump` build through the constructor, so both run the one check.
+    with pytest.raises(EncodingRefused, match=f"^card violates {violation.value}$"):
+        _card(**_VIOLATING[violation])
+    with pytest.raises(EncodingRefused, match=f"^card violates {violation.value}$"):
+        _card().bump(**_VIOLATING[violation])
 
 
 def test_credential_checked_against_resolver():
@@ -130,16 +132,60 @@ def test_jsonl_corpus_round_trip(tmp_path):
 
 def test_load_cards_refuses_a_card_that_fails_the_structural_checks(tmp_path):
     path = tmp_path / "cards.jsonl"
-    good = _card()
-    bad = _card(embedding=(float("nan"),) + (0.0,) * (EMBED_DIM - 1))
-    path.write_text(
-        "\n".join(json.dumps(card.to_json_obj()) for card in (good, good.bump(capabilities=()), bad)) + "\n"
-    )
+    good = _card().to_json_obj()
+    no_capabilities = {**good, "capabilities": []}
+    # json.dumps writes NaN, which json.loads reads back; json_float refuses it.
+    not_finite = {**good, "embedding": [math.nan] + [0.0] * (EMBED_DIM - 1)}
+    path.write_text("\n".join(json.dumps(obj) for obj in (good, no_capabilities, not_finite)) + "\n")
     with pytest.raises(ValueError, match="^line 2: card violates NoCapabilities$"):
         load_cards(path)
-    path.write_text("\n".join(json.dumps(card.to_json_obj()) for card in (good, bad)) + "\n")
-    with pytest.raises(ValueError, match="^line 2: card violates EmbeddingNotFinite$"):
+    path.write_text("\n".join(json.dumps(obj) for obj in (good, not_finite)) + "\n")
+    with pytest.raises(ValueError, match="^line 2: card embedding entry must be finite$"):
         load_cards(path)
+
+
+# -- ingress: a card read from JSON is checked once, as it is built -------------
+
+_ISSUER = AttestationIssuer(keypair_for("ingress-issuer"))
+_RESOLVER = {str(_ISSUER.did): _ISSUER.keypair.public_key}
+_CARD_JSON = _card(
+    embedding=unit_embedding(random.Random(5)),
+    credentials=(_ISSUER.issue(did_for("card"), ClaimType.SLA_MET, sha256(b"p"), 1),),
+).to_json_obj()
+_CARD_PATHS = (
+    [(name,) for name in sorted(_CARD_JSON)]
+    + [("embedding", 0), ("embedding", EMBED_DIM - 1), ("capabilities", 0)]
+    + [("credentials", 0, name) for name in sorted(_CARD_JSON["credentials"][0])]
+)
+_UNIT = _CARD_JSON["embedding"]
+_HOSTILE_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e154, 1.0 + 2e-9])
+_EMBEDDINGS = st.one_of(
+    st.integers(0, EMBED_DIM + 2).map(lambda n: _UNIT[:n]),  # wrong lengths, and the right one
+    st.floats(0.0, 1e160).map(lambda scale: [x * scale for x in _UNIT]),  # not unit, or unit
+    _HOSTILE_NUMBERS.map(lambda x: [x] * EMBED_DIM),
+    st.lists(_HOSTILE_NUMBERS | st.floats(), min_size=EMBED_DIM, max_size=EMBED_DIM),
+)
+_PAYLOAD_DIGESTS = st.integers(0, 34).map(lambda n: "ab" * n) | st.text(alphabet="0123456789abcdefX ", max_size=70)
+_CARD_EDITS = st.one_of(
+    st.tuples(st.sampled_from(_CARD_PATHS), json_values | _HOSTILE_NUMBERS),
+    st.tuples(st.just(("embedding",)), _EMBEDDINGS),
+    st.tuples(st.just(("credentials", 0, "payload_digest")), _PAYLOAD_DIGESTS),
+)
+
+
+@given(edit=_CARD_EDITS)
+@example(edit=(("embedding",), [x * 2.0 for x in _UNIT]))  # not unit
+@example(edit=(("embedding",), [1e154] * EMBED_DIM))  # finite squares whose sum overflows
+@example(edit=(("embedding", 0), math.nan))
+@example(edit=(("credentials", 0, "payload_digest"), "ab" * 31))  # a 31-byte payload digest
+def test_a_card_read_from_json_is_refused_or_digests_and_validates(edit):
+    path, value = edit
+    try:
+        card = AgentFactCard.from_json_obj(json_with(_CARD_JSON, path, value))
+    except ValueError:
+        return
+    assert len(card_digest(card)) == 32
+    assert validate_card(card, _RESOLVER) in ([], [CardViolation.BAD_CREDENTIAL])
 
 
 def _loop_quantized(embedding) -> bytes:

@@ -17,7 +17,7 @@ from agentmesh import cards as cards_mod
 from agentmesh import registry, simnet
 from agentmesh.cli import build_parser, main
 from agentmesh.identity import derive_did, sha256
-from _helpers import keypair_for, random_card
+from _helpers import json_values, json_with, keypair_for, random_card
 
 
 def _run(capsys, argv):
@@ -359,16 +359,6 @@ def test_dp_subcommand(tmp_path, capsys):
 _INPUT_CARD = random_card(random.Random(3), with_credentials=True).to_json_obj()
 
 
-def _with(obj: dict, path: tuple, value) -> dict:
-    """Deep copy of a JSON object with the value at `path` replaced."""
-    out = json.loads(json.dumps(obj))
-    target = out
-    for step in path[:-1]:
-        target = target[step]
-    target[path[-1]] = value
-    return out
-
-
 _INPUT_MODEL = {"theta": [1.0, 0.25, 0.0, 0.0], "bias": 0.0, "iterations": 0, "final_loss": None}
 _INPUT_GRAPH = {"nodes": ["a", "b", "c"], "edges": [[0, 1, 0.9], [1, 2, 0.5], [2, 0, 0.7]]}
 _INPUT_PAIR = {
@@ -382,34 +372,45 @@ _INPUT_SIGNALS = {"a": {"policy": 0.9, "anomaly": 0.8, "attestations": 3}, "b": 
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, message",
     [
-        "[1, 2]",
-        '"x"',
-        json.dumps(_with(_INPUT_CARD, ("description",), 5)),
-        json.dumps(_with(_INPUT_CARD, ("credentials", 0, "claim_type"), 5)),
-        json.dumps(_with(_INPUT_CARD, ("usage_count",), math.inf)),
+        ("[1, 2]", "card must be a JSON object"),
+        ('"x"', "card must be a JSON object"),
+        (json.dumps(json_with(_INPUT_CARD, ("description",), 5)), "card field 'description' must be a string"),
+        (
+            json.dumps(json_with(_INPUT_CARD, ("credentials", 0, "claim_type"), 5)),
+            "credential field 'claim_type' must be a string",
+        ),
+        (
+            json.dumps(json_with(_INPUT_CARD, ("usage_count",), math.inf)),
+            "card field 'usage_count' must be an integer in [0, 2**64)",
+        ),
+        # Refused as the corpus is read, not later when the credential is used.
+        (
+            json.dumps(json_with(_INPUT_CARD, ("credentials", 0, "payload_digest"), "ab" * 31)),
+            "payload digest must be 32 bytes, got 31",
+        ),
     ],
-    ids=["list", "string", "description-number", "claim-type-number", "usage-count-inf"],
+    ids=["list", "string", "description-number", "claim-type-number", "usage-count-inf", "payload-digest-31-bytes"],
 )
-def test_malformed_card_corpus_is_clean_error(tmp_path, capsys, line):
+def test_malformed_card_corpus_is_clean_error(tmp_path, capsys, line, message):
     corpus = tmp_path / "cards.jsonl"
     corpus.write_text(line + "\n")
     for argv in (["rank", "--query", "q", "--corpus", str(corpus)], ["dp", "--input", str(corpus)]):
         code, stdout, stderr = _run(capsys, argv)
         assert code == 1
-        assert "error" in _one_line_diagnostic(stdout, stderr)
+        assert _one_line_diagnostic(stdout, stderr)["error"] == f"ValueError: line 1: {message}"
 
 
 @pytest.mark.parametrize(
     "line",
     [
         "[1, 2]",
-        json.dumps(_with(_INPUT_PAIR, ("other",), [0.5])),
-        json.dumps(_with(_INPUT_PAIR, ("preferred", "cos_sim"), math.inf)),
-        json.dumps(_with(_INPUT_PAIR, ("preferred", "cos_sim"), "0.9")),
-        json.dumps(_with(_INPUT_PAIR, ("other", "trust"), True)),
-        json.dumps(_with(_INPUT_PAIR, ("preferred", "log_usage"), 1e300)),
+        json.dumps(json_with(_INPUT_PAIR, ("other",), [0.5])),
+        json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), math.inf)),
+        json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), "0.9")),
+        json.dumps(json_with(_INPUT_PAIR, ("other", "trust"), True)),
+        json.dumps(json_with(_INPUT_PAIR, ("preferred", "log_usage"), 1e300)),
     ],
     ids=["list", "features-list", "cos-sim-inf", "cos-sim-string", "trust-bool", "log-usage-overflows"],
 )
@@ -425,12 +426,12 @@ def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
     corpus = tmp_path / "cards.jsonl"
     corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_with(_INPUT_MODEL, ("iterations",), math.inf)))
+    model.write_text(json.dumps(json_with(_INPUT_MODEL, ("iterations",), math.inf)))
     code, stdout, stderr = _run(capsys, ["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)])
     assert code == 1
     assert "iterations" in _one_line_diagnostic(stdout, stderr)["error"]
     graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps(_with(_INPUT_GRAPH, ("edges", 0, 1), math.inf)))
+    graph.write_text(json.dumps(json_with(_INPUT_GRAPH, ("edges", 0, 1), math.inf)))
     code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph)])
     assert code == 1
     assert "graph edge index" in _one_line_diagnostic(stdout, stderr)["error"]
@@ -442,7 +443,7 @@ def test_rank_score_overflow_is_one_json_line(tmp_path, capsys):
     corpus = tmp_path / "cards.jsonl"
     corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_with(_INPUT_MODEL, ("theta",), [1.0, 1e308, 0, 0])))
+    model.write_text(json.dumps(json_with(_INPUT_MODEL, ("theta",), [1.0, 1e308, 0, 0])))
     trust = tmp_path / "trust.json"
     trust.write_text(json.dumps(dict.fromkeys(_INPUT_TRUST, 1e308)))
     code, stdout, stderr = _run(
@@ -524,6 +525,18 @@ def test_resolve_malformed_snapshot_record_is_clean_error(tmp_path, capsys, fiel
 
 
 @pytest.mark.parametrize(
+    "snapshot_text",
+    ["[1]", '"x"', "null", "{}", '{"records": 5, "root_digest": "00"}', '{"records": [], "root_digest": 5}'],
+)
+def test_resolve_snapshot_that_is_not_a_snapshot_is_value_error(tmp_path, capsys, snapshot_text):
+    path = tmp_path / "snapshot.json"
+    path.write_text(snapshot_text)
+    code, stdout, stderr = _run(capsys, ["resolve", "--snapshot", str(path), "--key", "alpha"])
+    assert code == 1
+    assert _one_line_diagnostic(stdout, stderr)["error"].startswith("ValueError: snapshot")
+
+
+@pytest.mark.parametrize(
     "config_text",
     [
         '{"scenario":"sybil","n":1e400}',
@@ -550,23 +563,6 @@ _SMALL_SIM_CONFIGS = [
 ]
 _CONFIG_FIELDS = sorted(simnet.ScenarioConfig.__dataclass_fields__)
 _RECORD_FIELDS = ["key", "metadata_url", "card_digest", "owner", "version", "signature"]
-
-# Valid integers stay small so that no example runs a large scenario.
-_json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-2, max_value=8),
-    st.floats(),
-    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 0.5]),
-    st.text(alphabet="0123456789abcdef:é", max_size=6),
-)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(alphabet="0123456789ab", max_size=2), children, max_size=3),
-    max_leaves=6,
-)
-
 
 def _run_quietly(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
@@ -599,10 +595,10 @@ def _assert_contract(code: int, stdout: str, stderr: str) -> None:
 @given(
     base=st.sampled_from(_SMALL_SIM_CONFIGS),
     sim_field=st.sampled_from(_CONFIG_FIELDS),
-    sim_value=_json_values,
+    sim_value=json_values,
     record_index=st.integers(min_value=0, max_value=2),
     record_field=st.sampled_from(_RECORD_FIELDS),
-    record_value=_json_values,
+    record_value=json_values,
 )
 def test_cli_keeps_exit_code_and_stderr_contract(base, sim_field, sim_value, record_index, record_field, record_value):
     with tempfile.TemporaryDirectory() as tmp:
@@ -631,18 +627,18 @@ _SIGNALS_PATHS = [(node,) for node in sorted(_INPUT_SIGNALS)] + [
 @settings(max_examples=60)
 @given(
     card_path=st.sampled_from(_CARD_PATHS + _CREDENTIAL_PATHS),
-    card_value=_json_values,
-    line=_json_values,
+    card_value=json_values,
+    line=json_values,
     model_path=st.sampled_from(_MODEL_PATHS),
-    model_value=_json_values,
+    model_value=json_values,
     graph_path=st.sampled_from(_GRAPH_PATHS),
-    graph_value=_json_values,
+    graph_value=json_values,
     pair_path=st.sampled_from(_PAIR_PATHS),
-    pair_value=_json_values,
+    pair_value=json_values,
     trust_path=st.sampled_from(_TRUST_PATHS),
-    trust_value=_json_values,
+    trust_value=json_values,
     signals_path=st.sampled_from(_SIGNALS_PATHS),
-    signals_value=_json_values,
+    signals_value=json_values,
 )
 @example(
     card_path=("description",),
@@ -723,21 +719,21 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
         corpus = Path(tmp) / "cards.jsonl"
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(_INPUT_MODEL))
-        for text in (json.dumps(_with(_INPUT_CARD, card_path, card_value)), json.dumps(line)):
+        for text in (json.dumps(json_with(_INPUT_CARD, card_path, card_value)), json.dumps(line)):
             corpus.write_text(text + "\n")
             _assert_contract(*_run_quietly(["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)]))
             _assert_contract(*_run_quietly(["dp", "--input", str(corpus)]))
 
         corpus.write_text(json.dumps(_INPUT_CARD) + "\n")
-        model.write_text(json.dumps(_with(_INPUT_MODEL, model_path, model_value)))
+        model.write_text(json.dumps(json_with(_INPUT_MODEL, model_path, model_value)))
         _assert_contract(*_run_quietly(["rank", "--query", "q", "--corpus", str(corpus), "--model", str(model)]))
 
         graph = Path(tmp) / "graph.json"
-        graph.write_text(json.dumps(_with(_INPUT_GRAPH, graph_path, graph_value)))
+        graph.write_text(json.dumps(json_with(_INPUT_GRAPH, graph_path, graph_value)))
         _assert_contract(*_run_quietly(["trust", "--graph", str(graph)]))
 
         pairs = Path(tmp) / "pairs.jsonl"
-        for text in (json.dumps(_with(_INPUT_PAIR, pair_path, pair_value)), json.dumps(line)):
+        for text in (json.dumps(json_with(_INPUT_PAIR, pair_path, pair_value)), json.dumps(line)):
             pairs.write_text(text + "\n")
             _assert_contract(*_run_quietly(["train", "--pairs", str(pairs), "--iters", "5"]))
 
@@ -745,7 +741,7 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
         trust_report = Path(tmp) / "trust.json"
         signals = Path(tmp) / "signals.json"
         for trust_obj, signals_obj in (
-            (_with(_INPUT_TRUST, trust_path, trust_value), _with(_INPUT_SIGNALS, signals_path, signals_value)),
+            (json_with(_INPUT_TRUST, trust_path, trust_value), json_with(_INPUT_SIGNALS, signals_path, signals_value)),
             (line, line),
         ):
             trust_report.write_text(json.dumps(trust_obj))

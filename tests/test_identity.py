@@ -57,7 +57,20 @@ def test_did_round_trip():
 
 
 def test_did_parse_rejects_garbage():
-    for bad in ("did:nanda:XYZ", "did:other:" + "0" * 64, "did:nanda:" + "0" * 63, ""):
+    hex64 = "0123456789abcdef" * 4
+    assert AgentDid.parse("did:nanda:" + hex64) == AgentDid(hex64)
+    for bad in (
+        "did:nanda:XYZ",
+        "did:other:" + "0" * 64,
+        "did:nanda:" + "0" * 63,
+        "",
+        "did:nanda:" + hex64 + "\n",  # refused only by a full match: re.match's `$` lets it through
+        "did:nanda:" + hex64.upper(),
+        "did:nanda:" + hex64[:63],
+        "did:nanda:" + hex64 + "0",
+        "did:web:" + hex64,
+        hex64,
+    ):
         with pytest.raises(ValueError):
             AgentDid.parse(bad)
 
@@ -180,6 +193,16 @@ def test_attestation_timestamps_strictly_increase():
     with pytest.raises(MonotonicityViolation):
         _issue_one(issuer, at=4)
     _issue_one(issuer, at=6)
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_attestation_refuses_a_payload_digest_of_the_wrong_length(length):
+    issuer = AttestationIssuer(keypair_for("issuer"))
+    with pytest.raises(ValueError, match=f"^payload digest must be 32 bytes, got {length}$"):
+        issuer.issue(did_for("subject"), ClaimType.SLA_MET, bytes(length), 1)
+    obj = {**_issue_one(issuer).to_json_obj(), "payload_digest": "ab" * length}
+    with pytest.raises(ValueError, match=f"^payload digest must be 32 bytes, got {length}$"):
+        Attestation.from_json_obj(obj)
 
 
 def test_attestation_json_round_trip():

@@ -153,6 +153,7 @@ def test_parse_rejections_each_reason():
     inv_at, deleg_at = line.index(";inv=") + 5, line.index(";deleg=") + 7
     deleg_value = line[deleg_at:].split(";", 1)[0]
     for edited, reason, position in (
+        (line.replace(payer_value, payer_value + "\n", 1), "BadDid", line.index(";payer=") + 7),
         (line.replace(";amt=40;", ";amt=40\n;", 1), "BadInteger", line.index(";amt=") + 5),
         (line.replace(deleg_value, deleg_value[:159] + "\n", 1), "BadHex", deleg_at),
         (line.replace(inv_value, inv_value[:31] + "\n", 1), "BadHex", inv_at),

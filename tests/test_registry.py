@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from agentmesh.identity import derive_did, sha256
 from agentmesh.registry import (
@@ -17,7 +18,7 @@ from agentmesh.registry import (
     make_record,
     verify_proof,
 )
-from _helpers import keypair_for, signed_record
+from _helpers import json_values, json_with, keypair_for, signed_record
 
 
 def _owner():
@@ -231,6 +232,50 @@ def test_snapshot_record_with_mistyped_field_is_value_error(field, value):
     snapshot["records"][0][field] = value
     with pytest.raises(ValueError, match=field):
         MerkleRadixIndex.import_snapshot(snapshot)
+
+
+def _one_record_snapshot() -> dict:
+    _kp, _owner_did, resolver = _owner()
+    index = MerkleRadixIndex()
+    index.insert(_record("agent"), resolver)
+    return index.export_snapshot()
+
+
+_SNAPSHOT = _one_record_snapshot()
+_RECORD = _SNAPSHOT["records"][0]
+_RECORDS = st.lists(
+    st.one_of(
+        json_values,
+        st.just(_RECORD),
+        st.tuples(st.sampled_from(sorted(_RECORD)), json_values).map(lambda edit: json_with(_RECORD, (edit[0],), edit[1])),
+        st.sampled_from(sorted(_RECORD)).map(lambda name: {k: v for k, v in _RECORD.items() if k != name}),
+    ),
+    max_size=3,
+)
+_SNAPSHOTS = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "records": json_values | _RECORDS,
+        "root_digest": json_values | st.just(_SNAPSHOT["root_digest"]) | st.text("0123456789abcdefX", max_size=66),
+    },
+)
+
+
+@given(_SNAPSHOTS)
+@example([1])
+@example("x")
+@example(None)
+@example({})
+@example({"records": 5, "root_digest": "00"})
+@example({"records": [], "root_digest": 5})
+@example({"records": [{}], "root_digest": _SNAPSHOT["root_digest"]})
+@example(_SNAPSHOT)
+def test_import_snapshot_is_total_on_any_json_value(obj):
+    try:
+        index = MerkleRadixIndex.import_snapshot(obj)
+    except ValueError:
+        return
+    assert index.root_digest.hex() == obj["root_digest"]
 
 
 def test_did_and_name_keys_share_one_tree():

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.wire import dumps, load_json, load_jsonl
+from agentmesh.wire import dumps, json_float, load_json, load_jsonl
 
 _finite_json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -49,3 +49,20 @@ def test_load_jsonl_names_the_line_a_value_error_comes_from(tmp_path):
     path.write_text("1\n{\n")
     with pytest.raises(ValueError, match="^line 2: "):
         load_jsonl(path, parse)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_json_float_refuses_what_json_reads_as_not_finite(text):
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        json_float(json.loads(text), "x")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**1000), 2**1000))
+def test_json_float_reads_every_finite_number(value):
+    assert json_float(value, "x") == float(value)
+
+
+@pytest.mark.parametrize("value", [10**400, True, "1.0", None, [1.0]])
+def test_json_float_refuses_what_is_not_a_float(value):
+    with pytest.raises(ValueError, match="^x "):
+        json_float(value, "x")
