@@ -134,6 +134,8 @@ class ReplicaState:
         return DeltaSet(entries=entries, version_vector=dict(self.version_vector))
 
     def apply_delta(self, delta: DeltaSet) -> None:
+        if not delta.entries and delta.version_vector == self.version_vector:
+            return  # nothing to merge, and the vector fold would change nothing
         for key, record, tag in delta.entries:
             self._apply_entry(key, record, tag)
         for writer, seq in delta.version_vector.items():

@@ -451,18 +451,20 @@ def _sybil_graph(
     n_honest: int,
     n_sybil: int,
     internal_weight: float | None,
-    honest_edges: dict[tuple[int, int], float],
+    honest_edges: np.ndarray,
     honest_to_sybil: bool,
 ) -> trust.TrustGraph:
+    """The honest edges, an (E, 3) array of (i, j, w) rows, plus a complete
+    Sybil clique and optionally one honest-to-Sybil edge. The three parts
+    share no ordered pair, and W does not depend on edge order."""
     nodes = [f"honest-{i}" for i in range(n_honest)] + [f"sybil-{i}" for i in range(n_sybil)]
-    edges = dict(honest_edges)
-    for a in range(n_sybil):
-        for b in range(n_sybil):
-            if a != b:
-                edges[(n_honest + a, n_honest + b)] = internal_weight
+    parts = [honest_edges]
+    if n_sybil > 0:
+        a, b = np.nonzero(~np.eye(n_sybil, dtype=bool))
+        parts.append(np.column_stack((n_honest + a, n_honest + b, np.full(a.size, internal_weight))))
     if honest_to_sybil:
-        edges[(0, n_honest)] = 1.0
-    return _trust_graph(nodes, edges)
+        parts.append(np.array([(0.0, n_honest, 1.0)]))
+    return trust.TrustGraph(nodes=nodes, edges=np.concatenate(parts))
 
 
 def run_sybil(config: ScenarioConfig) -> ScenarioReport:
@@ -470,7 +472,7 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
     n_sybil = int(n * config.sybil_fraction)
     rng = subsystem_rng(config.seed, "sybil-graph")
     hubs = max(1, n_sybil)
-    honest_edges = _honest_graph_edges(n, rng, hubs)
+    honest_edges = np.array([(i, j, w) for (i, j), w in _honest_graph_edges(n, rng, hubs).items()]).reshape(-1, 3)
     base_value = 0.5
 
     def masses(graph: trust.TrustGraph) -> dict:

@@ -242,6 +242,15 @@ def test_trust_rejects_tol_that_is_not_finite_and_positive(tmp_path, capsys):
         assert "tol must be finite and positive" in _one_line_diagnostic(stdout, stderr)["error"]
 
 
+def test_trust_refuses_an_index_past_int64_with_one_json_line(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"nodes":["a","b"],"edges":[[0,18446744073709551615,0.5]]}')
+    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path)])
+    assert code == 1
+    assert stdout == ""
+    assert stderr == '{"error":"ValueError: edge (0,18446744073709551615) out of range for 2 nodes"}\n'
+
+
 def _one_pair_file(tmp_path):
     pairs_path = tmp_path / "pairs.jsonl"
     features = {"cos_sim": 0.5, "trust": 0.5, "log_usage": 1.0, "recency": 0.5}

@@ -97,6 +97,16 @@ def test_delta_apply_equals_full_merge():
         assert via_delta.state_equal(merge(a, b))
 
 
+def test_an_empty_delta_folds_its_vector_unless_the_vectors_are_equal():
+    state = ReplicaState(0)
+    state.apply_delta(DeltaSet(entries=[], version_vector={3: 4, 5: 1}))
+    assert state.version_vector == {3: 4, 5: 1}
+    state.apply_delta(DeltaSet(entries=[], version_vector={3: 4, 5: 1}))
+    state.apply_delta(DeltaSet(entries=[], version_vector={3: 2, 5: 7}))
+    assert state.version_vector == {3: 4, 5: 7}
+    assert state.store == {}
+
+
 # -- the per-writer log behind delta_for, and the convergence target ---------
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from agentmesh.trust import (
     ContextKind,
@@ -229,6 +231,187 @@ def test_single_honest_edge_strictly_increases_sybil_mass():
         _sybil_case(0.9, honest_to_sybil=True), alpha=0.85, base=base, orientation=Orientation.TRANSPOSE
     )
     assert float(with_edge[6:].sum()) > float(without[6:].sum()) + 1e-9
+
+
+# -- the array-built graph and engine against the per-edge and per-row loops ---
+
+
+def _loop_first_edge_error(n, edges):
+    """The per-edge validation loop the graph ran before it held arrays: the
+    message of its first ValueError, or None when it accepts the list."""
+    seen = set()
+    for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i},{j}) out of range for {n} nodes"
+        if i == j:
+            return f"self-edge at node {i}"
+        if not (0.0 <= w <= 1.0):
+            return f"edge weight {w} outside [0,1]"
+        if (i, j) in seen:
+            return f"duplicate edge ({i},{j})"
+        seen.add((i, j))
+    return None
+
+
+def _loop_row_stochastic(n, edges, base):
+    """row_stochastic as a per-edge scatter and a per-row divide."""
+    teleport = base / base.sum()
+    W = np.zeros((n, n))
+    for i, j, w in edges:
+        W[i, j] = w
+    sums = W.sum(axis=1)
+    for i in range(n):
+        if sums[i] > 0.0:
+            W[i, :] /= sums[i]
+        else:
+            W[i, :] = teleport
+    return W
+
+
+def _loop_propagate(M, base, alpha, tol, start):
+    """The power loop that allocated a new array for every operation."""
+    T = np.array(base if start is None else start, dtype=float, copy=True)
+    hold = (1.0 - alpha) * base
+    step = alpha * (M @ T)
+    trace = [float(np.max(np.abs(T - step - hold)))]
+    while trace[-1] >= tol:
+        T = step + hold
+        step = alpha * (M @ T)
+        trace.append(float(np.max(np.abs(T - step - hold))))
+    return T, len(trace) - 1, tuple(trace)
+
+
+@st.composite
+def _edge_lists(draw, max_n=10):
+    """n and a valid edge list over n nodes, in any order, with dangling rows
+    and all-zero rows among the ones drawn."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    keys = draw(st.lists(pairs, unique=True, max_size=n * (n - 1)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([1, 1e-300, 0.5]))
+    return n, [(i, j, draw(weight)) for i, j in keys]
+
+
+def _bases(n):
+    uniform = st.just(None)
+    drawn = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda b: sum(b) > 0.0)
+    return st.one_of(uniform, drawn).map(lambda b: None if b is None else np.array(b))
+
+
+@given(data=st.data())
+def test_row_stochastic_equals_the_per_edge_and_per_row_loop(data):
+    n, edges = data.draw(_edge_lists())
+    base = data.draw(_bases(n))
+    W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges), base)
+    expected = _loop_row_stochastic(n, edges, np.full(n, 1.0 / n) if base is None else base)
+    assert np.array_equal(W, expected)
+    assert W.tobytes() == expected.tobytes()
+
+
+@given(data=st.data())
+def test_propagate_trust_equals_the_allocating_power_loop(data):
+    n, edges = data.draw(_edge_lists())
+    orientation = data.draw(st.sampled_from(Orientation))
+    alpha = data.draw(st.floats(0.05, 0.95))
+    start = data.draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array))
+    base = data.draw(_bases(n))
+    e = default_base(n, orientation) if base is None else base
+    graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+    tv = propagate_trust(graph, alpha=alpha, base=base, orientation=orientation, tol=1e-11, start=start, keep_trace=True)
+    W = _loop_row_stochastic(n, edges, e)
+    T, iterations, trace = _loop_propagate(W if orientation is Orientation.LITERAL else W.T, e, alpha, 1e-11, start)
+    assert tv.values.tobytes() == T.tobytes()
+    assert tv.iterations == iterations
+    assert tv.residual_trace == trace
+    assert tv.residual == trace[-1]
+
+
+_ANY_INDEX = st.one_of(st.integers(-2, 6), st.sampled_from([2**63 - 1, 2**64 - 1, -(2**63), 2**70, 10**400]))
+_ANY_WEIGHT = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf, 0, 1, 2, -0.0]))
+
+
+@st.composite
+def _any_edge_lists(draw):
+    """n and an edge list that mixes edges valid over n nodes (so that
+    repeats of one pair are common) with arbitrary integer-indexed ones."""
+    n = draw(st.integers(1, 5))
+    valid = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.0, 1.0))
+    anything = st.tuples(_ANY_INDEX, _ANY_INDEX, _ANY_WEIGHT)
+    return n, draw(st.lists(st.one_of(valid, valid, anything), max_size=8))
+
+
+@given(case=_any_edge_lists())
+@example(case=(2, [(0, 2**64 - 1, 0.5)]))
+@example(case=(3, [(0, 1, 0.5), (1, 2, math.nan), (0, 1, 0.5)]))
+@example(case=(3, [(0, 1, 0.5), (1, 0, 0.5), (0, 1, 2.0)]))
+@example(case=(3, [(2, 2, 0.5), (0, 3, 0.5)]))
+def test_graph_accepts_or_raises_the_first_error_of_the_per_edge_loop(case):
+    n, edges = case
+    expected = _loop_first_edge_error(n, edges)
+    nodes = [str(i) for i in range(n)]
+    if expected is not None:
+        with pytest.raises(ValueError) as refused:
+            TrustGraph(nodes=nodes, edges=edges)
+        assert str(refused.value) == expected
+    else:
+        g = TrustGraph(nodes=nodes, edges=edges)
+        assert g.src.tolist() == [i for i, _j, _w in edges]
+        assert g.dst.tolist() == [j for _i, j, _w in edges]
+        assert g.weight.tolist() == [float(w) for _i, _j, w in edges]
+
+
+@given(data=st.data())
+def test_local_score_equals_the_per_edge_scan(data):
+    n, edges = data.draw(_edge_lists())
+    graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+    for i in range(n):
+        for direction, end in ((Direction.FORMULA_LITERAL, 0), (Direction.INCOMING, 1)):
+            weights = [edge[2] for edge in edges if edge[end] == i]
+            expected = math.fsum(weights) / len(weights) if weights else None
+            assert local_trust_score(graph, i, direction) == expected
+
+
+def test_graph_is_frozen_and_its_arrays_read_only():
+    nodes = ["a", "b", "c"]
+    g = TrustGraph(nodes=nodes, edges=[(0, 1, 0.5), (1, 2, 0.25)])
+    nodes.append("d")
+    assert g.n == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes = ("x",)
+    for array in (g.src, g.dst, g.weight):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_graph_refuses_edges_that_are_not_numeric_triples():
+    for edges in ([("0", "1", "0.5")], [(0, 1)], [(0, 1, 0.5), (1, 0)]):
+        with pytest.raises(ValueError):
+            TrustGraph(nodes=["a", "b"], edges=edges)
+    with pytest.raises(ValueError, match="non-integer index"):
+        TrustGraph(nodes=["a", "b"], edges=[(0.5, 1, 0.5)])
+
+
+def _unaligned_copy(W):
+    """W's values in a buffer whose data sits 8 bytes past a 64-byte boundary."""
+    raw = np.empty(W.nbytes + 128, dtype=np.uint8)
+    start = (8 - raw.ctypes.data) % 64
+    copy = raw[start : start + W.nbytes].view(np.float64).reshape(W.shape)
+    copy[...] = W
+    return copy
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 240, 333])
+def test_w_is_64_byte_aligned_and_multiplies_as_an_unaligned_copy(n):
+    rng = random.Random(n)
+    edges = [(i, j, rng.random()) for i in range(n) for j in range(n) if i != j and rng.random() < 0.1]
+    W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges))
+    assert W.ctypes.data % 64 == 0
+    U = _unaligned_copy(W)
+    assert U.ctypes.data % 64 == 8 and np.array_equal(U, W)
+    for _ in range(10):
+        T = np.array([rng.random() for _ in range(n)])
+        assert (W.T @ T).tobytes() == (U.T @ T).tobytes()
+        assert (W @ T).tobytes() == (U @ T).tobytes()
 
 
 # -- fusion, tiers, signals ----------------------------------------------------
