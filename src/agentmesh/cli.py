@@ -210,13 +210,13 @@ def _cmd_train(args) -> int:
 def _cmd_trust(args) -> int:
     graph_obj = json_object(load_json(args.graph), "graph file")
     edges = []
-    for edge in json_list(graph_obj["edges"], "graph field 'edges'"):
+    for edge in json_list(graph_obj.get("edges"), "graph field 'edges'"):
         if len(json_list(edge, "graph edge")) != 3:
             raise ValueError(f"graph edge {edge!r} must be [i, j, w]")
         i, j = (json_u64(index, "graph edge index") for index in edge[:2])
         edges.append((i, j, json_float(edge[2], "graph edge weight")))
     graph = trust.TrustGraph(
-        nodes=[json_str(node, "graph node") for node in json_list(graph_obj["nodes"], "graph field 'nodes'")],
+        nodes=[json_str(node, "graph node") for node in json_list(graph_obj.get("nodes"), "graph field 'nodes'")],
         edges=edges,
     )
     orientation = trust.Orientation.LITERAL if args.orientation == "literal" else trust.Orientation.TRANSPOSE
@@ -347,9 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (
         ValueError,
-        TypeError,
         OSError,
-        KeyError,
         FloatingPointError,
         trust.NonConvergentError,
         discovery.TrainingDiverged,

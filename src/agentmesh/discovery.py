@@ -118,9 +118,9 @@ class RankFeatures:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: object) -> "RankFeatures":
-        obj = json_object(obj, "rank features")
-        return cls(**{name: json_float(obj.get(name), f"feature {name!r}") for name in cls.__dataclass_fields__})
+    def from_json_obj(cls, obj: object, what: str) -> "RankFeatures":
+        obj = json_object(obj, what)
+        return cls(**{name: json_float(obj.get(name), f"{what} feature {name!r}") for name in cls.__dataclass_fields__})
 
 
 def features_for(
@@ -320,6 +320,9 @@ def load_pairs(path: str | Path) -> list[tuple[RankFeatures, RankFeatures]]:
 
     def parse(obj: object) -> tuple[RankFeatures, RankFeatures]:
         obj = json_object(obj, "pairs line")
-        return RankFeatures.from_json_obj(obj["preferred"]), RankFeatures.from_json_obj(obj["other"])
+        return (
+            RankFeatures.from_json_obj(obj.get("preferred"), "pairs field 'preferred'"),
+            RankFeatures.from_json_obj(obj.get("other"), "pairs field 'other'"),
+        )
 
     return load_jsonl(path, parse)

@@ -93,10 +93,6 @@ class ReplicaState:
         self._apply_entry(record.key, record, tag)
         return tag
 
-    def get(self, key: str) -> RegistryRecord | None:
-        entry = self.store.get(key)
-        return entry[0] if entry else None
-
     def _apply_entry(self, key: str, record: RegistryRecord, tag: LwwTag) -> None:
         current = self.store.get(key)
         if current is not None:
@@ -196,8 +192,6 @@ class Topology:
     def ring(cls, n: int) -> "Topology":
         if n <= 1:
             return cls("ring", n, [[] for _ in range(n)])
-        if n == 2:
-            return cls("ring", n, [[1], [0]])
         return cls("ring", n, [sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)])
 
     @classmethod
@@ -354,9 +348,6 @@ def gossip_to_convergence(
 
 @dataclass
 class ConvergenceSummary:
-    n: int
-    topology: str
-    trials: int
     rounds: list[int | None]  # None marks a non-convergent trial
     median_rounds: float | None
     p95_rounds: float | None
@@ -401,9 +392,6 @@ def rounds_to_convergence(
         ordered = sorted(converged_rounds)
         p95 = float(ordered[min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)])
     return ConvergenceSummary(
-        n=n,
-        topology=topology.kind,
-        trials=trials,
         rounds=per_trial,
         median_rounds=median_rounds,
         p95_rounds=p95,

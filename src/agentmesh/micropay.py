@@ -1,6 +1,8 @@
 """Header-embedded micropayments: invoices, delegated ephemeral payer keys,
 a strict header grammar, and atomic idempotent settlement against a
-conservation-checked ledger.
+conservation-checked ledger. The ledger keeps each settlement once, as its
+receipt: a settle is O(1) in ledger length, and `Ledger.canonical_bytes()`
+commits to the balances and to a running SHA-256 of the receipts.
 
 Header line (fixed field order, single ';' separators, no extra whitespace;
 every field must match its grammar in full):
@@ -18,9 +20,9 @@ nonce). Amounts are integer micro-units; no fractional currency anywhere.
 from __future__ import annotations
 
 import enum
+import hashlib
 import random
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .identity import (
@@ -322,9 +324,13 @@ class Receipt:
 
 
 class Ledger:
-    """Single-writer balance store. A settlement either applies completely
-    (debit, credit, nonce recorded, receipt appended) or leaves the ledger
-    byte-identical."""
+    """Single-writer balance store whose record is its receipts. A settlement
+    either applies completely (debit, credit, receipt appended) or leaves the
+    ledger byte-identical. Replays are found in a set of the receipts'
+    (payer, nonce) pairs, so a settle is O(1) in ledger length.
+    `canonical_bytes()` is the balances sorted by DID, then the SHA-256 of
+    every receipt's canonical bytes in settlement order, kept as a running
+    hash in the manner of a tamper-evident log; it costs O(balances)."""
 
     def __init__(self, balances: dict[str, int] | None = None) -> None:
         self.balances: dict[str, int] = dict(balances or {})
@@ -334,11 +340,8 @@ class Ledger:
             if amount > MAX_U64:
                 raise MicropayError(f"opening balance for {did} exceeds u64")
         self.receipts: list[Receipt] = []
-        # Canonical encodings kept as settlements land. Every payer renders as
-        # a fixed-length DID, so the nonce encodings sort as (payer, nonce) does
-        # and a replay is found by bisection.
-        self._nonce_bytes: list[bytes] = []
-        self._receipt_bytes: list[bytes] = []
+        self._spent: set[tuple[AgentDid, bytes]] = set()
+        self._receipts_digest = hashlib.sha256()
 
     def credit(self, did: AgentDid | str, amount: int) -> None:
         if amount < 0:
@@ -356,7 +359,7 @@ class Ledger:
 
     def canonical_bytes(self) -> bytes:
         balances = b"".join(enc_str(did) + enc_u64(self.balances[did]) for did in sorted(self.balances))
-        return balances + b"".join(self._nonce_bytes) + b"".join(self._receipt_bytes)
+        return balances + self._receipts_digest.digest()
 
     def settle(self, header: PaymentHeader, invoice: Invoice, resolver: KeyResolver, now: int) -> Receipt:
         """All checks run before any mutation; every error path leaves the
@@ -383,11 +386,10 @@ class Ledger:
         if not verify(header.ephemeral_pub, payment_msg, header.signature):
             raise SettleError(SettleReason.BAD_SIGNATURE)
 
-        payer_key = str(header.payer)
-        nonce_bytes = enc_str(payer_key) + header.nonce
-        slot = bisect_left(self._nonce_bytes, nonce_bytes)
-        if slot < len(self._nonce_bytes) and self._nonce_bytes[slot] == nonce_bytes:
+        spent = (header.payer, header.nonce)
+        if spent in self._spent:
             raise SettleError(SettleReason.DUPLICATE_NONCE)
+        payer_key = str(header.payer)
         if self.balances.get(payer_key, 0) < header.amount:
             raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
         payee_key = str(invoice.payee)
@@ -396,7 +398,6 @@ class Ledger:
 
         self.balances[payer_key] -= header.amount
         self.balances[payee_key] = self.balances.get(payee_key, 0) + header.amount
-        self._nonce_bytes.insert(slot, nonce_bytes)
         receipt = Receipt(
             index=len(self.receipts),
             invoice_id=header.invoice_id,
@@ -407,7 +408,8 @@ class Ledger:
             settled_at=now,
         )
         self.receipts.append(receipt)
-        self._receipt_bytes.append(receipt.canonical_bytes())
+        self._spent.add(spent)
+        self._receipts_digest.update(receipt.canonical_bytes())
         return receipt
 
     def export_json_obj(self) -> dict:

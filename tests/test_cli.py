@@ -412,23 +412,54 @@ def test_malformed_card_corpus_is_clean_error(tmp_path, capsys, line, message):
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, message",
     [
-        "[1, 2]",
-        json.dumps(json_with(_INPUT_PAIR, ("other",), [0.5])),
-        json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), math.inf)),
-        json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), "0.9")),
-        json.dumps(json_with(_INPUT_PAIR, ("other", "trust"), True)),
-        json.dumps(json_with(_INPUT_PAIR, ("preferred", "log_usage"), 1e300)),
+        ("[1, 2]", "ValueError: line 1: pairs line must be a JSON object"),
+        (
+            json.dumps(json_with(_INPUT_PAIR, ("other",), [0.5])),
+            "ValueError: line 1: pairs field 'other' must be a JSON object",
+        ),
+        (
+            json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), math.inf)),
+            "ValueError: line 1: pairs field 'preferred' feature 'cos_sim' must be finite",
+        ),
+        (
+            json.dumps(json_with(_INPUT_PAIR, ("preferred", "cos_sim"), "0.9")),
+            "ValueError: line 1: pairs field 'preferred' feature 'cos_sim' must be a number",
+        ),
+        (
+            json.dumps(json_with(_INPUT_PAIR, ("other", "trust"), True)),
+            "ValueError: line 1: pairs field 'other' feature 'trust' must be a number",
+        ),
+        (json.dumps(json_with(_INPUT_PAIR, ("preferred", "log_usage"), 1e300)), "TrainingDiverged: "),
+        ('{"other": {}}', "ValueError: line 1: pairs field 'preferred' must be a JSON object"),
+        (
+            json.dumps({"preferred": _INPUT_PAIR["preferred"]}),
+            "ValueError: line 1: pairs field 'other' must be a JSON object",
+        ),
+        (
+            json.dumps({**_INPUT_PAIR, "other": {}}),
+            "ValueError: line 1: pairs field 'other' feature 'cos_sim' must be a number",
+        ),
     ],
-    ids=["list", "features-list", "cos-sim-inf", "cos-sim-string", "trust-bool", "log-usage-overflows"],
+    ids=[
+        "list",
+        "features-list",
+        "cos-sim-inf",
+        "cos-sim-string",
+        "trust-bool",
+        "log-usage-overflows",
+        "preferred-missing",
+        "other-missing",
+        "feature-missing",
+    ],
 )
-def test_malformed_training_pairs_are_clean_errors(tmp_path, capsys, line):
+def test_malformed_training_pairs_are_clean_errors(tmp_path, capsys, line, message):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(line + "\n")
     code, stdout, stderr = _run(capsys, ["train", "--pairs", str(pairs), "--iters", "5"])
     assert code == 1
-    assert "error" in _one_line_diagnostic(stdout, stderr)
+    assert _one_line_diagnostic(stdout, stderr)["error"].startswith(message)
 
 
 def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
@@ -444,6 +475,12 @@ def test_malformed_model_and_graph_are_clean_errors(tmp_path, capsys):
     code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph)])
     assert code == 1
     assert "graph edge index" in _one_line_diagnostic(stdout, stderr)["error"]
+    for field in ("edges", "nodes"):
+        graph.write_text(json.dumps({name: value for name, value in _INPUT_GRAPH.items() if name != field}))
+        code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph)])
+        assert code == 1
+        message = f"ValueError: graph field {field!r} must be a JSON array"
+        assert _one_line_diagnostic(stdout, stderr)["error"] == message
 
 
 
@@ -759,6 +796,65 @@ def test_cli_input_files_keep_exit_code_and_stderr_contract(
             )
             signals.write_text(json.dumps(signals_obj))
             _assert_contract(*_run_quietly(["trust", "--graph", str(graph), "--signals", str(signals)]))
+
+
+def _without(obj, path: tuple):
+    """Deep copy of a JSON value with the entry at `path` deleted."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for step in path[:-1]:
+        target = target[step]
+    del target[path[-1]]
+    return out
+
+
+# Each input file, the file name it is written to, and the command that reads
+# it; every other input the command takes is the well-formed one.
+_MISSING_INPUTS = {
+    "card": (_INPUT_CARD, "cards.jsonl", ["rank", "--query", "q", "--corpus", "cards.jsonl"]),
+    "model": (_INPUT_MODEL, "model.json", ["rank", "--query", "q", "--corpus", "cards.jsonl", "--model", "model.json"]),
+    "graph": (_INPUT_GRAPH, "graph.json", ["trust", "--graph", "graph.json"]),
+    "pairs": (_INPUT_PAIR, "pairs.jsonl", ["train", "--pairs", "pairs.jsonl", "--iters", "5"]),
+    "trust": (_INPUT_TRUST, "trust.json", ["rank", "--query", "q", "--corpus", "cards.jsonl", "--trust", "trust.json"]),
+    "signals": (_INPUT_SIGNALS, "signals.json", ["trust", "--graph", "graph.json", "--signals", "signals.json"]),
+    "snapshot": (_small_snapshot(), "snapshot.json", ["resolve", "--snapshot", "snapshot.json", "--key", "alpha"]),
+}
+
+
+def _has(obj, path: tuple) -> bool:
+    for step in path:
+        if step not in (obj if isinstance(obj, dict) else range(len(obj))):
+            return False
+        obj = obj[step]
+    return True
+
+
+_MISSING_CASES = [
+    (kind, path)
+    for kind, path in [("card", path) for path in _CARD_PATHS + _CREDENTIAL_PATHS]
+    + [("model", path) for path in _MODEL_PATHS]
+    + [("graph", path) for path in _GRAPH_PATHS]
+    + [("pairs", path) for path in _PAIR_PATHS]
+    + [("trust", path) for path in _TRUST_PATHS]
+    + [("signals", path) for path in _SIGNALS_PATHS]
+    + [("snapshot", ("root_digest",)), ("snapshot", ("records",))]
+    + [("snapshot", ("records", 0, field)) for field in _RECORD_FIELDS]
+    if _has(_MISSING_INPUTS[kind][0], path)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path", _MISSING_CASES, ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, path in _MISSING_CASES]
+)
+def test_a_missing_field_keeps_exit_code_and_stderr_contract(tmp_path, monkeypatch, kind, path):
+    """`main()` catches only the errors the program defines, so a decoder
+    must refuse a missing field itself, as a ValueError, not a KeyError."""
+    monkeypatch.chdir(tmp_path)
+    for other, (obj, name, _argv) in _MISSING_INPUTS.items():
+        Path(name).write_text(json.dumps(_without(obj, path) if other == kind else obj) + "\n")
+    code, stdout, stderr = _run_quietly(_MISSING_INPUTS[kind][2])
+    _assert_contract(code, stdout, stderr)
+    assert "KeyError" not in stderr
 
 
 # -- the CLI contract over generated argument lists ---------------------------

@@ -31,7 +31,7 @@ def test_local_put_visible_and_signature_checked():
     record, resolver = signed_record("k1")
     state = ReplicaState(0)
     state.local_put(record, logical_time=5, resolver=resolver)
-    assert state.get("k1") == record
+    assert state.store["k1"][0] == record
     with pytest.raises(BadSignatureError):
         state.local_put(record, logical_time=6, resolver={})
 
@@ -42,12 +42,12 @@ def test_lww_later_logical_time_wins():
     state = ReplicaState(0)
     state.local_put(record_v1, logical_time=5, resolver=resolver)
     state.local_put(record_v2, logical_time=9, resolver=resolver)
-    assert state.get("k").version == 2
+    assert state.store["k"][0].version == 2
     # an older write arriving later loses
     stale = ReplicaState(1)
     stale.local_put(record_v1, logical_time=2, resolver=resolver)
     merged = merge(state, stale)
-    assert merged.get("k").version == 2
+    assert merged.store["k"][0].version == 2
 
 
 def test_lww_tie_breaks_on_higher_writer_id():
@@ -57,8 +57,8 @@ def test_lww_tie_breaks_on_higher_writer_id():
     high = ReplicaState(7)
     low.local_put(record_a, logical_time=5, resolver=resolver)
     high.local_put(record_b, logical_time=5, resolver=resolver)
-    assert merge(low, high).get("k") == record_b
-    assert merge(high, low).get("k") == record_b
+    assert merge(low, high).store["k"][0] == record_b
+    assert merge(high, low).store["k"][0] == record_b
 
 
 def test_merge_semilattice_laws():

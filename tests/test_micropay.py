@@ -323,15 +323,14 @@ def test_conservation_over_mixed_attempts():
 
 
 def _reference_canonical_bytes(ledger: Ledger) -> bytes:
-    """Encode the ledger from scratch: balances by DID, nonces by
-    (payer, nonce), receipts in settlement order."""
-    parts = [enc_str(did) + enc_u64(ledger.balances[did]) for did in sorted(ledger.balances)]
-    parts += [enc_str(payer) + nonce for payer, nonce in sorted((str(r.payer), r.nonce) for r in ledger.receipts)]
-    parts += [
+    """Encode the ledger from scratch: balances by DID, then the SHA-256 of
+    the receipts' encodings concatenated in settlement order."""
+    balances = b"".join(enc_str(did) + enc_u64(ledger.balances[did]) for did in sorted(ledger.balances))
+    receipts = b"".join(
         r.invoice_id + enc_str(str(r.payer)) + enc_str(str(r.payee)) + enc_u64(r.amount) + r.nonce + enc_u64(r.settled_at)
         for r in ledger.receipts
-    ]
-    return b"".join(parts)
+    )
+    return balances + sha256(receipts)
 
 
 def test_canonical_bytes_match_reference_encoder_over_mixed_settles():
@@ -361,6 +360,95 @@ def test_canonical_bytes_match_reference_encoder_over_mixed_settles():
             outcomes.add(exc.reason)
         assert ledger.canonical_bytes() == _reference_canonical_bytes(ledger)
     assert {"ok", SettleReason.DUPLICATE_NONCE, SettleReason.EXPIRED, SettleReason.INSUFFICIENT_FUNDS} <= outcomes
+
+
+def test_refused_settle_does_not_spend_its_nonce():
+    # refused for funds, then paid once the payer is credited
+    ledger, header, invoice, resolver, payer, payee, _line = _setup(amount=200, balance=100)
+    with pytest.raises(SettleError) as err:
+        ledger.settle(header, invoice, resolver, now=5)
+    assert err.value.reason is SettleReason.INSUFFICIENT_FUNDS
+    ledger.credit(payer, 100)
+    ledger.settle(header, invoice, resolver, now=5)
+    assert ledger.balance(payer) == 0 and ledger.balance(payee) == 200
+    # refused for the payee's overflow, then paid once the payee is lower
+    ledger, header, invoice, resolver, payer, payee, _line = _setup(amount=5, balance=100)
+    ledger.credit(payee, MAX_U64)
+    with pytest.raises(SettleError) as err:
+        ledger.settle(header, invoice, resolver, now=5)
+    assert err.value.reason is SettleReason.BALANCE_OVERFLOW
+    ledger.balances[str(payee)] -= 5
+    ledger.settle(header, invoice, resolver, now=5)
+    assert ledger.balance(payer) == 95 and ledger.balance(payee) == MAX_U64
+
+
+_REPLAY_PAYERS = [generate_keypair(sha256(b"replay-payer-%d" % i)) for i in range(3)]
+_REPLAY_PAYEE = derive_did(generate_keypair(sha256(b"replay-payee")).public_key)
+_REPLAY_RESOLVER = {str(derive_did(kp.public_key)): kp.public_key for kp in _REPLAY_PAYERS}
+_REPLAY_EPHEMERALS = [make_ephemeral(kp, sha256(kp.public_key), 0, 10_000) for kp in _REPLAY_PAYERS]
+_replay_ops = st.one_of(
+    # a fresh header: payer, amount, invoice expiry relative to now, and a
+    # nonce from a pool of four, so payers share nonces and reuse their own
+    st.tuples(
+        st.just("fresh"),
+        st.integers(0, 2),
+        st.sampled_from([10, 400, 3_000]),
+        st.integers(-2, 8),
+        st.integers(0, 3),
+    ),
+    st.tuples(st.just("retry"), st.integers(0, 99)),  # any earlier header, settled or refused
+    st.tuples(st.just("wrong_amount"), st.integers(0, 99)),
+    st.tuples(st.just("credit"), st.integers(0, 2), st.sampled_from([100, 3_000])),
+)
+
+
+@given(steps=st.lists(st.tuples(_replay_ops, st.integers(-4, 4)), max_size=24))
+@example(
+    steps=[
+        (("fresh", 0, 3_000, 5, 0), 0),  # refused for funds
+        (("credit", 0, 3_000), 0),
+        (("retry", 0), 0),  # the same header now settles
+        (("retry", 0), 1),  # and then never again
+        (("fresh", 1, 10, 5, 0), 0),  # another payer may use the same nonce
+    ]
+)
+def test_a_header_settles_at_most_once_and_only_a_receipt_spends_its_nonce(steps):
+    ledger = Ledger({did: 1_000 for did in _REPLAY_RESOLVER})
+    rng = random.Random(0)
+    attempts = []
+    now = 50
+    for op, step in steps:
+        now = max(0, now + step)  # time may go backwards
+        if op[0] == "credit":
+            ledger.credit(derive_did(_REPLAY_PAYERS[op[1]].public_key), op[2])
+            continue
+        if op[0] == "fresh":
+            _kind, payer, amount, expiry, nonce = op
+            invoice = create_invoice(_REPLAY_PAYEE, amount, "t", expires_at=max(0, now + expiry), rng=rng)
+            line = build_payment_header(
+                invoice, _REPLAY_PAYERS[payer], _REPLAY_EPHEMERALS[payer], bytes([nonce]) * 16, now
+            )
+            attempts.append((parse_payment_header(line), invoice))
+        elif not attempts:
+            continue
+        header, invoice = attempts[-1] if op[0] == "fresh" else attempts[op[1] % len(attempts)]
+        if op[0] == "wrong_amount":
+            invoice = dataclasses.replace(invoice, amount=invoice.amount + 1)
+        spent = {(r.payer, r.nonce) for r in ledger.receipts}
+        try:
+            ledger.settle(header, invoice, _REPLAY_RESOLVER, now)
+        except SettleError as exc:
+            if exc.reason is SettleReason.DUPLICATE_NONCE:
+                assert (header.payer, header.nonce) in spent
+            else:
+                assert exc.reason in {
+                    SettleReason.AMOUNT_MISMATCH,
+                    SettleReason.EXPIRED,
+                    SettleReason.INSUFFICIENT_FUNDS,
+                }
+        else:
+            assert (header.payer, header.nonce) not in spent
+        assert ledger.canonical_bytes() == _reference_canonical_bytes(ledger)
 
 
 def test_ledger_balances_stay_within_u64():
