@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from .wire import (
     enc_u8,
     enc_u32,
     enc_u64,
-    dumps,
     json_float,
     json_list,
     json_object,
@@ -44,7 +44,6 @@ __all__ = [
     "validate_card",
     "card_digest",
     "load_cards",
-    "write_cards",
 ]
 
 EMBED_DIM = 256
@@ -90,6 +89,16 @@ class AgentFactCard:
     def bump(self, **changes) -> "AgentFactCard":
         """Copy with changes and the version advanced."""
         return replace(self, version=self.version + 1, **changes)
+
+    @cached_property
+    def embedding_array(self) -> np.ndarray | None:
+        """The embedding as a read-only float array, or None; built once,
+        since cards are frozen (a changed card is a new card)."""
+        if self.embedding is None:
+            return None
+        array = np.asarray(self.embedding, dtype=float)
+        array.flags.writeable = False
+        return array
 
     def to_json_obj(self) -> dict:
         return {
@@ -199,8 +208,3 @@ def load_cards(path: str | Path) -> list[AgentFactCard]:
     it is read, with its line number."""
     return load_jsonl(path, AgentFactCard.from_json_obj)
 
-
-def write_cards(path: str | Path, cards: list[AgentFactCard]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for card in cards:
-            fh.write(dumps(card.to_json_obj()) + "\n")

@@ -94,8 +94,10 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def card_embedding(card: AgentFactCard) -> np.ndarray:
-    if card.embedding is not None:
-        return np.asarray(card.embedding, dtype=float)
+    """The card's stored embedding, as the card's own read-only array, or
+    else the fallback embedding of its description."""
+    if card.embedding_array is not None:
+        return card.embedding_array
     return embed_text(card.description)
 
 
@@ -129,19 +131,11 @@ def features_for(
     trust: float,
     now: int,
 ) -> RankFeatures:
-    return _features(query_embedding, card, card_embedding(card), trust, now)
-
-
-def _features(
-    query_embedding: np.ndarray,
-    card: AgentFactCard,
-    embedding: np.ndarray,
-    trust: float,
-    now: int,
-) -> RankFeatures:
+    """One card's ranking features. `rank` computes the same four values for
+    all cards at once; this scalar form stays as its oracle."""
     age = max(0, now - card.last_active)
     return RankFeatures(
-        cos_sim=cosine(query_embedding, embedding),
+        cos_sim=cosine(query_embedding, card_embedding(card)),
         trust=trust,
         log_usage=math.log1p(card.usage_count),
         recency=math.exp(-age / DEFAULT_RECENCY_HORIZON),
@@ -161,6 +155,8 @@ class L2RModel:
         return cls(theta=np.zeros(4))
 
     def score(self, features: RankFeatures) -> float:
+        """One card's score. `rank` scores all cards in one `vecdot`, which
+        runs the same dot loop per row; this scalar form stays as its oracle."""
         return float(np.dot(self.theta, features.vector()) + self.bias)
 
     def to_json_obj(self) -> dict:
@@ -286,16 +282,31 @@ def rank(
     tau: float = DEFAULT_TAU,
 ) -> list[tuple[str, float]]:
     """Top-k (did, score), descending by model score with (trust, DID)
-    tie-breaks, deduplicated at cosine threshold tau."""
+    tie-breaks, deduplicated at cosine threshold tau.
+
+    Each card's features, as `features_for` gives them, fill one row of an
+    (n, 4) table, and `vecdot` scores every row with numpy's own dot loop,
+    so each score has the bits of `model.score` (`table @ theta` rounds
+    differently)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = []
+    entries = []
+    values = []
     for card in cards:
         did = str(card.did)
         trust = float(trust_report.get(did, 0.0))
         embedding = card_embedding(card)
-        feats = _features(query_embedding, card, embedding, trust, now)
-        scored.append((did, model.score(feats), trust, embedding))
+        age = max(0, now - card.last_active)
+        values += (
+            cosine(query_embedding, embedding),
+            trust,
+            math.log1p(card.usage_count),
+            math.exp(-age / DEFAULT_RECENCY_HORIZON),
+        )
+        entries.append((did, trust, embedding))
+    table = np.array(values, dtype=float).reshape(len(entries), 4)
+    scores = (np.vecdot(table, model.theta) + model.bias).tolist()
+    scored = [(did, score, trust, embedding) for (did, trust, embedding), score in zip(entries, scores)]
     scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
     kept = dedup([(did, score, emb) for did, score, trust, emb in scored], tau)
     return [(did, score) for did, score, _emb in kept[:k]]

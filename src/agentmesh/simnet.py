@@ -605,7 +605,9 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     prior = {"propagated": 0.5, "policy": 1.0, "behavior": 1.0, "attest": 0.0, "fused": 0.5}
     standing = {a.index: {**prior, "tier": trust.verification_tier(0.5).value} for a in agents}
     rows = []
-    regular_domains = list(_DOMAINS)
+    # A task's query is its round's domain description, so each of the few
+    # distinct queries is embedded once.
+    domain_queries = [discovery.embed_text(f"need a {domain_desc}") for _domain, domain_desc, _caps in _DOMAINS]
     amounts = {a.index: config.task_price for a in agents}
     amounts[deadbeat] = config.max_payment + config.task_price
     # An agent asks the same amount at the same rate every time, so either
@@ -621,10 +623,8 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         trust_report = {str(a.did): standing[a.index]["fused"] for a in agents}
         for agent in agents:
             for _task in range(config.tasks_per_round):
-                _domain, domain_desc, _caps = regular_domains[(agent.index + round_idx) % len(regular_domains)]
-                query = f"need a {domain_desc}"
                 ranked = discovery.rank(
-                    discovery.embed_text(query),
+                    domain_queries[(agent.index + round_idx) % len(domain_queries)],
                     candidates[agent.index],
                     trust_report,
                     model,

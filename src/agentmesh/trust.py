@@ -272,7 +272,14 @@ def solve_trust_exact(
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0,1)")
     base_vec, M = _operator(graph, base, orientation)
-    return np.linalg.solve(np.eye(graph.n) - alpha * M, (1.0 - alpha) * base_vec)
+    # I - alpha*M, built in the buffer of M's fresh W with the bits of
+    # np.eye(n) - alpha*M: off the diagonal 0.0 - a keeps the +0.0, and on it
+    # (0.0 - a) + 1.0 == 1.0 - a. solve copies its operand into Fortran order
+    # whichever way M is laid out.
+    np.multiply(M, alpha, out=M)
+    np.subtract(0.0, M, out=M)
+    M.flat[:: graph.n + 1] += 1.0
+    return np.linalg.solve(M, (1.0 - alpha) * base_vec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from agentmesh import privacy, simnet
 from agentmesh.cards import EMBED_DIM, AgentFactCard
 from agentmesh.identity import AgentDid, AttestationIssuer, ClaimType, KeyPair, derive_did, generate_keypair, sha256
 from agentmesh.registry import RegistryRecord, make_record
+from agentmesh.wire import dumps
 
 
 def keypair_for(label: str) -> KeyPair:
@@ -100,6 +101,13 @@ def random_card(rng: random.Random, with_credentials: bool = False) -> AgentFact
         last_active=rng.randrange(0, 10**6),
         version=rng.randrange(1, 1000),
     )
+
+
+def write_cards(path, cards) -> None:
+    """Write cards as the JSON Lines corpus that `cards.load_cards` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for card in cards:
+            fh.write(dumps(card.to_json_obj()) + "\n")
 
 
 # -- JSON inputs with one value replaced ---------------------------------------

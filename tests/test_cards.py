@@ -17,10 +17,9 @@ from agentmesh.cards import (
     card_digest,
     load_cards,
     validate_card,
-    write_cards,
 )
 from agentmesh.identity import AttestationIssuer, ClaimType, sha256
-from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding
+from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding, write_cards
 
 
 def _card(**overrides) -> AgentFactCard:

@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentmesh import cards as cards_mod
 from agentmesh import registry, simnet
 from agentmesh.cli import build_parser, main
 from agentmesh.identity import derive_did, sha256
-from _helpers import json_values, json_with, keypair_for, random_card
+from _helpers import json_values, json_with, keypair_for, random_card, write_cards
 
 
 def _run(capsys, argv):
@@ -261,7 +260,7 @@ def _one_pair_file(tmp_path):
 @pytest.mark.parametrize("trust_text", ["[1, 2]", '"text"', "5", "null"])
 def test_rank_non_object_trust_file_is_clean_error(tmp_path, capsys, trust_text):
     corpus = tmp_path / "cards.jsonl"
-    cards_mod.write_cards(corpus, [random_card(random.Random(i)) for i in range(3)])
+    write_cards(corpus, [random_card(random.Random(i)) for i in range(3)])
     trust_path = tmp_path / "trust.json"
     trust_path.write_text(trust_text)
     code, stdout, stderr = _run(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import struct
@@ -119,9 +120,33 @@ def test_card_embedding_prefers_stored_vector():
     card = random_card(rng)
     while card.embedding is None:
         card = random_card(rng)
-    assert np.allclose(card_embedding(card), np.asarray(card.embedding))
+    assert np.array_equal(card_embedding(card), np.asarray(card.embedding))
     bare = card.bump(embedding=None)
-    assert np.allclose(card_embedding(bare), embed_text(bare.description))
+    assert np.array_equal(card_embedding(bare), embed_text(bare.description))
+
+
+def test_card_embedding_is_the_cards_own_read_only_array():
+    rng = random.Random(1)
+    card = random_card(rng)
+    while card.embedding is None:
+        card = random_card(rng)
+    first = card_embedding(card)
+    assert card_embedding(card) is first
+    assert np.array_equal(first, np.asarray(card.embedding))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    # A changed card is a new card, with an array of its own.
+    bumped = card.bump()
+    assert card_embedding(bumped) is not first
+    assert np.array_equal(card_embedding(bumped), first)
+    other = unit_embedding(rng)
+    replaced = dataclasses.replace(card, embedding=other)
+    assert np.array_equal(card_embedding(replaced), np.asarray(other))
+    # Equality and hashing still compare fields only.
+    twin = dataclasses.replace(card)
+    assert twin == card and hash(twin) == hash(card)
+    assert card.bump(embedding=None).embedding_array is None
 
 
 # -- pairwise loss and training --------------------------------------------------
@@ -362,6 +387,49 @@ def test_rank_agrees_with_exhaustive_sort_oracle():
     # tau=1.0 with distinct random embeddings: dedup drops nothing
     expected = [(did, score) for did, score, _trust in scored[:20]]
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=0, max_value=12),
+    theta=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(min_value=-10.0, max_value=10.0)),
+        min_size=4,
+        max_size=4,
+    ),
+    bias=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
+    now=st.integers(min_value=0, max_value=3 * 10**6),
+    tau=st.sampled_from([1.0, 0.9, 0.3]),
+    k=st.integers(min_value=1, max_value=13),
+)
+def test_rank_scores_are_the_scalar_model_scores_bit_for_bit(seed, n, theta, bias, now, tau, k):
+    rng = random.Random(seed)
+    # Cards share a few (usage, last_active) profiles and trust values, so a
+    # zero similarity weight makes scores tie and the trust, then DID,
+    # tie-breaks decide; last_active may lie after now, and usage reaches 2**63.
+    profiles = [(rng.choice([0, 1, rng.randrange(2**63)]), rng.randrange(3 * 10**6)) for _ in range(3)]
+    trusts = [0.1, 0.5, rng.random()]
+    cards = []
+    for _ in range(n):
+        usage, last_active = rng.choice(profiles)
+        cards.append(random_card(rng).bump(usage_count=usage, last_active=last_active))
+    trust_report = {str(c.did): rng.choice(trusts) for c in cards if rng.random() < 0.8}
+    model = L2RModel(theta=np.array(theta), bias=bias)
+    query = embed_text("weather and maps")
+
+    scored = []
+    for card in cards:
+        trust = trust_report.get(str(card.did), 0.0)
+        score = model.score(features_for(query, card, trust, now))
+        scored.append((str(card.did), score, trust, card_embedding(card)))
+    scored.sort(key=lambda t: (-t[1], -t[2], t[0]))
+    kept = dedup([(did, score, emb) for did, score, _trust, emb in scored], tau)
+    expected = [(did, struct.pack(">d", score)) for did, score, _emb in kept[:k]]
+
+    got = rank(query, cards, trust_report, model, k=k, now=now, tau=tau)
+    assert all(isinstance(score, float) for _did, score in got)
+    assert [(did, struct.pack(">d", score)) for did, score in got] == expected
 
 
 def test_rank_embeds_each_card_once(monkeypatch):

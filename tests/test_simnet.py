@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentmesh import simnet
-from agentmesh.cards import write_cards
+from agentmesh import discovery, simnet
 from agentmesh.cli import main
 from agentmesh.simnet import (
     ScenarioConfig,
@@ -24,7 +23,7 @@ from agentmesh.simnet import (
     synthetic_agents,
     write_report,
 )
-from _helpers import runnable_configs
+from _helpers import runnable_configs, write_cards
 
 
 def test_config_validation():
@@ -196,6 +195,21 @@ def test_marketplace_zero_tasks_leaves_trust_unchanged():
     series = report.payload["fused_round_series"]["deadbeat"]
     assert len(set(series)) == 1
     assert report.payload["receipts"] == 0
+
+
+def test_marketplace_embeds_each_domain_query_once(monkeypatch):
+    queries = []
+
+    def counting(text):
+        if text.startswith("need a "):
+            queries.append(text)
+        return original(text)
+
+    original = discovery.embed_text
+    monkeypatch.setattr(discovery, "embed_text", counting)
+    run_marketplace(ScenarioConfig(scenario="marketplace", n=8, rounds=6, seed=11, tasks_per_round=2))
+    # 96 tasks, 5 distinct queries: one embedding per domain.
+    assert sorted(queries) == sorted(f"need a {desc}" for _domain, desc, _caps in simnet._DOMAINS)
 
 
 @pytest.mark.parametrize("tasks_per_round", [1, 2])

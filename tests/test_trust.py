@@ -326,6 +326,24 @@ def test_propagate_trust_equals_the_allocating_power_loop(data):
     assert tv.residual == trace[-1]
 
 
+@given(data=st.data())
+def test_solve_trust_exact_equals_the_allocating_solve(data):
+    """The solve built in W's own buffer has the bits of the three-array build
+    np.eye(n) - alpha*M, in both orientations, on graphs with dangling rows
+    and zero-weight edges."""
+    n, edges = data.draw(_edge_lists())
+    orientation = data.draw(st.sampled_from(Orientation))
+    alpha = data.draw(st.floats(0.01, 0.99))
+    base = data.draw(_bases(n))
+    e = default_base(n, orientation) if base is None else base
+    graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+    W = _loop_row_stochastic(n, edges, e)
+    M = W if orientation is Orientation.LITERAL else W.T
+    expected = np.linalg.solve(np.eye(n) - alpha * M, (1.0 - alpha) * e)
+    got = solve_trust_exact(graph, alpha=alpha, base=base, orientation=orientation)
+    assert got.tobytes() == expected.tobytes()
+
+
 _ANY_INDEX = st.one_of(st.integers(-2, 6), st.sampled_from([2**63 - 1, 2**64 - 1, -(2**63), 2**70, 10**400]))
 _ANY_WEIGHT = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf, 0, 1, 2, -0.0]))
 
