@@ -97,8 +97,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Same seed, same keys."""
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    public = priv.public_key().public_bytes_raw()
+    public = _private_key(seed).public_key().public_bytes_raw()
     return KeyPair(secret_key=seed, public_key=public)
 
 
@@ -108,9 +107,10 @@ def derive_did(public_key: bytes) -> AgentDid:
     return AgentDid(sha256(public_key).hex())
 
 
-# Parsing a private key costs about as much as one signature, so each signer's
-# key is parsed once. Bounded, because every payment signs with a fresh
-# ephemeral key; public keys parse in about 1 µs and are not cached.
+# Parsing a private key costs about as much as one signature, so each key is
+# parsed once, by generate_keypair or by its first sign. Bounded, because
+# every payment signs with a fresh ephemeral key; public keys parse in about
+# 1 µs and are not cached.
 _private_key = functools.lru_cache(maxsize=1024)(Ed25519PrivateKey.from_private_bytes)
 
 

@@ -535,14 +535,10 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _market_graph(n: int, successes: dict[tuple[int, int], int]) -> trust.TrustGraph:
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        j = (i + 1) % n
-        if i != j:
-            edges[(i, j)] = 0.3
-    for (i, j), count in successes.items():
-        weight = 1.0 - 0.5**count
-        edges[(i, j)] = max(edges.get((i, j), 0.0), weight)
+    """A ring of 0.3 edges, overwritten by each paid pair's success edge of
+    weight 1 - 0.5**count, which is at least 0.5."""
+    edges = {(i, (i + 1) % n): 0.3 for i in range(n)}
+    edges.update({pair: 1.0 - 0.5**count for pair, count in successes.items()})
     return _trust_graph([str(i) for i in range(n)], edges)
 
 
@@ -587,33 +583,34 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     eph_rng = subsystem_rng(config.seed, "ephemeral")
     dp_rng = subsystem_rng(config.seed, "dp")
 
-    issuers = {a.index: AttestationIssuer(a.keypair) for a in agents}
-    by_did = {str(a.did): a for a in agents}
-    candidates = {a.index: [b.card for b in agents if b.index != a.index] for a in agents}
+    issuers = [AttestationIssuer(a.keypair) for a in agents]
+    index_of = {str(a.did): a.index for a in agents}
+    cards = [a.card for a in agents]
     # Attestations minted since the last round close; each is verified once,
     # at the close of its round, and tallied against its subject.
     unverified: list = []
-    valid_counts = {i: 0 for i in range(n)}
-    payment_attestations = 0
+    valid_counts = [0] * n
+    payments_verified = 0
     successes: dict[tuple[int, int], int] = {}
-    events = {a.index: {"requests": 0.0, "successes": 0.0, "failures": 0.0, "spend": 0.0} for a in agents}
-    received = {a.index: 0 for a in agents}
+    # Per agent: requests, settlements, failures and spend.
+    behaviour = np.zeros((n, 4))
+    received = [0] * n
     event_clock = 0
 
     # Trust rows as of the last round close; before the first, every agent
     # stands at the neutral prior.
     prior = {"propagated": 0.5, "policy": 1.0, "behavior": 1.0, "attest": 0.0, "fused": 0.5}
-    standing = {a.index: {**prior, "tier": trust.verification_tier(0.5).value} for a in agents}
+    standing = [{**prior, "tier": trust.verification_tier(0.5).value} for _ in agents]
     rows = []
     # A task's query is its round's domain description, so each of the few
     # distinct queries is embedded once.
     domain_queries = [discovery.embed_text(f"need a {domain_desc}") for _domain, domain_desc, _caps in _DOMAINS]
-    amounts = {a.index: config.task_price for a in agents}
+    amounts = [config.task_price] * n
     amounts[deadbeat] = config.max_payment + config.task_price
     # An agent asks the same amount at the same rate every time, so either
     # all of its requests comply with the payment policy or none do.
     within_rate = config.tasks_per_round <= config.max_requests_per_round
-    compliant = {i: within_rate and amount <= config.max_payment for i, amount in amounts.items()}
+    compliant = [within_rate and amount <= config.max_payment for amount in amounts]
 
     for round_idx in range(1, config.rounds + 1):
         now = round_idx
@@ -621,51 +618,45 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         settle_fail = 0
         # No agent is among its own candidates, so one report serves them all.
         trust_report = {str(a.did): standing[a.index]["fused"] for a in agents}
-        for agent in agents:
+        for i, agent in enumerate(agents):
             for _task in range(config.tasks_per_round):
+                # With k=1, dedup keeps the first of n-1 >= 1 candidates.
                 ranked = discovery.rank(
-                    domain_queries[(agent.index + round_idx) % len(domain_queries)],
-                    candidates[agent.index],
+                    domain_queries[(i + round_idx) % len(domain_queries)],
+                    cards[:i] + cards[i + 1 :],
                     trust_report,
                     model,
                     k=1,
                     now=now,
                     tau=config.tau,
                 )
-                if not ranked:
-                    continue
-                provider = by_did[ranked[0][0]]
-                amount = amounts[agent.index]
-                task_id = f"task-r{round_idx}-a{agent.index}"
+                p = index_of[ranked[0][0]]
+                provider = agents[p]
+                amount = amounts[i]
+                task_id = f"task-r{round_idx}-a{i}"
                 invoice = micropay.create_invoice(provider.did, amount, task_id, expires_at=now + 2, rng=invoice_rng)
                 ephemeral = micropay.make_ephemeral(agent.keypair, eph_rng.randbytes(32), now, now + 5)
                 nonce = nonce_rng.randbytes(16)
                 header_line = micropay.build_payment_header(invoice, agent.keypair, ephemeral, nonce, now)
                 header = micropay.parse_payment_header(header_line)
 
-                events[agent.index]["requests"] += 1.0
+                behaviour[i, 0] += 1.0
                 try:
                     ledger.settle(header, invoice, resolver, now)
                 except micropay.SettleError:
-                    events[agent.index]["failures"] += 1.0
+                    behaviour[i, 2] += 1.0
                     settle_fail += 1
                     continue
                 settle_ok += 1
-                received[provider.index] += 1
-                events[agent.index]["successes"] += 1.0
-                events[agent.index]["spend"] += float(amount)
-                pair = (agent.index, provider.index)
-                successes[pair] = successes.get(pair, 0) + 1
+                received[p] += 1
+                behaviour[i, 1] += 1.0
+                behaviour[i, 3] += float(amount)
+                successes[(i, p)] = successes.get((i, p), 0) + 1
                 digest = sha256(task_id.encode())
                 event_clock += 1
-                unverified.append(
-                    issuers[provider.index].issue(agent.did, ClaimType.PAYMENT_SETTLED, digest, event_clock)
-                )
-                payment_attestations += 1
+                unverified.append(issuers[p].issue(agent.did, ClaimType.PAYMENT_SETTLED, digest, event_clock))
                 event_clock += 1
-                unverified.append(
-                    issuers[agent.index].issue(provider.did, ClaimType.TASK_COMPLETED, digest, event_clock)
-                )
+                unverified.append(issuers[i].issue(provider.did, ClaimType.TASK_COMPLETED, digest, event_clock))
 
         graph = _market_graph(n, successes)
         propagated = trust.propagate_trust(
@@ -675,42 +666,41 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
             tol=1e-10,
         ).values
         propagated = np.clip(propagated, 0.0, 1.0)
-        population = [
-            [events[i]["requests"], events[i]["successes"], events[i]["failures"], events[i]["spend"] / config.task_price]
-            for i in range(n)
-        ]
         for att in unverified:
             if verify_attestation(att, resolver) is AttestationCheck.VALID:
-                valid_counts[by_did[str(att.subject)].index] += 1
+                valid_counts[index_of[str(att.subject)]] += 1
+                payments_verified += att.claim_type is ClaimType.PAYMENT_SETTLED
         unverified.clear()
-        standing = {
-            i: trust.trust_breakdown(
+        population = behaviour.copy()
+        population[:, 3] /= config.task_price
+        anomaly = trust.behavior_scores(population)
+        standing = [
+            trust.trust_breakdown(
                 trust.TrustSignals(
-                    policy_pass_rate=1.0 if compliant[i] or not events[i]["requests"] else 0.0,
-                    anomaly_score=trust.behavior_score(population[i], population),
+                    policy_pass_rate=1.0 if compliant[i] or not behaviour[i, 0] else 0.0,
+                    anomaly_score=anomaly[i],
                     attestation_score=trust.attestation_score(valid_counts[i]),
                 ),
                 weights,
                 float(propagated[i]),
             )
             for i in range(n)
-        }
+        ]
 
-        conservation_ok = ledger.total() == initial_total
-        attested_ok = payment_attestations == len(ledger.receipts)
         rows.append(
             {
                 "round": round_idx,
                 "settlements_ok": settle_ok,
                 "settlements_failed": settle_fail,
                 "ledger_total": ledger.total(),
-                "conservation_ok": conservation_ok,
-                "payments_attested": attested_ok,
+                "conservation_ok": ledger.total() == initial_total,
+                # Every receipt has its payment attestation, and it verifies.
+                "payments_attested": payments_verified == len(ledger.receipts),
                 "deadbeat_fused": standing[deadbeat]["fused"],
             }
         )
 
-    fused = [standing[i]["fused"] for i in range(n)]
+    fused = [row["fused"] for row in standing]
     high_trust = privacy.dp_count(fused, lambda v: v >= 0.5, config.epsilon, dp_rng, budget=privacy.PrivacyBudget())
     payload = {
         **report_header(config),
@@ -728,8 +718,8 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         ],
         "rounds": rows,
         "receipts": len(ledger.receipts),
-        "conservation_ok": all(r["conservation_ok"] for r in rows) if rows else True,
-        "payments_attested": all(r["payments_attested"] for r in rows) if rows else True,
+        "conservation_ok": all(r["conservation_ok"] for r in rows),
+        "payments_attested": all(r["payments_attested"] for r in rows),
         "deadbeat_index": deadbeat,
         "deadbeat_received_payments": received[deadbeat],
         "fused_round_series": {"deadbeat": [float(r["deadbeat_fused"]) for r in rows]},

@@ -43,12 +43,11 @@ __all__ = [
     "fuse_signals",
     "trust_breakdown",
     "verification_tier",
-    "behavior_score",
+    "behavior_scores",
     "attestation_score",
-    "DEFAULT_THRESHOLDS",
 ]
 
-DEFAULT_THRESHOLDS = (0.8, 0.5, 0.3)
+_THRESHOLDS = (0.8, 0.5, 0.3)  # lowest score of Streamlined, Standard, Enhanced
 _SIMPLEX_TOL = 1e-12
 _ALIGN = 64  # bytes: a cache line
 
@@ -366,10 +365,8 @@ def trust_breakdown(signals: TrustSignals, weights: ContextWeights, propagated: 
     }
 
 
-def verification_tier(score: float, thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS) -> VerificationTier:
-    t_stream, t_standard, t_enhanced = thresholds
-    if not (t_stream > t_standard > t_enhanced):
-        raise ValueError("thresholds must be strictly decreasing")
+def verification_tier(score: float) -> VerificationTier:
+    t_stream, t_standard, t_enhanced = _THRESHOLDS
     if score >= t_stream:
         return VerificationTier.STREAMLINED
     if score >= t_standard:
@@ -379,25 +376,25 @@ def verification_tier(score: float, thresholds: tuple[float, float, float] = DEF
     return VerificationTier.QUARANTINE
 
 
-def behavior_score(event_counts: Sequence[float], population: Sequence[Sequence[float]]) -> float:
-    """Anomaly-derived score exp(-max |z|) against population feature stats.
+def behavior_scores(features: np.ndarray) -> list[float]:
+    """Anomaly-derived scores exp(-max |z|), one per row of an (agents,
+    features) array, each against the population's feature mean and std.
 
-    Zero-variance features are skipped; no usable evidence (empty vector or a
-    single-agent population) scores 1.0.
+    Zero-variance features are skipped; with no features, or fewer than two
+    agents, there is no usable evidence and every score is 1.0.
     """
-    if len(event_counts) == 0 or len(population) < 2:
-        return 1.0
-    data = np.asarray(population, dtype=float)
-    if data.shape[1] != len(event_counts):
-        raise ValueError("event vector length does not match population features")
+    # C order: numpy sums a column that is contiguous in memory pairwise, and
+    # one that is not row by row, so the mean and std would otherwise depend
+    # on the caller's layout.
+    data = np.ascontiguousarray(features, dtype=float)
+    if data.shape[1] == 0 or len(data) < 2:
+        return [1.0] * len(data)
     mean = data.mean(axis=0)
     std = data.std(axis=0)
-    worst = 0.0
-    for f, x in enumerate(event_counts):
-        if std[f] == 0.0:
-            continue
-        worst = max(worst, abs((x - mean[f]) / std[f]))
-    return math.exp(-worst)
+    z = np.zeros_like(data)
+    np.divide(np.abs(data - mean), std, out=z, where=std > 0.0)
+    # math.exp, not np.exp: the two can differ in the last bit.
+    return [math.exp(-worst) for worst in z.max(axis=1).tolist()]
 
 
 def attestation_score(verified_count: int) -> float:

@@ -103,6 +103,23 @@ def random_card(rng: random.Random, with_credentials: bool = False) -> AgentFact
     )
 
 
+def behavior_score(event_counts, population) -> float:
+    """One agent's anomaly score, exp(-max |z|) of its features against the
+    population's, skipping zero-variance features: the scalar formula that
+    trust.behavior_scores computes for every row at once."""
+    if len(event_counts) == 0 or len(population) < 2:
+        return 1.0
+    data = np.asarray(population, dtype=float)
+    mean = data.mean(axis=0)
+    std = data.std(axis=0)
+    worst = 0.0
+    for f, x in enumerate(event_counts):
+        if std[f] == 0.0:
+            continue
+        worst = max(worst, abs((x - mean[f]) / std[f]))
+    return math.exp(-worst)
+
+
 def write_cards(path, cards) -> None:
     """Write cards as the JSON Lines corpus that `cards.load_cards` reads."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from agentmesh import registry, simnet
 from agentmesh.cli import build_parser, main
-from agentmesh.identity import derive_did, sha256
+from agentmesh.identity import AttestationCheck, ClaimType, derive_did, sha256
 from _helpers import json_values, json_with, keypair_for, random_card, write_cards
 
 
@@ -61,6 +61,25 @@ def test_sim_strict_nonconvergent_exits_2(tmp_path, capsys):
     assert code == 2
     code, _stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out)])
     assert code == 0  # without --strict the failure is reported, not fatal
+
+
+def test_sim_strict_exits_2_when_a_payment_attestation_fails_to_verify(tmp_path, capsys, monkeypatch):
+    def refuse_payments(att, resolver):
+        if att.claim_type is ClaimType.PAYMENT_SETTLED:
+            return AttestationCheck.INVALID_SIGNATURE
+        return verify_attestation(att, resolver)
+
+    verify_attestation = simnet.verify_attestation
+    monkeypatch.setattr(simnet, "verify_attestation", refuse_payments)
+    config = tmp_path / "market.json"
+    config.write_text(json.dumps({"scenario": "marketplace", "n": 4, "rounds": 2, "seed": 1}))
+    out = tmp_path / "r.json"
+    code, stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out), "--strict"])
+    assert code == 2
+    assert json.loads(stdout)["failure"] == "payments_attested=false"
+    report = json.loads(out.read_text())
+    assert report["receipts"] > 0
+    assert [row["payments_attested"] for row in report["rounds"]] == [False, False]
 
 
 @pytest.mark.parametrize(("replicas", "rounds_cap"), [(3, 0), (8, 1)])

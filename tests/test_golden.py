@@ -62,3 +62,37 @@ def test_report_digest_is_pinned(config, expected):
     report = simnet.run_scenario(config)
     digest = hashlib.sha256(report.to_json_bytes() + report.to_csv_text().encode()).hexdigest()
     assert digest == expected
+
+
+# Marketplace edge configs the pins above miss. Keys are the test ids.
+MARKETPLACE_EDGES = {
+    # No rounds: the CSV holds only its header.
+    "rounds0": (
+        simnet.ScenarioConfig(scenario="marketplace", n=6, rounds=0, seed=1011),
+        "49fb13b1e14a6b978705426fbe02bd893867a2366d0b2ef8faa507d9da241445",
+    ),
+    "tasks0": (
+        simnet.ScenarioConfig(scenario="marketplace", n=6, rounds=4, seed=1011, tasks_per_round=0),
+        "9b7432204a4cdd8507077be404d649a1f5a43b9b5e72d17b1788626ef9d5259b",
+    ),
+    # More tasks per round than max_requests_per_round: no agent complies.
+    "tasks4": (
+        simnet.ScenarioConfig(scenario="marketplace", n=6, rounds=4, seed=1011, tasks_per_round=4),
+        "fc61aab05d2ab0b588a0376fd8d06cf32cc0ce9b9f4f41594f0f6f000248752e",
+    ),
+    # Agents that pay more than they receive run out of funds.
+    "price600000": (
+        simnet.ScenarioConfig(scenario="marketplace", n=8, rounds=6, seed=1011, task_price=600_000),
+        "64d1e13b0acaa7079a918a379d94d9f0ccd564488cd797e8f84605a03c5d6abd",
+    ),
+    # The smallest market: each agent's only candidate is the other.
+    "n2": (
+        simnet.ScenarioConfig(scenario="marketplace", n=2, rounds=4, seed=1011),
+        "408fb83880daadde0b9c372e813b583f71337efaa44a90957677a9f086f7f02e",
+    ),
+}
+
+
+@pytest.mark.parametrize(("config", "expected"), MARKETPLACE_EDGES.values(), ids=MARKETPLACE_EDGES.keys())
+def test_marketplace_edge_digest_is_pinned(config, expected):
+    test_report_digest_is_pinned(config, expected)

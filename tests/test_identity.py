@@ -138,6 +138,15 @@ def test_sign_refuses_a_key_of_the_wrong_length(length):
         sign(bytes(length), b"m")
 
 
+def test_a_generated_key_is_parsed_once():
+    seed = sha256(b"parsed-once")
+    before = identity._private_key.cache_info()
+    kp = generate_keypair(seed)
+    sign(kp.secret_key, b"m")
+    after = identity._private_key.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def test_parsed_key_cache_is_bounded():
     maxsize = identity._private_key.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 1024

@@ -17,7 +17,7 @@ from agentmesh.trust import (
     TrustSignals,
     VerificationTier,
     attestation_score,
-    behavior_score,
+    behavior_scores,
     default_base,
     fuse_signals,
     local_trust_score,
@@ -26,6 +26,7 @@ from agentmesh.trust import (
     solve_trust_exact,
     verification_tier,
 )
+from _helpers import behavior_score
 
 
 def _random_graph(rng: random.Random, n_max: int = 30, density: float = 0.25) -> TrustGraph:
@@ -464,8 +465,6 @@ def test_tier_boundaries():
     assert verification_tier(0.50) is VerificationTier.STANDARD
     assert verification_tier(0.30) is VerificationTier.ENHANCED
     assert verification_tier(0.10) is VerificationTier.QUARANTINE
-    with pytest.raises(ValueError):
-        verification_tier(0.5, thresholds=(0.3, 0.5, 0.8))
 
 
 def test_tier_monotone_in_score():
@@ -484,15 +483,33 @@ def test_tier_monotone_in_score():
 
 
 def test_behavior_score_examples():
-    population = [[10.0, 5.0], [10.0, 5.0], [10.0, 5.0], [10.0, 5.0]]
-    assert behavior_score([10.0, 5.0], population) == 1.0  # identical to mean
+    population = np.array([[10.0, 5.0], [10.0, 5.0], [10.0, 5.0], [10.0, 5.0]])
+    assert behavior_scores(population) == [1.0] * 4  # every agent at the mean
 
     # one feature exactly one sigma out
-    pop = [[0.0], [2.0]]
-    assert behavior_score([2.0], pop) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert behavior_scores(np.array([[0.0], [2.0]])) == pytest.approx([math.exp(-1.0)] * 2, abs=1e-12)
 
-    assert behavior_score([], population) == 1.0
-    assert behavior_score([3.0], [[3.0]]) == 1.0  # single-agent population
+    assert behavior_scores(np.zeros((4, 0))) == [1.0] * 4  # no features
+    assert behavior_scores(np.array([[3.0]])) == [1.0]  # single-agent population
+
+
+@st.composite
+def _feature_tables(draw) -> np.ndarray:
+    """(agents, features) tables with counts, large values and constant
+    (zero-variance) columns, drawn column by column and so not C-ordered."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    value = st.floats(-(2.0**62), 2.0**62, allow_nan=False) | st.integers(0, 50).map(float)
+    column = st.lists(value, min_size=rows, max_size=rows) | value.map(lambda v: [v] * rows)
+    return np.array([draw(column) for _ in range(cols)], dtype=float).T.reshape(rows, cols)
+
+
+@given(features=_feature_tables())
+# A constant column whose C-order sum rounds but whose pairwise sum does not:
+# std 512 in C order, 0 in Fortran order.
+@example(features=np.asfortranarray(np.full((8, 2), 3.5222887315641564e18)))
+def test_behavior_scores_equal_the_scalar_formula(features):
+    population = features.tolist()
+    assert behavior_scores(features) == [behavior_score(row, population) for row in population]
 
 
 def test_attestation_score_diminishing_returns():
