@@ -186,6 +186,29 @@ class TrainingDiverged(RuntimeError):
     """Loss increased for 10 consecutive iterations, or a step overflowed."""
 
 
+class _PairTable(tuple):
+    """The (preferred, other) pairs of one fit, in order, with their (n, 4)
+    preferred-minus-other feature table, built once and read-only."""
+
+    diffs: np.ndarray
+
+    def __new__(cls, pairs: Sequence[tuple[RankFeatures, RankFeatures]]) -> "_PairTable":
+        table = super().__new__(cls, pairs)
+        n = len(table)
+        fields = np.fromiter(
+            (
+                x
+                for a, b in table
+                for x in (a.cos_sim, a.trust, a.log_usage, a.recency, b.cos_sim, b.trust, b.log_usage, b.recency)
+            ),
+            dtype=float,
+            count=8 * n,
+        ).reshape(n, 8)
+        table.diffs = fields[:, :4] - fields[:, 4:]
+        table.diffs.flags.writeable = False
+        return table
+
+
 def score_pairwise_loss(
     model: L2RModel, pairs: Sequence[tuple[RankFeatures, RankFeatures]]
 ) -> tuple[float, np.ndarray]:
@@ -195,39 +218,29 @@ def score_pairwise_loss(
     Vectorised, yet bit-identical to a per-pair loop of
     ``margin = dot(theta, a - b)``, ``logaddexp(0, -margin)`` and
     ``grad += -sigmoid(-margin) * (a - b)``: ``vecdot`` runs numpy's own
-    dot loop once per row (``diffs @ theta`` rounds differently), and the
+    dot loop once per row (``diffs @ theta`` rounds differently), each
+    sigmoid takes its ``exp`` from ``math.exp`` (``np.exp`` can differ in
+    the last bit) on the non-positive side, as the scalar form does, and the
     gradient is a sequential sum that starts from a row of +0.0, as the loop
-    does, so a column of zero diffs sums to 0.0, not -0.0.
+    does, so a column of zero diffs sums to 0.0, not -0.0. `train` passes
+    one `_PairTable` to every call; any other sequence is wrapped here.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    n = len(pairs)
-    fields = np.fromiter(
-        (
-            x
-            for a, b in pairs
-            for x in (a.cos_sim, a.trust, a.log_usage, a.recency, b.cos_sim, b.trust, b.log_usage, b.recency)
-        ),
-        dtype=float,
-        count=8 * n,
-    ).reshape(n, 8)
-    diffs = fields[:, :4] - fields[:, 4:]
-    margins = np.vecdot(diffs, model.theta)  # bias cancels
-    loss = math.fsum(np.logaddexp(0.0, -margins).tolist()) / n
-    # d/d margin of ln(1+exp(-margin)) = -sigmoid(-margin)
-    sig = np.array([_sigmoid(x) for x in (-margins).tolist()])
+    table = pairs if isinstance(pairs, _PairTable) else _PairTable(pairs)
+    n = len(table)
+    x = -np.vecdot(table.diffs, model.theta)  # -margin; bias cancels
+    loss = math.fsum(np.logaddexp(0.0, x).tolist()) / n
+    # d/d margin of ln(1+exp(-margin)) = -sigmoid(-margin) = -sigmoid(x).
+    # np.where keeps a NaN's sign bit, which -np.abs(x) would clear.
+    up = x >= 0
+    e = np.array(list(map(math.exp, np.where(up, -x, x).tolist())))
+    sig = np.where(up, 1.0 / (1.0 + e), e / (1.0 + e))
     terms = np.zeros((n + 1, 4))
-    terms[1:] = (-sig)[:, None] * diffs
+    terms[1:] = (-sig)[:, None] * table.diffs
     grad_theta = np.add.accumulate(terms, axis=0)[-1]
     gradient = np.concatenate([grad_theta / n, [0.0]])
     return loss, gradient
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
 
 
 def train(
@@ -237,7 +250,9 @@ def train(
     keep_history: bool = False,
 ) -> L2RModel:
     """Full-batch gradient descent from zero weights; deterministic, since
-    full-batch descent has no stochastic component."""
+    full-batch descent has no stochastic component. The pairs' feature table
+    is built once, and each of the ``iters + 1`` loss evaluations goes
+    through the module's `score_pairwise_loss` with that one table."""
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     if iters < 0:
@@ -250,8 +265,9 @@ def train(
     history: list[float] = []
     try:
         with np.errstate(over="raise", invalid="raise"):
+            table = _PairTable(pairs)
             for iteration in range(iters):
-                loss, gradient = score_pairwise_loss(model, pairs)
+                loss, gradient = score_pairwise_loss(model, table)
                 history.append(loss)
                 if loss > previous_loss + 1e-12:
                     increases += 1
@@ -263,7 +279,7 @@ def train(
                 model.theta = model.theta - learning_rate * gradient[:4]
                 model.bias = model.bias - learning_rate * float(gradient[4])
                 model.iterations = iteration + 1
-            model.final_loss = score_pairwise_loss(model, pairs)[0]
+            model.final_loss = score_pairwise_loss(model, table)[0]
     except FloatingPointError as exc:
         raise TrainingDiverged(f"training overflowed at iteration {model.iterations}: {exc}") from None
     history.append(model.final_loss)

@@ -221,16 +221,14 @@ def report_header(config: ScenarioConfig) -> dict:
 
 
 def write_report(report: ScenarioReport, out_path: str | Path) -> list[str]:
+    """Write the report's JSON to out_path and its CSV beside it, a header
+    line even when there are no rows; return both paths."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    written = []
+    csv_path = out_path.with_suffix(".csv")
     out_path.write_bytes(report.to_json_bytes())
-    written.append(str(out_path))
-    if report.csv_rows:
-        csv_path = out_path.with_suffix(".csv")
-        csv_path.write_text(report.to_csv_text(), encoding="utf-8")
-        written.append(str(csv_path))
-    return written
+    csv_path.write_text(report.to_csv_text(), encoding="utf-8")
+    return [str(out_path), str(csv_path)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agentmesh import discovery, simnet
 from agentmesh.cards import EMBED_DIM
@@ -236,8 +237,27 @@ def _model_and_pairs(draw):
     return L2RModel(theta=theta, bias=draw(st.floats(-1.0, 1.0))), pairs
 
 
+_ZERO = RankFeatures(0.0, 0.0, 0.0, 0.0)
+
+
 @settings(max_examples=200)
 @given(_model_and_pairs())
+# A NaN margin whose sign bit is clear once negated: a sigmoid that takes
+# exp(-abs(x)) gives the gradient a NaN with the sign bit cleared.
+@example((L2RModel.zeros(), [(_ZERO, RankFeatures(0.0, 0.0, 0.0, -math.nan)), (_ZERO, _ZERO)]))
+# Signed zeros in theta and in the diffs. vecdot sums from +0.0, so every
+# zero margin is +0.0 and its negation, the sigmoid's argument, is -0.0.
+@example(
+    (
+        L2RModel(theta=np.array([-0.0, 0.0, -1.0, 1.0])),
+        [
+            (RankFeatures(-0.0, 0.0, -0.0, 0.0), _ZERO),
+            (_ZERO, RankFeatures(-0.0, 0.0, -0.0, 0.0)),
+            (RankFeatures(0.0, 0.0, 1.0, 1.0), _ZERO),
+            (RankFeatures(0.0, 0.0, 1.0, 2.0), _ZERO),
+        ],
+    )
+)
 def test_pairwise_loss_bit_identical_to_per_pair_loop(model_and_pairs):
     model, pairs = model_and_pairs
     with np.errstate(all="ignore"):
@@ -257,6 +277,50 @@ def test_train_on_simnet_pairs_bit_identical_to_per_pair_loop(seed, monkeypatch)
     assert struct.pack(">d", model.bias) == struct.pack(">d", reference.bias)
     assert struct.pack(">d", model.final_loss) == struct.pack(">d", reference.final_loss)
     assert model.loss_history == reference.loss_history
+
+
+# SHA-256 over theta, bias, final_loss and loss_history of the simnet fit,
+# pinned before the pair table was built once per fit.
+_TRAINED_DIGESTS = {
+    1: "97217ca66efc333ad4ac2680e07e11cba441ff3ee9aca3f0ece5ac1b7ff4c02a",
+    7: "46078f7d79683f64cefbb3ab760d1fb6f6ca596b0b8a8ed640a453c38493fe64",
+    1011: "fd1975a10d4f75dc9cf2501a4df5f100872c6885276be9859bf3271816f8b851",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TRAINED_DIGESTS))
+def test_train_on_simnet_pairs_digest_is_pinned(seed):
+    pairs = simnet._training_pairs(simnet.subsystem_rng(seed, "l2r"))
+    model = train(pairs, 0.5, 300, keep_history=True)
+    digest = hashlib.sha256()
+    digest.update(model.theta.tobytes())
+    digest.update(struct.pack(">d", model.bias))
+    digest.update(struct.pack(">d", model.final_loss))
+    digest.update(struct.pack(f">{len(model.loss_history)}d", *model.loss_history))
+    assert len(model.loss_history) == 301
+    assert digest.hexdigest() == _TRAINED_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("iters", [0, 1, 5])
+def test_train_passes_one_pair_table_to_every_loss_call(iters, monkeypatch):
+    """The benchmark's self-test counts calls of the module attribute, and the
+    per-pair reference loop iterates what train passes."""
+    rng = random.Random(8)
+    pairs = [(_rand_features(rng), _rand_features(rng)) for _ in range(6)]
+    seen = []
+    loss = discovery.score_pairwise_loss
+
+    def recording(model, table):
+        seen.append(table)
+        return loss(model, table)
+
+    monkeypatch.setattr(discovery, "score_pairwise_loss", recording)
+    train(pairs, learning_rate=0.1, iters=iters)
+    assert len(seen) == (iters + 1 if iters else 0)
+    assert all(table is seen[0] for table in seen)
+    if seen:
+        got = list(seen[0])
+        assert len(got) == len(pairs) and all(a is b for a, b in zip(got, pairs))
 
 
 def test_train_zero_iterations_leaves_zeros():

@@ -301,6 +301,18 @@ def test_write_report_files(tmp_path):
     assert loaded["config"]["seed"] == 1
 
 
+def test_write_report_writes_a_header_only_csv_for_a_report_without_rows(tmp_path):
+    report = run_scenario(ScenarioConfig(scenario="marketplace", n=6, rounds=0, seed=1))
+    assert report.csv_rows == []
+    out = tmp_path / "rounds0.json"
+    written = write_report(report, out)
+    csv_path = tmp_path / "rounds0.csv"
+    assert written == [str(out), str(csv_path)]
+    header = "round,settlements_ok,settlements_failed,ledger_total,conservation_ok,payments_attested,deadbeat_fused"
+    assert csv_path.read_text() == header + "\n"
+    assert out.read_bytes() == report.to_json_bytes()
+
+
 # -- properties over configs drawn from the range tables -----------------------
 
 _STRUCTURED_FIELDS = {"corpus", "queries", "trust_overrides", "sybil_internal_weights"}
