@@ -113,6 +113,9 @@ def _cmd_sim(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
+    out = Path(args.out or f"./out/{config.scenario}-{config.seed}.json")
+    if out.with_suffix(".csv") == out:
+        raise _UsageError(f"--out {str(out)!r} is where the CSV report goes; give the JSON report another suffix")
 
     reports = [simnet.run_scenario(dataclasses.replace(config, seed=config.seed + t)) for t in range(args.trials)]
     if args.trials == 1:
@@ -124,7 +127,6 @@ def _cmd_sim(args) -> int:
             csv_rows=[row for r in reports for row in r.csv_rows],
         )
 
-    out = args.out or f"./out/{config.scenario}-{config.seed}.json"
     written = simnet.write_report(report, out)
     failure = _scenario_failure([r.payload for r in reports])
     _emit({"written": written, "scenario": config.scenario, "seed": config.seed, "failure": failure})

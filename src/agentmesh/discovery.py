@@ -93,12 +93,23 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return similarity
 
 
+_FALLBACK_EMBEDDING = "_fallback_embedding"  # key in a bare card's __dict__
+
+
 def card_embedding(card: AgentFactCard) -> np.ndarray:
     """The card's stored embedding, as the card's own read-only array, or
-    else the fallback embedding of its description."""
+    else the fallback embedding of its description, read-only too. The
+    fallback is computed on first use and kept in the card's own `__dict__`,
+    as `embedding_array` is, so it dies with the card; `embedding_array`
+    stays None."""
     if card.embedding_array is not None:
         return card.embedding_array
-    return embed_text(card.description)
+    fallback = card.__dict__.get(_FALLBACK_EMBEDDING)
+    if fallback is None:
+        fallback = embed_text(card.description)
+        fallback.flags.writeable = False
+        card.__dict__[_FALLBACK_EMBEDDING] = fallback
+    return fallback
 
 
 @dataclass(frozen=True)

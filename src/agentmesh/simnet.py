@@ -221,8 +221,10 @@ def report_header(config: ScenarioConfig) -> dict:
 
 
 def write_report(report: ScenarioReport, out_path: str | Path) -> list[str]:
-    """Write the report's JSON to out_path and its CSV beside it, a header
-    line even when there are no rows; return both paths."""
+    """Write the report's JSON to out_path and its CSV beside it, at
+    out_path with the suffix ".csv", a header line even when there are no
+    rows; return both paths. The caller checks that the two paths differ
+    (`agentmesh sim` does, before any scenario runs)."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out_path.with_suffix(".csv")
@@ -258,9 +260,13 @@ def synthetic_agents(
 ) -> list[SimAgent]:
     """Deterministic agent corpus. `duplicate_every=k` makes every k-th agent
     a description/capability clone of its predecessor (for dedup runs);
-    `oddball_last` gives the final agent a domain nobody queries."""
+    `oddball_last` gives the final agent a domain nobody queries.
+
+    A corpus has at most 31 distinct descriptions, so each is embedded once,
+    and every card with that description holds the same tuple."""
     rng = subsystem_rng(seed, "corpus")
     agents: list[SimAgent] = []
+    embeddings: dict[str, tuple[float, ...]] = {}
     for i in range(n):
         keypair = _keypair(b"agent-seed", seed, i)
         did = derive_did(keypair.public_key)
@@ -275,7 +281,10 @@ def synthetic_agents(
             description = agents[i - 1].card.description
             capabilities = list(agents[i - 1].card.capabilities)
             domain = agents[i - 1].domain
-        embedding = tuple(float(x) for x in discovery.embed_text(description))
+        embedding = embeddings.get(description)
+        if embedding is None:
+            # tolist() gives the Python float of each element, as float(x) does.
+            embedding = embeddings[description] = tuple(discovery.embed_text(description).tolist())
         card = AgentFactCard(
             did=did,
             display_name=f"agent-{i:03d}",

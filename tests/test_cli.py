@@ -40,10 +40,23 @@ def test_sim_writes_report_and_is_deterministic(tmp_path, capsys):
     code, stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out_a)])
     assert code == 0
     assert json.loads(stdout)["failure"] is None
+    assert json.loads(stdout)["written"] == [str(out_a), str(tmp_path / "a.csv")]
     code, _stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out_b)])
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.with_suffix(".csv").exists()
+
+
+def test_sim_refuses_an_out_path_that_is_its_own_csv_path(tmp_path, capsys, monkeypatch):
+    config = _write_convergence_config(tmp_path)
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(simnet, "run_scenario", lambda config: pytest.fail("a scenario ran"))
+    code, stdout, err = _run(capsys, ["sim", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "--out" in json.loads(lines[0])["error"]
+    assert not out.exists()
 
 
 def test_sim_seed_override(tmp_path, capsys):

@@ -511,6 +511,43 @@ def test_rank_embeds_each_card_once(monkeypatch):
     assert sorted(embedded) == sorted(id(card) for card in cards)
 
 
+def test_rank_embeds_a_bare_cards_description_once_per_card(monkeypatch):
+    rng = random.Random(17)
+    cards = [dataclasses.replace(random_card(rng), embedding=None) for _ in range(12)]
+    query = embed_text("weather and maps")
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    original = discovery.embed_text
+
+    def bits(hits):
+        return [(did, struct.pack(">d", score)) for did, score in hits]
+
+    def reembedding(card):
+        # The fallback as it was: the description embedded on every call.
+        return card.embedding_array if card.embedding_array is not None else original(card.description)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discovery, "card_embedding", reembedding)
+        expected = bits(rank(query, cards, {}, model, k=8, now=10))
+    embedded = []
+
+    def counting(text):
+        embedded.append(text)
+        return original(text)
+
+    monkeypatch.setattr(discovery, "embed_text", counting)
+    first = bits(rank(query, cards, {}, model, k=8, now=10))
+    second = bits(rank(query, cards, {}, model, k=8, now=10))
+    assert first == second == expected
+    # K bare cards, two queries: K embeddings, where re-embedding made 2K.
+    assert sorted(embedded) == sorted(card.description for card in cards)
+    for card in cards:
+        fallback = card_embedding(card)
+        assert card.embedding_array is None
+        assert not fallback.flags.writeable
+        assert fallback.tobytes() == original(card.description).tobytes()
+    assert len(embedded) == len(cards)
+
+
 def test_rank_order_invariant_under_positive_affine_score_transform():
     rng = random.Random(12)
     cards = [random_card(rng) for _ in range(40)]

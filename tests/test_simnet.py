@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agentmesh import discovery, simnet
+from agentmesh.cards import AgentFactCard
+from agentmesh.identity import derive_did
 from agentmesh.cli import main
 from agentmesh.simnet import (
     ScenarioConfig,
@@ -133,6 +136,75 @@ def test_synthetic_agents_deterministic_with_duplicates():
     assert a[4].card.description == a[3].card.description  # clone pair
     assert a[9].card.description == a[8].card.description
     assert len({str(x.did) for x in a}) == 12  # identities stay distinct
+
+
+def _reference_corpus(n, seed, duplicate_every, oddball_last):
+    """The corpus built card by card, each card embedding its own
+    description into a tuple of its own, with the same draws in the same
+    order as `synthetic_agents`."""
+    rng = simnet.subsystem_rng(seed, "corpus")
+    cards = []
+    for i in range(n):
+        keypair = simnet._keypair(b"agent-seed", seed, i)
+        if oddball_last and i == n - 1:
+            _domain, base_desc, caps = simnet._ODDBALL_DOMAIN
+        else:
+            _domain, base_desc, caps = simnet._DOMAINS[i % len(simnet._DOMAINS)]
+        description = f"{simnet._STYLE_WORDS[rng.randrange(len(simnet._STYLE_WORDS))]} {base_desc}"
+        capabilities = tuple(caps)
+        if duplicate_every and i % duplicate_every == duplicate_every - 1 and i > 0:
+            description, capabilities = cards[i - 1].description, cards[i - 1].capabilities
+        cards.append(
+            AgentFactCard(
+                did=derive_did(keypair.public_key),
+                display_name=f"agent-{i:03d}",
+                description=description,
+                capabilities=capabilities,
+                endpoint_url=f"https://agents.example/{i:03d}",
+                embedding=tuple(float(x) for x in discovery.embed_text(description)),
+                usage_count=rng.randrange(0, 2000),
+                last_active=rng.randrange(0, 500),
+                version=1,
+            )
+        )
+    return cards
+
+
+def _embedding_bits(card):
+    return struct.pack(f">{len(card.embedding)}d", *card.embedding)
+
+
+@pytest.mark.parametrize("oddball_last", [False, True])
+@pytest.mark.parametrize("duplicate_every", [0, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 64])
+def test_synthetic_agents_is_the_corpus_embedded_card_by_card(n, duplicate_every, oddball_last):
+    agents = synthetic_agents(n, seed=11, duplicate_every=duplicate_every, oddball_last=oddball_last)
+    reference = _reference_corpus(n, 11, duplicate_every, oddball_last)
+    got = [agent.card for agent in agents]
+    assert got == reference
+    assert [str(agent.did) for agent in agents] == [str(card.did) for card in reference]
+    assert [_embedding_bits(card) for card in got] == [_embedding_bits(card) for card in reference]
+    # Cards with equal descriptions hold one tuple; distinct descriptions do not.
+    by_description = {}
+    for card in got:
+        assert card.embedding is by_description.setdefault(card.description, card.embedding)
+    assert len({id(e) for e in by_description.values()}) == len(by_description)
+    assert len(by_description) <= 31
+
+
+@pytest.mark.parametrize("oddball_last", [False, True])
+@pytest.mark.parametrize("duplicate_every", [0, 3, 5])
+def test_synthetic_agents_embeds_each_distinct_description_once(monkeypatch, duplicate_every, oddball_last):
+    embedded = []
+
+    def counting(text):
+        embedded.append(text)
+        return original(text)
+
+    original = discovery.embed_text
+    monkeypatch.setattr(discovery, "embed_text", counting)
+    agents = synthetic_agents(64, seed=5, duplicate_every=duplicate_every, oddball_last=oddball_last)
+    assert sorted(embedded) == sorted({agent.card.description for agent in agents})
 
 
 def test_convergence_scenario_single_replica():
