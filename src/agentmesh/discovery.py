@@ -71,18 +71,26 @@ def embed_text(text: str) -> np.ndarray:
     return vec / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
+def cosine(
+    a: np.ndarray, b: np.ndarray, norm_a: float | None = None, norm_b: float | None = None
+) -> float:
     """Cosine similarity clamped to [-1, 1]: 0.0 if either vector is zero,
     NaN if either holds a NaN.
 
     Bit-identical to ``clip(dot(a, b) / (norm(a) * norm(b)), -1, 1)``, since
     the norm of a 1-D float vector is ``sqrt(x.dot(x))``; scalar arithmetic
     skips numpy's per-call overhead, which dominates on 256-vectors.
+
+    A caller that compares one vector many times may pass its norm as
+    ``norm_a`` or ``norm_b``; it must be ``math.sqrt(x.dot(x))`` of the
+    float array ``np.asarray(x, dtype=float)``, so the result has the same
+    bits as when ``cosine`` takes the norm itself. Each comparison is then
+    one dot.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na = math.sqrt(a.dot(a))
-    nb = math.sqrt(b.dot(b))
+    na = math.sqrt(a.dot(a)) if norm_a is None else norm_a
+    nb = math.sqrt(b.dot(b)) if norm_b is None else norm_b
     if na == 0.0 or nb == 0.0:
         return 0.0
     similarity = float(a.dot(b)) / (na * nb)
@@ -91,6 +99,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if similarity < -1.0:
         return -1.0
     return similarity
+
+
+def _norm(x: np.ndarray) -> float:
+    """The norm `cosine` takes of ``x``, for passing back to it."""
+    x = np.asarray(x, dtype=float)
+    return math.sqrt(x.dot(x))
 
 
 _FALLBACK_EMBEDDING = "_fallback_embedding"  # key in a bare card's __dict__
@@ -314,9 +328,11 @@ def rank(
     Each card's features, as `features_for` gives them, fill one row of an
     (n, 4) table, and `vecdot` scores every row with numpy's own dot loop,
     so each score has the bits of `model.score` (`table @ theta` rounds
-    differently)."""
+    differently). The query's norm is taken once per call and each card's
+    once, so each similarity is one dot."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    query_norm = _norm(query_embedding)
     entries = []
     values = []
     for card in cards:
@@ -325,7 +341,7 @@ def rank(
         embedding = card_embedding(card)
         age = max(0, now - card.last_active)
         values += (
-            cosine(query_embedding, embedding),
+            cosine(query_embedding, embedding, query_norm, _norm(embedding)),
             trust,
             math.log1p(card.usage_count),
             math.exp(-age / DEFAULT_RECENCY_HORIZON),
@@ -342,14 +358,23 @@ def rank(
 def dedup(
     candidates: Sequence[tuple[str, float, np.ndarray]], tau: float
 ) -> list[tuple[str, float, np.ndarray]]:
-    """Greedy scan in rank order dropping anything with cosine >= tau to an
-    already-kept candidate; output is pairwise-dissimilar below tau."""
+    """Greedy scan in rank order dropping anything whose cosine to an
+    already-kept candidate is >= tau (or NaN); output is pairwise-dissimilar
+    below tau. Each candidate's norm is taken once, as the scan reaches it,
+    so each comparison is one dot, and a candidate's comparisons stop at the
+    first kept candidate that drops it."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0,1]")
     kept: list[tuple[str, float, np.ndarray]] = []
+    kept_norms: list[float] = []
     for did, score, emb in candidates:
-        if all(cosine(emb, kept_emb) < tau for _d, _s, kept_emb in kept):
+        norm = _norm(emb)
+        for (_d, _s, kept_emb), kept_norm in zip(kept, kept_norms):
+            if not cosine(emb, kept_emb, norm, kept_norm) < tau:
+                break
+        else:
             kept.append((did, score, emb))
+            kept_norms.append(norm)
     return kept
 
 

@@ -81,13 +81,16 @@ def _same_float(x: float, y: float) -> bool:
     return struct.pack(">d", x) == struct.pack(">d", y)
 
 
-@given(
+_cosine_cases = given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(["random", "near", "scaled", "negated", "unit", "zero", "nan", "integers"]),
     noise=st.floats(min_value=1e-12, max_value=1.0),
     factor=st.floats(min_value=1e-3, max_value=1e3),
 )
-def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor):
+
+
+def _cosine_case(seed, kind, noise, factor):
+    """The vector pair (a, b) of one drawn case."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=EMBED_DIM)
     if kind == "random":
@@ -109,11 +112,32 @@ def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor):
     else:
         a = rng.integers(-5, 6, size=EMBED_DIM)
         b = rng.integers(-5, 6, size=EMBED_DIM)
+    return a, b
+
+
+def _own_norm(v) -> float:
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(v.dot(v))
+
+
+@_cosine_cases
+def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor):
+    a, b = _cosine_case(seed, kind, noise, factor)
     for x, y in ((a, b), (b, a), (a, a)):
         got = cosine(x, y)
         assert isinstance(got, float)
         assert _same_float(got, _reference_cosine(x, y))
         assert math.isnan(got) or -1.0 <= got <= 1.0
+
+
+@_cosine_cases
+def test_cosine_with_given_norms_bit_identical_to_cosine_taking_them(seed, kind, noise, factor):
+    a, b = _cosine_case(seed, kind, noise, factor)
+    for x, y in ((a, b), (b, a), (a, a)):
+        expected = cosine(x, y)
+        assert _same_float(cosine(x, y, _own_norm(x), _own_norm(y)), expected)
+        assert _same_float(cosine(x, y, _own_norm(x)), expected)
+        assert _same_float(cosine(x, y, norm_b=_own_norm(y)), expected)
 
 
 def test_card_embedding_prefers_stored_vector():
@@ -618,3 +642,93 @@ def test_dedup_validates_tau():
         dedup([], tau=0.0)
     with pytest.raises(ValueError):
         dedup([], tau=1.5)
+
+
+def _all_form_dedup(candidates, tau):
+    """`dedup` as it was: one `all()` over the kept entries, with `cosine`
+    taking both norms itself."""
+    kept = []
+    for did, score, emb in candidates:
+        if all(discovery.cosine(emb, kept_emb) < tau for _d, _s, kept_emb in kept):
+            kept.append((did, score, emb))
+    return kept
+
+
+@pytest.mark.parametrize("tau", [0.95, 1.0])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_rank_and_dedup_make_the_comparisons_of_the_all_form(seed, tau, monkeypatch):
+    cards = [agent.card for agent in simnet.synthetic_agents(64, seed, duplicate_every=5)]
+    query = embed_text("weather forecast")
+    trust_report = {str(card.did): 0.5 for card in cards[::3]}
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    original_cosine = discovery.cosine
+    original_dedup = discovery.dedup
+    calls = []
+    scans = []
+
+    def recording_cosine(a, b, norm_a=None, norm_b=None):
+        calls.append((a, b, norm_a, norm_b))
+        return original_cosine(a, b, norm_a, norm_b)
+
+    def recording_dedup(candidates, tau):
+        scans.append(list(candidates))
+        return original_dedup(candidates, tau)
+
+    def pairs():
+        got = [(id(a), id(b)) for a, b, _na, _nb in calls]
+        calls.clear()
+        return got
+
+    monkeypatch.setattr(discovery, "cosine", recording_cosine)
+    monkeypatch.setattr(discovery, "dedup", recording_dedup)
+    hits = rank(query, cards, trust_report, model, k=8, now=10, tau=tau)
+    rank_calls = list(calls)
+    rank_pairs = pairs()
+    (candidates,) = scans
+    assert len(candidates) == len(cards)
+    expected_kept = _all_form_dedup(candidates, tau)
+    scan_pairs = pairs()
+    kept = original_dedup(candidates, tau)
+    dedup_calls = list(calls)
+    assert pairs() == scan_pairs
+    assert [(did, struct.pack(">d", score), id(emb)) for did, score, emb in kept] == [
+        (did, struct.pack(">d", score), id(emb)) for did, score, emb in expected_kept
+    ]
+    assert hits == [(did, score) for did, score, _emb in kept[:8]]
+    # One similarity per card, in card order, then the dedup scan's
+    # comparisons: n plus the scan, as with the all() form.
+    similarity_pairs = [(id(query), id(card_embedding(card))) for card in cards]
+    assert rank_pairs == similarity_pairs + scan_pairs
+    assert len(rank_pairs) == len(cards) + len(scan_pairs)
+    assert len(scan_pairs) > len(cards)
+    if tau < 1.0:
+        assert len(kept) < len(candidates)
+    # Every norm passed is its own vector's norm, bit for bit; none is
+    # assumed (a unit card's norm is not always exactly 1.0).
+    for a, b, norm_a, norm_b in rank_calls + dedup_calls:
+        assert norm_a is not None and norm_b is not None
+        assert struct.pack(">d", norm_a) == struct.pack(">d", _own_norm(a))
+        assert struct.pack(">d", norm_b) == struct.pack(">d", _own_norm(b))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.3, 0.9, 0.95, 1.0]))
+def test_dedup_keeps_what_the_all_form_keeps(seed, tau):
+    # Repeated, zero and NaN vectors among unit ones: a NaN cosine is not
+    # below tau, so it drops the candidate, as the all() form does.
+    rng = random.Random(seed)
+    items = []
+    for i in range(rng.randrange(0, 16)):
+        kind = rng.choice(["unit", "unit", "repeat", "zero", "nan"])
+        if kind == "repeat" and items:
+            emb = items[-1][2]
+        elif kind == "zero":
+            emb = np.zeros(EMBED_DIM)
+        elif kind == "nan":
+            emb = np.asarray(unit_embedding(rng))
+            emb[rng.randrange(EMBED_DIM)] = np.nan
+        else:
+            emb = np.asarray(unit_embedding(rng))
+        items.append((f"c{i}", float(-i), emb))
+    got = dedup(items, tau)
+    expected = _all_form_dedup(items, tau)
+    assert [(did, id(emb)) for did, _s, emb in got] == [(did, id(emb)) for did, _s, emb in expected]
