@@ -108,6 +108,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 _FALLBACK_EMBEDDING = "_fallback_embedding"  # key in a bare card's __dict__
+_EMBEDDING_NORM = "_embedding_norm"  # key in every ranked card's __dict__
 
 
 def card_embedding(card: AgentFactCard) -> np.ndarray:
@@ -124,6 +125,17 @@ def card_embedding(card: AgentFactCard) -> np.ndarray:
         fallback.flags.writeable = False
         card.__dict__[_FALLBACK_EMBEDDING] = fallback
     return fallback
+
+
+def _embedding_and_norm(card: AgentFactCard) -> tuple[np.ndarray, float]:
+    """`card_embedding(card)` and its `_norm`. The norm is taken on first
+    use and kept in the card's own `__dict__`, beside the fallback, so it
+    dies with the card, and a changed card (a new card) takes its own."""
+    embedding = card_embedding(card)
+    norm = card.__dict__.get(_EMBEDDING_NORM)
+    if norm is None:
+        norm = card.__dict__[_EMBEDDING_NORM] = _norm(embedding)
+    return embedding, norm
 
 
 @dataclass(frozen=True)
@@ -329,7 +341,8 @@ def rank(
     (n, 4) table, and `vecdot` scores every row with numpy's own dot loop,
     so each score has the bits of `model.score` (`table @ theta` rounds
     differently). The query's norm is taken once per call and each card's
-    once, so each similarity is one dot."""
+    once per card, and the scored norms go on to `dedup`, so each
+    similarity and each dedup comparison is one dot."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query_norm = _norm(query_embedding)
@@ -338,37 +351,45 @@ def rank(
     for card in cards:
         did = str(card.did)
         trust = float(trust_report.get(did, 0.0))
-        embedding = card_embedding(card)
+        embedding, norm = _embedding_and_norm(card)
         age = max(0, now - card.last_active)
         values += (
-            cosine(query_embedding, embedding, query_norm, _norm(embedding)),
+            cosine(query_embedding, embedding, query_norm, norm),
             trust,
             math.log1p(card.usage_count),
             math.exp(-age / DEFAULT_RECENCY_HORIZON),
         )
-        entries.append((did, trust, embedding))
+        entries.append((did, trust, embedding, norm))
     table = np.array(values, dtype=float).reshape(len(entries), 4)
     scores = (np.vecdot(table, model.theta) + model.bias).tolist()
-    scored = [(did, score, trust, embedding) for (did, trust, embedding), score in zip(entries, scores)]
+    scored = [(did, score, trust, embedding, norm) for (did, trust, embedding, norm), score in zip(entries, scores)]
     scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
-    kept = dedup([(did, score, emb) for did, score, trust, emb in scored], tau)
+    kept = dedup([(did, score, emb) for did, score, _t, emb, _n in scored], tau, [norm for *_, norm in scored])
     return [(did, score) for did, score, _emb in kept[:k]]
 
 
 def dedup(
-    candidates: Sequence[tuple[str, float, np.ndarray]], tau: float
+    candidates: Sequence[tuple[str, float, np.ndarray]],
+    tau: float,
+    norms: Sequence[float] | None = None,
 ) -> list[tuple[str, float, np.ndarray]]:
     """Greedy scan in rank order dropping anything whose cosine to an
     already-kept candidate is >= tau (or NaN); output is pairwise-dissimilar
-    below tau. Each candidate's norm is taken once, as the scan reaches it,
-    so each comparison is one dot, and a candidate's comparisons stop at the
-    first kept candidate that drops it."""
+    below tau. Each candidate's norm is taken once, so each comparison is
+    one dot, and a candidate's comparisons stop at the first kept candidate
+    that drops it.
+
+    A caller that holds the candidates' norms may pass them as ``norms``,
+    one per candidate, in order, each as `cosine` would take it (see its
+    ``norm_a``); the result and the `cosine` calls are then the same, bit
+    for bit."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0,1]")
+    if norms is None:
+        norms = [_norm(emb) for _did, _score, emb in candidates]
     kept: list[tuple[str, float, np.ndarray]] = []
     kept_norms: list[float] = []
-    for did, score, emb in candidates:
-        norm = _norm(emb)
+    for (did, score, emb), norm in zip(candidates, norms, strict=True):
         for (_d, _s, kept_emb), kept_norm in zip(kept, kept_norms):
             if not cosine(emb, kept_emb, norm, kept_norm) < tau:
                 break

@@ -591,6 +591,8 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     dp_rng = subsystem_rng(config.seed, "dp")
 
     issuers = [AttestationIssuer(a.keypair) for a in agents]
+    # Each payer's delegated key, reused while its window holds.
+    ephemerals: list[micropay.EphemeralKey | None] = [None] * n
     index_of = {str(a.did): a.index for a in agents}
     cards = [a.card for a in agents]
     # Attestations minted since the last round close; each is verified once,
@@ -642,7 +644,10 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 amount = amounts[i]
                 task_id = f"task-r{round_idx}-a{i}"
                 invoice = micropay.create_invoice(provider.did, amount, task_id, expires_at=now + 2, rng=invoice_rng)
-                ephemeral = micropay.make_ephemeral(agent.keypair, eph_rng.randbytes(32), now, now + 5)
+                ephemeral = ephemerals[i]
+                if ephemeral is None or not ephemeral.in_window(now):
+                    ephemeral = micropay.make_ephemeral(agent.keypair, eph_rng.randbytes(32), now, now + 5)
+                    ephemerals[i] = ephemeral
                 nonce = nonce_rng.randbytes(16)
                 header_line = micropay.build_payment_header(invoice, agent.keypair, ephemeral, nonce, now)
                 header = micropay.parse_payment_header(header_line)

@@ -572,6 +572,55 @@ def test_rank_embeds_a_bare_cards_description_once_per_card(monkeypatch):
     assert len(embedded) == len(cards)
 
 
+def test_rank_takes_each_cards_norm_once_per_card(monkeypatch):
+    rng = random.Random(18)
+    cards = [random_card(rng) for _ in range(25)]
+    query = embed_text("weather and maps")
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    expected = rank(query, cards, {}, model, k=5, now=10)
+    normed = []
+
+    def counting(x):
+        normed.append(id(x))
+        return original(x)
+
+    original = discovery._norm
+    monkeypatch.setattr(discovery, "_norm", counting)
+    # The cards' norms were taken by the first query; now only the query's.
+    assert rank(query, cards, {}, model, k=5, now=10) == expected
+    assert normed == [id(query)]
+
+
+@pytest.mark.parametrize("change", ["replace", "bump"])
+def test_rank_takes_a_changed_cards_norm_from_its_new_embedding(change, monkeypatch):
+    rng = random.Random(19)
+    card = random_card(rng)
+    while card.embedding is None:
+        card = random_card(rng)
+    # A unit embedding whose norm differs from the card's in its bits, so
+    # a norm kept from the old card would show.
+    other = unit_embedding(rng)
+    while _own_norm(other) == _own_norm(card.embedding):
+        other = unit_embedding(rng)
+    query = embed_text("weather and maps")
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    rank(query, [card], {}, model, k=1, now=10)
+    changed = dataclasses.replace(card, embedding=other) if change == "replace" else card.bump(embedding=other)
+    original_cosine = discovery.cosine
+    calls = []
+
+    def recording_cosine(a, b, norm_a=None, norm_b=None):
+        calls.append((b, norm_b))
+        return original_cosine(a, b, norm_a, norm_b)
+
+    monkeypatch.setattr(discovery, "cosine", recording_cosine)
+    rank(query, [changed], {}, model, k=1, now=10)
+    ((b, norm_b),) = calls
+    assert b is card_embedding(changed)
+    assert struct.pack(">d", norm_b) == struct.pack(">d", _own_norm(other))
+    assert struct.pack(">d", norm_b) != struct.pack(">d", _own_norm(card.embedding))
+
+
 def test_rank_order_invariant_under_positive_affine_score_transform():
     rng = random.Random(12)
     cards = [random_card(rng) for _ in range(40)]
@@ -670,9 +719,9 @@ def test_rank_and_dedup_make_the_comparisons_of_the_all_form(seed, tau, monkeypa
         calls.append((a, b, norm_a, norm_b))
         return original_cosine(a, b, norm_a, norm_b)
 
-    def recording_dedup(candidates, tau):
+    def recording_dedup(candidates, tau, norms=None):
         scans.append(list(candidates))
-        return original_dedup(candidates, tau)
+        return original_dedup(candidates, tau, norms)
 
     def pairs():
         got = [(id(a), id(b)) for a, b, _na, _nb in calls]
@@ -732,3 +781,47 @@ def test_dedup_keeps_what_the_all_form_keeps(seed, tau):
     got = dedup(items, tau)
     expected = _all_form_dedup(items, tau)
     assert [(did, id(emb)) for did, _s, emb in got] == [(did, id(emb)) for did, _s, emb in expected]
+
+
+@st.composite
+def _dedup_candidates(draw):
+    """Candidates in rank order among unit vectors: the same array again, an
+    equal copy, zero vectors and vectors holding a NaN."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["unit", "unit", "same", "copy", "zero", "nan"]), max_size=16))
+    items = []
+    for i, kind in enumerate(kinds):
+        if kind in ("same", "copy") and items:
+            emb = items[rng.randrange(len(items))][2]
+            if kind == "copy":
+                emb = emb.copy()
+        elif kind == "zero":
+            emb = np.zeros(EMBED_DIM)
+        elif kind == "nan":
+            emb = np.asarray(unit_embedding(rng))
+            emb[rng.randrange(EMBED_DIM)] = np.nan
+        else:
+            emb = np.asarray(unit_embedding(rng))
+        items.append((f"c{i}", draw(st.floats()), emb))
+    return items
+
+
+@given(_dedup_candidates(), st.sampled_from([0.3, 0.9, 0.95, 1.0]))
+def test_dedup_with_given_norms_is_dedup_taking_them(items, tau):
+    original_cosine = discovery.cosine
+    calls = []
+
+    def recording_cosine(a, b, norm_a=None, norm_b=None):
+        calls.append((id(a), id(b), struct.pack(">dd", norm_a, norm_b)))
+        return original_cosine(a, b, norm_a, norm_b)
+
+    def run(*norms):
+        calls.clear()
+        kept = dedup(items, tau, *norms)
+        return [(did, struct.pack(">d", score), id(emb)) for did, score, emb in kept], list(calls)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "cosine", recording_cosine)
+        taken = run()
+        given_norms = run([_own_norm(emb) for _did, _score, emb in items])
+    assert given_norms == taken

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentmesh import discovery, simnet
+from agentmesh import discovery, micropay, simnet
 from agentmesh.cards import AgentFactCard
 from agentmesh.identity import derive_did
 from agentmesh.cli import main
@@ -304,6 +304,36 @@ def test_marketplace_verifies_each_attestation_once(monkeypatch, tasks_per_round
     # Two attestations are minted per settled payment; each is checked once.
     assert len(calls) == 2 * receipts
     assert len({id(att) for att in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("tasks_per_round", [1, 2])
+def test_marketplace_payer_reuses_its_delegated_key_while_the_window_holds(monkeypatch, tasks_per_round):
+    minted = []
+    settled = []
+
+    def counting(owner, ephemeral_seed, issued_at, expires_at):
+        minted.append((str(derive_did(owner.public_key)), issued_at))
+        return make_ephemeral(owner, ephemeral_seed, issued_at, expires_at)
+
+    def recording(ledger, header, invoice, resolver, now):
+        receipt = settle(ledger, header, invoice, resolver, now)
+        settled.append((header, now))
+        return receipt
+
+    make_ephemeral = micropay.make_ephemeral
+    settle = micropay.Ledger.settle
+    monkeypatch.setattr(micropay, "make_ephemeral", counting)
+    monkeypatch.setattr(micropay.Ledger, "settle", recording)
+    report = run_scenario(
+        ScenarioConfig(scenario="marketplace", n=8, rounds=13, seed=11, tasks_per_round=tasks_per_round)
+    )
+    # A key minted at round r holds through r + 5, so each payer mints at
+    # rounds 1, 7 and 13, however many tasks it runs a round.
+    dids = [agent["did"] for agent in report.payload["agents"]]
+    assert sorted(minted) == sorted((did, r) for did in dids for r in (1, 7, 13))
+    assert len(settled) == report.payload["receipts"] > 0
+    for header, now in settled:
+        assert header.delegation_issued_at <= now <= header.delegation_expires_at
 
 
 def test_marketplace_rejects_a_loaded_corpus_that_discovery_accepts(tmp_path):
