@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -90,19 +89,9 @@ class AgentFactCard:
         """Copy with changes and the version advanced."""
         return replace(self, version=self.version + 1, **changes)
 
-    @cached_property
-    def embedding_array(self) -> np.ndarray | None:
-        """The embedding as a read-only float array, or None; built once,
-        since cards are frozen (a changed card is a new card)."""
-        if self.embedding is None:
-            return None
-        array = np.asarray(self.embedding, dtype=float)
-        array.flags.writeable = False
-        return array
-
     def to_json_obj(self) -> dict:
         return {
-            "did": str(self.did),
+            "did": self.did,
             "display_name": self.display_name,
             "description": self.description,
             "capabilities": list(self.capabilities),
@@ -128,7 +117,7 @@ class AgentFactCard:
                 json_float(x, "card embedding entry") for x in json_list(embedding, "card field 'embedding'")
             )
         return cls(
-            did=AgentDid.parse(did),
+            did=AgentDid(did),
             display_name=display_name,
             description=description,
             capabilities=tuple(json_str(c, "card capability") for c in capabilities),
@@ -182,7 +171,7 @@ def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
 
 def _digest_body(card: AgentFactCard) -> bytes:
     parts = [
-        enc_str(str(card.did)),
+        enc_str(card.did),
         enc_str(card.display_name),
         enc_str(card.description),
         enc_u32(len(card.capabilities)),

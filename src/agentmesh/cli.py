@@ -268,7 +268,7 @@ def _cmd_pay(args) -> int:
             {
                 "version": micropay.HEADER_VERSION,
                 "invoice_id": header.invoice_id.hex(),
-                "payer": str(header.payer),
+                "payer": header.payer,
                 "amount": header.amount,
                 "nonce": header.nonce.hex(),
                 "delegation_window": [header.delegation_issued_at, header.delegation_expires_at],
@@ -281,9 +281,9 @@ def _cmd_pay(args) -> int:
     payer_kp = generate_keypair(sha256(b"pay-demo-payer" + args.seed.to_bytes(8, "big", signed=True)))
     payee_kp = generate_keypair(sha256(b"pay-demo-payee" + args.seed.to_bytes(8, "big", signed=True)))
     payer, payee = derive_did(payer_kp.public_key), derive_did(payee_kp.public_key)
-    resolver = {str(payer): payer_kp.public_key, str(payee): payee_kp.public_key}
+    resolver = {payer: payer_kp.public_key, payee: payee_kp.public_key}
     rng = random.Random(args.seed)
-    ledger = micropay.Ledger({str(payer): args.payer_balance})
+    ledger = micropay.Ledger({payer: args.payer_balance})
     invoice = micropay.create_invoice(payee, args.amount, "demo-task", expires_at=args.now + 10, rng=rng)
     ephemeral = micropay.make_ephemeral(payer_kp, rng.randbytes(32), args.now, args.now + 10)
     line = micropay.build_payment_header(invoice, payer_kp, ephemeral, rng.randbytes(16), args.now)

@@ -107,35 +107,30 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-_FALLBACK_EMBEDDING = "_fallback_embedding"  # key in a bare card's __dict__
-_EMBEDDING_NORM = "_embedding_norm"  # key in every ranked card's __dict__
+_CARD_VECTOR = "_card_vector"  # key in a card's own __dict__
+
+
+def _card_vector(card: AgentFactCard) -> tuple[np.ndarray, float]:
+    """The card's ranking vector and its `_norm`: its stored embedding as a
+    read-only float array, or else the embedding of its description, read-
+    only too. Built on first use and kept under one key in the card's own
+    `__dict__`, so it dies with the card, and a changed card (a new card)
+    builds its own."""
+    vector = card.__dict__.get(_CARD_VECTOR)
+    if vector is None:
+        if card.embedding is not None:
+            array = np.asarray(card.embedding, dtype=float)
+        else:
+            array = embed_text(card.description)
+        array.flags.writeable = False
+        vector = card.__dict__[_CARD_VECTOR] = (array, _norm(array))
+    return vector
 
 
 def card_embedding(card: AgentFactCard) -> np.ndarray:
-    """The card's stored embedding, as the card's own read-only array, or
-    else the fallback embedding of its description, read-only too. The
-    fallback is computed on first use and kept in the card's own `__dict__`,
-    as `embedding_array` is, so it dies with the card; `embedding_array`
-    stays None."""
-    if card.embedding_array is not None:
-        return card.embedding_array
-    fallback = card.__dict__.get(_FALLBACK_EMBEDDING)
-    if fallback is None:
-        fallback = embed_text(card.description)
-        fallback.flags.writeable = False
-        card.__dict__[_FALLBACK_EMBEDDING] = fallback
-    return fallback
-
-
-def _embedding_and_norm(card: AgentFactCard) -> tuple[np.ndarray, float]:
-    """`card_embedding(card)` and its `_norm`. The norm is taken on first
-    use and kept in the card's own `__dict__`, beside the fallback, so it
-    dies with the card, and a changed card (a new card) takes its own."""
-    embedding = card_embedding(card)
-    norm = card.__dict__.get(_EMBEDDING_NORM)
-    if norm is None:
-        norm = card.__dict__[_EMBEDDING_NORM] = _norm(embedding)
-    return embedding, norm
+    """The card's stored embedding, or else the fallback embedding of its
+    description, as the card's own read-only array."""
+    return _card_vector(card)[0]
 
 
 @dataclass(frozen=True)
@@ -349,9 +344,9 @@ def rank(
     entries = []
     values = []
     for card in cards:
-        did = str(card.did)
+        did = card.did
         trust = float(trust_report.get(did, 0.0))
-        embedding, norm = _embedding_and_norm(card)
+        embedding, norm = _card_vector(card)
         age = max(0, now - card.last_active)
         values += (
             cosine(query_embedding, embedding, query_norm, norm),

@@ -84,7 +84,7 @@ class ReplicaState:
     # -- local writes -------------------------------------------------------
 
     def local_put(self, record: RegistryRecord, logical_time: int, resolver: KeyResolver) -> LwwTag:
-        public_key = resolver.get(str(record.owner))
+        public_key = resolver.get(record.owner)
         if public_key is None or not verify(public_key, record.signing_bytes(), record.signature):
             raise BadSignatureError(f"record for {record.key!r} fails owner signature check")
         sequence = self.version_vector.get(self.replica_id, 0) + 1

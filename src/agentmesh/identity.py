@@ -52,7 +52,7 @@ SIG_LEN = 64
 DIGEST_LEN = 32
 
 DID_PREFIX = "did:nanda:"
-_DID_HEX = re.compile(r"[0-9a-f]{64}")
+_DID = re.compile(re.escape(DID_PREFIX) + "[0-9a-f]{64}")
 
 # DID string -> 32-byte public key; `.get` gives None for an unknown DID.
 KeyResolver = Mapping[str, bytes]
@@ -72,25 +72,19 @@ class KeyPair:
     public_key: bytes
 
 
-@dataclass(frozen=True, order=True)
-class AgentDid:
-    """`did:nanda:<64 lowercase hex>` identifier. The hex is checked here,
-    once, with one `fullmatch`, so a trailing newline is refused too."""
+class AgentDid(str):
+    """A `did:nanda:<64 lowercase hex>` identifier, held as its text. The
+    text is checked here, once, with one `fullmatch`, so a trailing newline
+    is refused too. A DID equals, hashes and encodes as its text, so a map
+    keyed by DIDs is found by text keys, and copies and pickles rebuild it
+    through this check."""
 
-    id_hex: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _DID_HEX.fullmatch(self.id_hex):
-            raise ValueError(f"bad DID id: {self.id_hex!r}")
-
-    def __str__(self) -> str:
-        return DID_PREFIX + self.id_hex
-
-    @classmethod
-    def parse(cls, text: str) -> "AgentDid":
-        if not text.startswith(DID_PREFIX):
+    def __new__(cls, text: str) -> "AgentDid":
+        if not _DID.fullmatch(text):
             raise ValueError(f"not a did:nanda identifier: {text!r}")
-        return cls(text[len(DID_PREFIX) :])
+        return super().__new__(cls, text)
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -104,13 +98,16 @@ def generate_keypair(seed: bytes) -> KeyPair:
 def derive_did(public_key: bytes) -> AgentDid:
     if len(public_key) != KEY_LEN:
         raise ValueError("public key must be 32 bytes")
-    return AgentDid(sha256(public_key).hex())
+    return AgentDid(DID_PREFIX + sha256(public_key).hex())
 
 
 # Parsing a private key costs about as much as one signature, so each key is
-# parsed once, by generate_keypair or by its first sign. Bounded, because
-# every payment signs with a fresh ephemeral key; public keys parse in about
-# 1 µs and are not cached.
+# parsed once, by generate_keypair or by its first sign; public keys parse in
+# about 1 µs and are not cached. Bounded, because ephemeral keys keep coming:
+# a marketplace payer signs with its owner key and with one delegated key per
+# six-round window, about two live keys per agent, so past about 512 agents
+# the live keys outnumber the 1,024 entries, evict each other and are parsed
+# again.
 _private_key = functools.lru_cache(maxsize=1024)(Ed25519PrivateKey.from_private_bytes)
 
 
@@ -162,8 +159,8 @@ class Attestation:
 
     def signing_bytes(self) -> bytes:
         return (
-            enc_str(str(self.issuer))
-            + enc_str(str(self.subject))
+            enc_str(self.issuer)
+            + enc_str(self.subject)
             + enc_u8(int(self.claim_type))
             + self.payload_digest
             + enc_u64(self.issued_at)
@@ -174,8 +171,8 @@ class Attestation:
 
     def to_json_obj(self) -> dict:
         return {
-            "issuer": str(self.issuer),
-            "subject": str(self.subject),
+            "issuer": self.issuer,
+            "subject": self.subject,
             "claim_type": self.claim_type.name.lower(),
             "payload_digest": self.payload_digest.hex(),
             "issued_at": self.issued_at,
@@ -192,8 +189,8 @@ class Attestation:
         if claim.upper() not in ClaimType.__members__:
             raise ValueError(f"credential field 'claim_type' is not a claim type: {claim!r}")
         return cls(
-            issuer=AgentDid.parse(issuer),
-            subject=AgentDid.parse(subject),
+            issuer=AgentDid(issuer),
+            subject=AgentDid(subject),
             claim_type=ClaimType[claim.upper()],
             payload_digest=bytes.fromhex(payload_digest),
             issued_at=json_u64(obj.get("issued_at"), "credential field 'issued_at'"),
@@ -235,7 +232,7 @@ class AttestationIssuer:
 
 
 def verify_attestation(att: Attestation, resolver: KeyResolver) -> AttestationCheck:
-    public_key = resolver.get(str(att.issuer))
+    public_key = resolver.get(att.issuer)
     if public_key is None:
         return AttestationCheck.UNKNOWN_ISSUER
     if not verify(public_key, att.signing_bytes(), att.signature):

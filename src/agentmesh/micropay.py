@@ -128,7 +128,7 @@ def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expire
 
 
 def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonce: bytes) -> bytes:
-    return invoice_id + enc_str(str(payer)) + enc_u64(amount) + nonce
+    return invoice_id + enc_str(payer) + enc_u64(amount) + nonce
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class PaymentHeader:
     def render(self) -> str:
         values = {
             "inv": self.invoice_id.hex(),
-            "payer": str(self.payer),
+            "payer": self.payer,
             "eph": self.ephemeral_pub.hex(),
             "nonce": self.nonce.hex(),
             "amt": str(self.amount),
@@ -241,7 +241,7 @@ def parse_payment_header(text: str) -> PaymentHeader:
     deleg = values["deleg"]
     return PaymentHeader(
         invoice_id=bytes.fromhex(values["inv"]),
-        payer=AgentDid.parse(values["payer"]),
+        payer=AgentDid(values["payer"]),
         ephemeral_pub=bytes.fromhex(values["eph"]),
         nonce=bytes.fromhex(values["nonce"]),
         amount=int(values["amt"]),
@@ -255,7 +255,7 @@ def parse_payment_header(text: str) -> PaymentHeader:
 def _check_value(key: str, value: str, position: int) -> None:
     if key == "payer":
         try:
-            AgentDid.parse(value)
+            AgentDid(value)
         except ValueError:
             raise HeaderParseError(position, "BadDid") from None
         return
@@ -305,8 +305,8 @@ class Receipt:
         return {
             "index": self.index,
             "invoice_id": self.invoice_id.hex(),
-            "payer": str(self.payer),
-            "payee": str(self.payee),
+            "payer": self.payer,
+            "payee": self.payee,
             "amount": self.amount,
             "nonce": self.nonce.hex(),
             "settled_at": self.settled_at,
@@ -315,8 +315,8 @@ class Receipt:
     def canonical_bytes(self) -> bytes:
         return (
             self.invoice_id
-            + enc_str(str(self.payer))
-            + enc_str(str(self.payee))
+            + enc_str(self.payer)
+            + enc_str(self.payee)
             + enc_u64(self.amount)
             + self.nonce
             + enc_u64(self.settled_at)
@@ -340,19 +340,18 @@ class Ledger:
             if amount > MAX_U64:
                 raise MicropayError(f"opening balance for {did} exceeds u64")
         self.receipts: list[Receipt] = []
-        self._spent: set[tuple[AgentDid, bytes]] = set()
+        self._spent: set[tuple[str, bytes]] = set()
         self._receipts_digest = hashlib.sha256()
 
-    def credit(self, did: AgentDid | str, amount: int) -> None:
+    def credit(self, did: str, amount: int) -> None:
         if amount < 0:
             raise MicropayError("credit must be nonnegative")
-        key = str(did)
-        if self.balances.get(key, 0) + amount > MAX_U64:
-            raise MicropayError(f"credit would take the balance of {key} past u64")
-        self.balances[key] = self.balances.get(key, 0) + amount
+        if self.balances.get(did, 0) + amount > MAX_U64:
+            raise MicropayError(f"credit would take the balance of {did} past u64")
+        self.balances[did] = self.balances.get(did, 0) + amount
 
-    def balance(self, did: AgentDid | str) -> int:
-        return self.balances.get(str(did), 0)
+    def balance(self, did: str) -> int:
+        return self.balances.get(did, 0)
 
     def total(self) -> int:
         return sum(self.balances.values())
@@ -371,7 +370,7 @@ class Ledger:
         if now > invoice.expires_at:
             raise SettleError(SettleReason.EXPIRED)
 
-        owner_key = resolver.get(str(header.payer))
+        owner_key = resolver.get(header.payer)
         if owner_key is None or derive_did(owner_key) != header.payer:
             raise SettleError(SettleReason.BAD_DELEGATION)
         if not (header.delegation_issued_at <= now <= header.delegation_expires_at):
@@ -386,23 +385,22 @@ class Ledger:
         if not verify(header.ephemeral_pub, payment_msg, header.signature):
             raise SettleError(SettleReason.BAD_SIGNATURE)
 
-        spent = (header.payer, header.nonce)
+        payer, payee = header.payer, invoice.payee
+        spent = (payer, header.nonce)
         if spent in self._spent:
             raise SettleError(SettleReason.DUPLICATE_NONCE)
-        payer_key = str(header.payer)
-        if self.balances.get(payer_key, 0) < header.amount:
+        if self.balances.get(payer, 0) < header.amount:
             raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
-        payee_key = str(invoice.payee)
-        if payee_key != payer_key and self.balances.get(payee_key, 0) + header.amount > MAX_U64:
+        if payee != payer and self.balances.get(payee, 0) + header.amount > MAX_U64:
             raise SettleError(SettleReason.BALANCE_OVERFLOW)
 
-        self.balances[payer_key] -= header.amount
-        self.balances[payee_key] = self.balances.get(payee_key, 0) + header.amount
+        self.balances[payer] -= header.amount
+        self.balances[payee] = self.balances.get(payee, 0) + header.amount
         receipt = Receipt(
             index=len(self.receipts),
             invoice_id=header.invoice_id,
-            payer=header.payer,
-            payee=invoice.payee,
+            payer=payer,
+            payee=payee,
             amount=header.amount,
             nonce=header.nonce,
             settled_at=now,

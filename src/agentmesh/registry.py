@@ -83,7 +83,7 @@ class RegistryRecord:
             enc_str(self.key)
             + enc_str(self.metadata_url)
             + self.card_digest
-            + enc_str(str(self.owner))
+            + enc_str(self.owner)
             + enc_u64(self.version)
         )
 
@@ -101,7 +101,7 @@ class RegistryRecord:
             "key": self.key,
             "metadata_url": self.metadata_url,
             "card_digest": self.card_digest.hex(),
-            "owner": str(self.owner),
+            "owner": self.owner,
             "version": self.version,
             "signature": self.signature.hex(),
         }
@@ -117,7 +117,7 @@ class RegistryRecord:
             key=key,
             metadata_url=metadata_url,
             card_digest=bytes.fromhex(card_digest),
-            owner=AgentDid.parse(owner),
+            owner=AgentDid(owner),
             version=json_u64(obj.get("version"), "record field 'version'"),
             signature=bytes.fromhex(signature),
         )
@@ -232,7 +232,7 @@ class MerkleRadixIndex:
     # -- mutation ---------------------------------------------------------
 
     def insert(self, record: RegistryRecord, resolver: KeyResolver) -> None:
-        public_key = resolver.get(str(record.owner))
+        public_key = resolver.get(record.owner)
         if public_key is None or not verify(public_key, record.signing_bytes(), record.signature):
             raise BadSignatureError(f"record for {record.key!r} fails owner signature check")
         existing = self.resolve(record.key)

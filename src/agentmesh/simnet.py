@@ -301,14 +301,14 @@ def synthetic_agents(
 
 
 def _resolver_for(agents: list[SimAgent]) -> dict[str, bytes]:
-    return {str(a.did): a.keypair.public_key for a in agents}
+    return {a.did: a.keypair.public_key for a in agents}
 
 
 def _records_for(agents: list[SimAgent]) -> list[registry.RegistryRecord]:
     records = []
     for agent in agents:
         digest = cards_mod.card_digest(agent.card)
-        for key in (str(agent.did), agent.name):
+        for key in (agent.did, agent.name):
             records.append(
                 registry.make_record(
                     key=key,
@@ -391,14 +391,14 @@ def run_convergence(config: ScenarioConfig) -> ScenarioReport:
         keypair = _keypair(b"conv-record", config.seed, trial)
         did = derive_did(keypair.public_key)
         record = registry.make_record(
-            key=str(did),
+            key=did,
             metadata_url="https://mesh.example/meta",
             card_digest=sha256(b"card" + trial.to_bytes(4, "big")),
             owner_secret_key=keypair.secret_key,
             owner=did,
             version=1,
         )
-        return record, {str(did): keypair.public_key}
+        return record, {did: keypair.public_key}
 
     summary = federation.rounds_to_convergence(
         n=config.n,
@@ -593,7 +593,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     issuers = [AttestationIssuer(a.keypair) for a in agents]
     # Each payer's delegated key, reused while its window holds.
     ephemerals: list[micropay.EphemeralKey | None] = [None] * n
-    index_of = {str(a.did): a.index for a in agents}
+    index_of = {a.did: a.index for a in agents}
     cards = [a.card for a in agents]
     # Attestations minted since the last round close; each is verified once,
     # at the close of its round, and tallied against its subject.
@@ -626,7 +626,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         settle_ok = 0
         settle_fail = 0
         # No agent is among its own candidates, so one report serves them all.
-        trust_report = {str(a.did): standing[a.index]["fused"] for a in agents}
+        trust_report = {a.did: standing[a.index]["fused"] for a in agents}
         for i, agent in enumerate(agents):
             for _task in range(config.tasks_per_round):
                 # With k=1, dedup keeps the first of n-1 >= 1 candidates.
@@ -680,7 +680,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         propagated = np.clip(propagated, 0.0, 1.0)
         for att in unverified:
             if verify_attestation(att, resolver) is AttestationCheck.VALID:
-                valid_counts[index_of[str(att.subject)]] += 1
+                valid_counts[index_of[att.subject]] += 1
                 payments_verified += att.claim_type is ClaimType.PAYMENT_SETTLED
         unverified.clear()
         population = behaviour.copy()
@@ -719,7 +719,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         "agents": [
             {
                 "index": a.index,
-                "did": str(a.did),
+                "did": a.did,
                 "name": a.name,
                 "domain": a.domain,
                 "balance": ledger.balance(a.did),
@@ -790,19 +790,19 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
             j = graph_rng.randrange(n)
             if j != i:
                 edges.setdefault((i, j), round(graph_rng.uniform(0.2, 1.0), 6))
-    graph = _trust_graph([str(a.did) for a in agents], edges)
+    graph = _trust_graph([a.did for a in agents], edges)
     propagated = trust.propagate_trust(graph, alpha=config.alpha, orientation=trust.Orientation.TRANSPOSE).values
-    trust_report = {str(a.did): float(np.clip(propagated[a.index], 0.0, 1.0)) for a in agents}
+    trust_report = {a.did: float(np.clip(propagated[a.index], 0.0, 1.0)) for a in agents}
     if config.trust_overrides:
         for index_str, value in config.trust_overrides.items():
             agent_index = int(index_str)
             if not 0 <= agent_index < n:
                 raise ValueError(f"trust_overrides index {agent_index} is outside the {n} agents")
-            trust_report[str(agents[agent_index].did)] = float(value)
+            trust_report[agents[agent_index].did] = float(value)
 
     queries = config.queries if config.queries is not None else list(_DEFAULT_QUERIES)
     now = max(a.card.last_active for a in agents) + 1
-    cards_by_did = {str(a.did): a.card for a in agents}
+    cards_by_did = {a.did: a.card for a in agents}
     query_results = []
     csv_rows = []
     all_proofs_ok = True

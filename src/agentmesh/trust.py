@@ -201,9 +201,9 @@ def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndar
 
 
 def _operator(graph: TrustGraph, base: np.ndarray | None, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
-    """The validated base vector e and the matrix M of the fixed point
-    T = alpha*M*T + (1-alpha)*e."""
-    base_vec = _validate_base(base if base is not None else default_base(graph.n, orientation), graph.n)
+    """The base vector e and the matrix M of the fixed point
+    T = alpha*M*T + (1-alpha)*e; `row_stochastic` validates e."""
+    base_vec = np.asarray(base if base is not None else default_base(graph.n, orientation), dtype=float)
     W = row_stochastic(graph, base_vec)
     return base_vec, W if orientation is Orientation.LITERAL else W.T
 

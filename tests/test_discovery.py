@@ -171,7 +171,8 @@ def test_card_embedding_is_the_cards_own_read_only_array():
     # Equality and hashing still compare fields only.
     twin = dataclasses.replace(card)
     assert twin == card and hash(twin) == hash(card)
-    assert card.bump(embedding=None).embedding_array is None
+    bare = card.bump(embedding=None)
+    assert card_embedding(bare).tobytes() == embed_text(bare.description).tobytes()
 
 
 # -- pairwise loss and training --------------------------------------------------
@@ -525,11 +526,13 @@ def test_rank_embeds_each_card_once(monkeypatch):
     cards = [random_card(rng) for _ in range(25)]
     embedded = []
 
-    def counting_embedding(card):
-        embedded.append(id(card))
-        return card_embedding(card)
+    original = discovery._card_vector
 
-    monkeypatch.setattr(discovery, "card_embedding", counting_embedding)
+    def counting_vector(card):
+        embedded.append(id(card))
+        return original(card)
+
+    monkeypatch.setattr(discovery, "_card_vector", counting_vector)
     model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
     rank(embed_text("weather and maps"), cards, {}, model, k=5, now=10)
     assert sorted(embedded) == sorted(id(card) for card in cards)
@@ -547,10 +550,11 @@ def test_rank_embeds_a_bare_cards_description_once_per_card(monkeypatch):
 
     def reembedding(card):
         # The fallback as it was: the description embedded on every call.
-        return card.embedding_array if card.embedding_array is not None else original(card.description)
+        embedding = np.asarray(card.embedding, dtype=float) if card.embedding is not None else original(card.description)
+        return embedding, discovery._norm(embedding)
 
     with monkeypatch.context() as patch:
-        patch.setattr(discovery, "card_embedding", reembedding)
+        patch.setattr(discovery, "_card_vector", reembedding)
         expected = bits(rank(query, cards, {}, model, k=8, now=10))
     embedded = []
 
@@ -566,7 +570,7 @@ def test_rank_embeds_a_bare_cards_description_once_per_card(monkeypatch):
     assert sorted(embedded) == sorted(card.description for card in cards)
     for card in cards:
         fallback = card_embedding(card)
-        assert card.embedding_array is None
+        assert card.embedding is None
         assert not fallback.flags.writeable
         assert fallback.tobytes() == original(card.description).tobytes()
     assert len(embedded) == len(cards)

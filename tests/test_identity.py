@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 import random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, strategies as st
 
-from agentmesh import identity
+from agentmesh import identity, micropay
+from agentmesh.cards import AgentFactCard, card_digest
 from agentmesh.identity import (
     AgentDid,
     Attestation,
@@ -21,6 +25,8 @@ from agentmesh.identity import (
     verify,
     verify_attestation,
 )
+from agentmesh.registry import RegistryRecord, make_record
+from agentmesh.wire import dumps
 from _helpers import did_for, keypair_for
 
 
@@ -51,28 +57,83 @@ def test_distinct_seeds_distinct_keys_and_dids():
 def test_did_round_trip():
     kp = generate_keypair(sha256(b"roundtrip"))
     did = derive_did(kp.public_key)
-    assert AgentDid.parse(str(did)) == did
-    assert str(did).startswith("did:nanda:")
-    assert len(str(did)) == len("did:nanda:") + 64
+    assert AgentDid(str(did)) == did
+    assert type(AgentDid(str(did))) is AgentDid
+    assert did.startswith("did:nanda:")
+    assert len(did) == len("did:nanda:") + 64
+
+
+_HEX64 = "0123456789abcdef" * 4
+_GARBAGE = (
+    "did:nanda:XYZ",
+    "did:other:" + "0" * 64,
+    "did:nanda:" + "0" * 63,
+    "",
+    "did:nanda:" + _HEX64 + "\n",  # refused only by a full match: re.match's `$` lets it through
+    "did:nanda:" + _HEX64.upper(),
+    "did:nanda:" + _HEX64[:63],
+    "did:nanda:" + _HEX64 + "0",
+    "did:web:" + _HEX64,
+    _HEX64,
+)
 
 
 def test_did_parse_rejects_garbage():
-    hex64 = "0123456789abcdef" * 4
-    assert AgentDid.parse("did:nanda:" + hex64) == AgentDid(hex64)
-    for bad in (
-        "did:nanda:XYZ",
-        "did:other:" + "0" * 64,
-        "did:nanda:" + "0" * 63,
-        "",
-        "did:nanda:" + hex64 + "\n",  # refused only by a full match: re.match's `$` lets it through
-        "did:nanda:" + hex64.upper(),
-        "did:nanda:" + hex64[:63],
-        "did:nanda:" + hex64 + "0",
-        "did:web:" + hex64,
-        hex64,
-    ):
+    assert AgentDid("did:nanda:" + _HEX64) == "did:nanda:" + _HEX64
+    for bad in _GARBAGE:
         with pytest.raises(ValueError):
-            AgentDid.parse(bad)
+            AgentDid(bad)
+
+
+def test_did_is_its_text_through_every_codec():
+    payer_kp, payee_kp = keypair_for("codec-payer"), keypair_for("codec-payee")
+    payer, payee = derive_did(payer_kp.public_key), derive_did(payee_kp.public_key)
+    text = str(payer)
+    assert type(text) is str
+    # A DID equals and hashes as its text, so text keys find DID keys.
+    assert payer == text and hash(payer) == hash(text)
+    assert {text: 1}[payer] == 1 and {payer: 1}[text] == 1
+    assert repr(payer) == repr(text)
+    for copied in (pickle.loads(pickle.dumps(payer)), copy.copy(payer), copy.deepcopy(payer)):
+        assert type(copied) is AgentDid and copied == payer
+
+    def json_field(obj: dict, field: str) -> object:
+        return json.loads(dumps(obj))[field]
+
+    att = AttestationIssuer(payer_kp).issue(payee, ClaimType.TASK_COMPLETED, sha256(b"codec"), 1)
+    back = Attestation.from_json_obj(json.loads(dumps(att.to_json_obj())))
+    assert json_field(att.to_json_obj(), "issuer") == text and back == att and type(back.issuer) is AgentDid
+    card = AgentFactCard(payer, "codec", "a codec card", ("codec",), "https://x/codec", credentials=(att,))
+    back = AgentFactCard.from_json_obj(json.loads(dumps(card.to_json_obj())))
+    assert json_field(card.to_json_obj(), "did") == text and back == card and type(back.did) is AgentDid
+    assert card_digest(back) == card_digest(card)
+    record = make_record(payer, "https://x/meta", card_digest(card), payer_kp.secret_key, payer, 1)
+    back = RegistryRecord.from_json_obj(json.loads(dumps(record.to_json_obj())))
+    assert json_field(record.to_json_obj(), "owner") == text and back == record and type(back.owner) is AgentDid
+    assert back.canonical_bytes() == record.canonical_bytes()
+
+    rng = random.Random(0)
+    invoice = micropay.create_invoice(payee, 40, "codec", expires_at=9, rng=rng)
+    ephemeral = micropay.make_ephemeral(payer_kp, rng.randbytes(32), 1, 9)
+    line = micropay.build_payment_header(invoice, payer_kp, ephemeral, rng.randbytes(16), 1)
+    assert f";payer={text};" in line
+    header = micropay.parse_payment_header(line)
+    assert header.payer == payer and type(header.payer) is AgentDid
+    assert header.render() == line
+    ledger = micropay.Ledger({text: 100})
+    receipt = ledger.settle(header, invoice, {text: payer_kp.public_key}, 1)
+    assert (json_field(receipt.to_json_obj(), "payer"), json_field(receipt.to_json_obj(), "payee")) == (text, payee)
+    assert receipt.payer == payer and receipt.payee == payee
+    assert ledger.balance(payer) == ledger.balance(text) == 60 and ledger.balance(str(payee)) == 40
+
+    # Each refused DID text is refused in a header at the payer value.
+    at = line.index(";payer=") + 7
+    for bad in _GARBAGE:
+        if ";" in bad:
+            continue
+        with pytest.raises(micropay.HeaderParseError) as err:
+            micropay.parse_payment_header(line.replace(f";payer={text};", f";payer={bad};", 1))
+        assert (err.value.reason, err.value.position) == ("BadDid", at)
 
 
 def test_sign_verify_round_trip():

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from agentmesh.identity import AgentDid, derive_did, generate_keypair, sha256
+from agentmesh.identity import DID_PREFIX, AgentDid, derive_did, generate_keypair, sha256
 from agentmesh.micropay import (
     HEADER_PREFIX,
     HeaderParseError,
@@ -167,7 +167,7 @@ _U64 = st.integers(min_value=0, max_value=MAX_U64)
 _HEADERS = st.builds(
     PaymentHeader,
     invoice_id=st.binary(min_size=16, max_size=16),
-    payer=st.binary(min_size=32, max_size=32).map(lambda raw: AgentDid(raw.hex())),
+    payer=st.binary(min_size=32, max_size=32).map(lambda raw: AgentDid(DID_PREFIX + raw.hex())),
     ephemeral_pub=st.binary(min_size=32, max_size=32),
     nonce=st.binary(min_size=16, max_size=16),
     amount=_U64,
@@ -182,7 +182,7 @@ _EDITS = st.tuples(
     st.integers(min_value=0, max_value=1000),
     st.sampled_from("0a9fF;= \n\t-") | st.characters(),
 )
-_SAMPLE = PaymentHeader(bytes(16), AgentDid("ab" * 32), bytes(32), bytes(16), 40, bytes(64), 1, 11, bytes(64))
+_SAMPLE = PaymentHeader(bytes(16), AgentDid(DID_PREFIX + "ab" * 32), bytes(32), bytes(16), 40, bytes(64), 1, 11, bytes(64))
 _SAMPLE_LINE = _SAMPLE.render()
 
 

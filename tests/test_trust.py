@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from agentmesh import trust
 from agentmesh.trust import (
     ContextKind,
     ContextWeights,
@@ -191,6 +192,34 @@ def test_propagate_validates_inputs():
     for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError):
             propagate_trust(g, alpha=0.5, tol=tol)
+
+
+@pytest.mark.parametrize("solve", [propagate_trust, solve_trust_exact])
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("given_base", [False, True])
+def test_base_is_validated_once_per_operator(solve, orientation, given_base, monkeypatch):
+    g = TrustGraph(nodes=["a", "b", "c"], edges=[(0, 1, 1.0), (1, 2, 0.5)])
+    base = np.array([0.2, 0.5, 0.3]) if given_base else None
+    expected = solve(g, alpha=0.5, base=base, orientation=orientation)
+    checked = []
+
+    def counting(base, n):
+        checked.append(n)
+        return original(base, n)
+
+    original = trust._validate_base
+    monkeypatch.setattr(trust, "_validate_base", counting)
+    got = solve(g, alpha=0.5, base=base, orientation=orientation)
+    assert checked == [3]
+    values = (got.values, expected.values) if solve is propagate_trust else (got, expected)
+    assert values[0].tobytes() == values[1].tobytes()
+    # The one check still refuses a bad base, with the same error.
+    with pytest.raises(ValueError, match=r"base vector must have shape \(3,\)"):
+        solve(g, alpha=0.5, base=np.ones(2), orientation=orientation)
+    with pytest.raises(ValueError, match=r"entries must lie in \[0,1\]"):
+        solve(g, alpha=0.5, base=np.array([2.0, 0.5, 0.5]), orientation=orientation)
+    with pytest.raises(ValueError, match="positive mass"):
+        solve(g, alpha=0.5, base=np.zeros(3), orientation=orientation)
 
 
 def test_default_base_by_orientation():
