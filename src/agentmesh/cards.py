@@ -85,6 +85,11 @@ class AgentFactCard:
         if violations:
             raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a copy or a pickle leaves behind what is kept in
+        the card's `__dict__` beside them (discovery's ranking vector)."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
     def bump(self, **changes) -> "AgentFactCard":
         """Copy with changes and the version advanced."""
         return replace(self, version=self.version + 1, **changes)

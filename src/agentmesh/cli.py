@@ -271,7 +271,7 @@ def _cmd_pay(args) -> int:
                 "payer": header.payer,
                 "amount": header.amount,
                 "nonce": header.nonce.hex(),
-                "delegation_window": [header.delegation_issued_at, header.delegation_expires_at],
+                "delegation_window": [header.delegation.issued_at, header.delegation.expires_at],
             }
         )
         return 0

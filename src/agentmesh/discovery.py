@@ -279,12 +279,12 @@ def train(
     pairs: Sequence[tuple[RankFeatures, RankFeatures]],
     learning_rate: float = 0.1,
     iters: int = 200,
-    keep_history: bool = False,
 ) -> L2RModel:
     """Full-batch gradient descent from zero weights; deterministic, since
     full-batch descent has no stochastic component. The pairs' feature table
     is built once, and each of the ``iters + 1`` loss evaluations goes
-    through the module's `score_pairwise_loss` with that one table."""
+    through the module's `score_pairwise_loss` with that one table; the
+    model keeps those losses, in order, as its `loss_history`."""
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
     if iters < 0:
@@ -315,8 +315,7 @@ def train(
     except FloatingPointError as exc:
         raise TrainingDiverged(f"training overflowed at iteration {model.iterations}: {exc}") from None
     history.append(model.final_loss)
-    if keep_history:
-        model.loss_history = tuple(history)
+    model.loss_history = tuple(history)
     return model
 
 

@@ -10,7 +10,8 @@ every field must match its grammar in full):
     X-Payment: v1;inv=<32hex>;payer=<did>;eph=<64hex>;nonce=<32hex>;
                amt=<decimal u64>;deleg=<160hex>;sig=<128hex>
 
-`deleg` is the owner's 64-byte delegation signature over
+`eph` and `deleg` carry one `Delegation`: `eph` is its ephemeral public key,
+and `deleg` is the owner's 64-byte signature over `Delegation.message()`
 (ephemeral public key || issued_at || expires_at) followed by the two u64
 window bounds, hex-encoded (128 + 16 + 16 hex chars). `sig` is the ephemeral
 key's signature over the canonical payment bytes (invoice_id, payer, amount,
@@ -23,7 +24,7 @@ import enum
 import hashlib
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .identity import (
     AgentDid,
@@ -38,6 +39,7 @@ from .wire import enc_str, enc_u64
 
 __all__ = [
     "Invoice",
+    "Delegation",
     "EphemeralKey",
     "PaymentHeader",
     "Receipt",
@@ -94,19 +96,29 @@ def create_invoice(payee: AgentDid, amount: int, task_id: str, expires_at: int, 
 
 
 @dataclass(frozen=True)
-class EphemeralKey:
-    keypair: KeyPair
-    owner: AgentDid
+class Delegation:
+    """The owner's grant to an ephemeral key: the key, its validity window
+    and the owner's signature over `message()`. A proxy signature in the
+    manner of Mambo, Usuda and Okamoto (CCS 1996): the owner signs (key,
+    window) once, and the key then signs each payment."""
+
+    ephemeral_pub: bytes
     issued_at: int
     expires_at: int
-    delegation_sig: bytes
+    signature: bytes
+
+    def message(self) -> bytes:
+        return self.ephemeral_pub + enc_u64(self.issued_at) + enc_u64(self.expires_at)
 
     def in_window(self, now: int) -> bool:
         return self.issued_at <= now <= self.expires_at
 
 
-def _delegation_message(ephemeral_pub: bytes, issued_at: int, expires_at: int) -> bytes:
-    return ephemeral_pub + enc_u64(issued_at) + enc_u64(expires_at)
+@dataclass(frozen=True)
+class EphemeralKey:
+    keypair: KeyPair
+    owner: AgentDid
+    delegation: Delegation
 
 
 def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expires_at: int) -> EphemeralKey:
@@ -117,14 +129,9 @@ def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expire
     if issued_at > expires_at:
         raise MicropayError("empty validity window")
     keypair = generate_keypair(ephemeral_seed)
-    delegation = sign(owner.secret_key, _delegation_message(keypair.public_key, issued_at, expires_at))
-    return EphemeralKey(
-        keypair=keypair,
-        owner=derive_did(owner.public_key),
-        issued_at=issued_at,
-        expires_at=expires_at,
-        delegation_sig=delegation,
-    )
+    unsigned = Delegation(keypair.public_key, issued_at, expires_at, b"")
+    delegation = replace(unsigned, signature=sign(owner.secret_key, unsigned.message()))
+    return EphemeralKey(keypair=keypair, owner=derive_did(owner.public_key), delegation=delegation)
 
 
 def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonce: bytes) -> bytes:
@@ -135,24 +142,20 @@ def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonc
 class PaymentHeader:
     invoice_id: bytes
     payer: AgentDid
-    ephemeral_pub: bytes
     nonce: bytes
     amount: int
-    delegation_sig: bytes
-    delegation_issued_at: int
-    delegation_expires_at: int
+    delegation: Delegation
     signature: bytes
 
     def render(self) -> str:
+        delegation = self.delegation
         values = {
             "inv": self.invoice_id.hex(),
             "payer": self.payer,
-            "eph": self.ephemeral_pub.hex(),
+            "eph": delegation.ephemeral_pub.hex(),
             "nonce": self.nonce.hex(),
             "amt": str(self.amount),
-            "deleg": self.delegation_sig.hex()
-            + enc_u64(self.delegation_issued_at).hex()
-            + enc_u64(self.delegation_expires_at).hex(),
+            "deleg": (delegation.signature + enc_u64(delegation.issued_at) + enc_u64(delegation.expires_at)).hex(),
             "sig": self.signature.hex(),
         }
         return HEADER_PREFIX + ";".join([HEADER_VERSION] + [f"{name}={values[name]}" for name in _FIELDS])
@@ -169,7 +172,7 @@ def build_payment_header(
     produced line carries no secret material."""
     if len(nonce) != 16:
         raise MicropayError("nonce must be 16 bytes")
-    if not ephemeral.in_window(now):
+    if not ephemeral.delegation.in_window(now):
         raise MicropayError("ephemeral key outside its validity window")
     payer = derive_did(payer_owner.public_key)
     if ephemeral.owner != payer:
@@ -178,18 +181,7 @@ def build_payment_header(
         ephemeral.keypair.secret_key,
         _payment_signing_bytes(invoice.invoice_id, payer, invoice.amount, nonce),
     )
-    header = PaymentHeader(
-        invoice_id=invoice.invoice_id,
-        payer=payer,
-        ephemeral_pub=ephemeral.keypair.public_key,
-        nonce=nonce,
-        amount=invoice.amount,
-        delegation_sig=ephemeral.delegation_sig,
-        delegation_issued_at=ephemeral.issued_at,
-        delegation_expires_at=ephemeral.expires_at,
-        signature=signature,
-    )
-    return header.render()
+    return PaymentHeader(invoice.invoice_id, payer, nonce, invoice.amount, ephemeral.delegation, signature).render()
 
 
 class HeaderParseError(ValueError):
@@ -217,7 +209,7 @@ def parse_payment_header(text: str) -> PaymentHeader:
         raise HeaderParseError(pos, "UnsupportedVersion")
 
     fields = list(_FIELDS)
-    values: dict[str, str] = {}
+    values: dict[str, AgentDid | int | bytes] = {}
     rest = tokens[1:]
     for idx, expected in enumerate(fields):
         if idx >= len(rest):
@@ -233,40 +225,33 @@ def parse_payment_header(text: str) -> PaymentHeader:
             if key in _FIELDS:
                 raise HeaderParseError(pos, "MissingField")
             raise HeaderParseError(pos, "UnknownField")
-        _check_value(expected, value, pos + eq + 1)
-        values[expected] = value
+        values[expected] = _check_value(expected, value, pos + eq + 1)
     if len(rest) > len(fields):
         raise HeaderParseError(rest[len(fields)][0], "TrailingData")
 
     deleg = values["deleg"]
-    return PaymentHeader(
-        invoice_id=bytes.fromhex(values["inv"]),
-        payer=AgentDid(values["payer"]),
-        ephemeral_pub=bytes.fromhex(values["eph"]),
-        nonce=bytes.fromhex(values["nonce"]),
-        amount=int(values["amt"]),
-        delegation_sig=bytes.fromhex(deleg[:128]),
-        delegation_issued_at=int(deleg[128:144], 16),
-        delegation_expires_at=int(deleg[144:160], 16),
-        signature=bytes.fromhex(values["sig"]),
-    )
+    issued_at, expires_at = int.from_bytes(deleg[64:72], "big"), int.from_bytes(deleg[72:80], "big")
+    delegation = Delegation(values["eph"], issued_at, expires_at, deleg[:64])
+    return PaymentHeader(values["inv"], values["payer"], values["nonce"], values["amt"], delegation, values["sig"])
 
 
-def _check_value(key: str, value: str, position: int) -> None:
+def _check_value(key: str, value: str, position: int) -> AgentDid | int | bytes:
+    """The field's value, checked against its grammar: the payer's
+    `AgentDid`, the amount's `int`, or the bytes of a hex field."""
     if key == "payer":
         try:
-            AgentDid(value)
+            return AgentDid(value)
         except ValueError:
             raise HeaderParseError(position, "BadDid") from None
-        return
     if key == "amt":
-        if not _AMT_RE.fullmatch(value) or int(value) > MAX_U64:
+        if not _AMT_RE.fullmatch(value) or (amount := int(value)) > MAX_U64:
             raise HeaderParseError(position, "BadInteger")
-        return
+        return amount
     if len(value) != _FIELDS[key]:
         raise HeaderParseError(position, "BadFieldLength")
     if not _HEX_RE.fullmatch(value):
         raise HeaderParseError(position, "BadHex")
+    return bytes.fromhex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +355,17 @@ class Ledger:
         if now > invoice.expires_at:
             raise SettleError(SettleReason.EXPIRED)
 
+        delegation = header.delegation
         owner_key = resolver.get(header.payer)
         if owner_key is None or derive_did(owner_key) != header.payer:
             raise SettleError(SettleReason.BAD_DELEGATION)
-        if not (header.delegation_issued_at <= now <= header.delegation_expires_at):
+        if not delegation.in_window(now):
             raise SettleError(SettleReason.BAD_DELEGATION)
-        delegation_msg = _delegation_message(
-            header.ephemeral_pub, header.delegation_issued_at, header.delegation_expires_at
-        )
-        if not verify(owner_key, delegation_msg, header.delegation_sig):
+        if not verify(owner_key, delegation.message(), delegation.signature):
             raise SettleError(SettleReason.BAD_DELEGATION)
 
         payment_msg = _payment_signing_bytes(header.invoice_id, header.payer, header.amount, header.nonce)
-        if not verify(header.ephemeral_pub, payment_msg, header.signature):
+        if not verify(delegation.ephemeral_pub, payment_msg, header.signature):
             raise SettleError(SettleReason.BAD_SIGNATURE)
 
         payer, payee = header.payer, invoice.payee

@@ -645,7 +645,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 task_id = f"task-r{round_idx}-a{i}"
                 invoice = micropay.create_invoice(provider.did, amount, task_id, expires_at=now + 2, rng=invoice_rng)
                 ephemeral = ephemerals[i]
-                if ephemeral is None or not ephemeral.in_window(now):
+                if ephemeral is None or not ephemeral.delegation.in_window(now):
                     ephemeral = micropay.make_ephemeral(agent.keypair, eph_rng.randbytes(32), now, now + 5)
                     ephemerals[i] = ephemeral
                 nonce = nonce_rng.randbytes(16)

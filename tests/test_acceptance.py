@@ -328,7 +328,7 @@ def test_ac8_ledger_and_header_robustness():
             now = invoice.expires_at + 10
         elif mode < 0.35 and replayable:  # replay an old settlement
             header, check_invoice = replayable[rng.randrange(len(replayable))]
-            now = header.delegation_issued_at
+            now = header.delegation.issued_at
         try:
             ledger.settle(header, check_invoice, resolver, now)
             if mode < 0.35 and replayable and check_invoice is not invoice:
@@ -435,7 +435,7 @@ def test_ac10_ranker_gradient_training_dedup_and_trust_monotonicity():
             recency=other.recency,
         )
         pairs.append((preferred, other))
-    model = discovery.train(pairs, learning_rate=0.3, iters=120, keep_history=True)
+    model = discovery.train(pairs, learning_rate=0.3, iters=120)
     history = model.loss_history
     training_ok = all(after <= before + 1e-12 for before, after in zip(history, history[1:]))
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import struct
 
@@ -175,6 +177,19 @@ def test_card_embedding_is_the_cards_own_read_only_array():
     assert card_embedding(bare).tobytes() == embed_text(bare.description).tobytes()
 
 
+def test_a_copied_or_pickled_card_leaves_its_ranking_vector_behind():
+    card = simnet.synthetic_agents(8, 1)[0].card
+    unranked = len(pickle.dumps(card))
+    card_embedding(card)
+    assert len(pickle.dumps(card)) == unranked
+    for copied in (copy.copy(card), copy.deepcopy(card), pickle.loads(pickle.dumps(card))):
+        assert copied == card
+        array = card_embedding(copied)
+        assert not array.flags.writeable
+        assert array is not card_embedding(card)
+        assert array.tobytes() == card_embedding(card).tobytes()
+
+
 # -- pairwise loss and training --------------------------------------------------
 
 
@@ -295,9 +310,9 @@ def test_pairwise_loss_bit_identical_to_per_pair_loop(model_and_pairs):
 @pytest.mark.parametrize("seed", [1, 7, 1011])
 def test_train_on_simnet_pairs_bit_identical_to_per_pair_loop(seed, monkeypatch):
     pairs = simnet._training_pairs(simnet.subsystem_rng(seed, "l2r"))
-    model = train(pairs, learning_rate=0.5, iters=300, keep_history=True)
+    model = train(pairs, learning_rate=0.5, iters=300)
     monkeypatch.setattr(discovery, "score_pairwise_loss", _reference_pairwise_loss)
-    reference = train(pairs, learning_rate=0.5, iters=300, keep_history=True)
+    reference = train(pairs, learning_rate=0.5, iters=300)
     assert model.theta.tobytes() == reference.theta.tobytes()
     assert struct.pack(">d", model.bias) == struct.pack(">d", reference.bias)
     assert struct.pack(">d", model.final_loss) == struct.pack(">d", reference.final_loss)
@@ -316,7 +331,7 @@ _TRAINED_DIGESTS = {
 @pytest.mark.parametrize("seed", sorted(_TRAINED_DIGESTS))
 def test_train_on_simnet_pairs_digest_is_pinned(seed):
     pairs = simnet._training_pairs(simnet.subsystem_rng(seed, "l2r"))
-    model = train(pairs, 0.5, 300, keep_history=True)
+    model = train(pairs, 0.5, 300)
     digest = hashlib.sha256()
     digest.update(model.theta.tobytes())
     digest.update(struct.pack(">d", model.bias))
@@ -390,7 +405,7 @@ def test_train_loss_non_increasing_and_learns_similarity():
             recency=other.recency,
         )
         pairs.append((preferred, other))
-    model = train(pairs, learning_rate=0.3, iters=150, keep_history=True)
+    model = train(pairs, learning_rate=0.3, iters=150)
     assert model.theta[0] > 0  # similarity weight learned positive
     history = model.loss_history
     assert all(after <= before + 1e-12 for before, after in zip(history, history[1:]))

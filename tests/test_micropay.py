@@ -6,13 +6,16 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from agentmesh.identity import DID_PREFIX, AgentDid, derive_did, generate_keypair, sha256
+from agentmesh import micropay
+from agentmesh.identity import DID_PREFIX, AgentDid, derive_did, generate_keypair, sha256, sign, verify
 from agentmesh.micropay import (
     HEADER_PREFIX,
+    Delegation,
     HeaderParseError,
     Ledger,
     MicropayError,
     PaymentHeader,
+    Receipt,
     SettleError,
     SettleReason,
     build_payment_header,
@@ -90,7 +93,7 @@ def test_ephemeral_window_bounds_must_fit_in_u64(issued_at, expires_at):
     payer_kp, _payee_kp, _payer, _payee, _resolver = _parties()
     with pytest.raises(MicropayError, match="bounds"):
         make_ephemeral(payer_kp, bytes(32), issued_at, expires_at)
-    assert make_ephemeral(payer_kp, bytes(32), 0, (1 << 64) - 1).expires_at == (1 << 64) - 1
+    assert make_ephemeral(payer_kp, bytes(32), 0, (1 << 64) - 1).delegation.expires_at == (1 << 64) - 1
 
 
 def test_header_contains_no_secret_material():
@@ -168,12 +171,15 @@ _HEADERS = st.builds(
     PaymentHeader,
     invoice_id=st.binary(min_size=16, max_size=16),
     payer=st.binary(min_size=32, max_size=32).map(lambda raw: AgentDid(DID_PREFIX + raw.hex())),
-    ephemeral_pub=st.binary(min_size=32, max_size=32),
     nonce=st.binary(min_size=16, max_size=16),
     amount=_U64,
-    delegation_sig=st.binary(min_size=64, max_size=64),
-    delegation_issued_at=_U64,
-    delegation_expires_at=_U64,
+    delegation=st.builds(
+        Delegation,
+        ephemeral_pub=st.binary(min_size=32, max_size=32),
+        issued_at=_U64,
+        expires_at=_U64,
+        signature=st.binary(min_size=64, max_size=64),
+    ),
     signature=st.binary(min_size=64, max_size=64),
 )
 # (operation, position modulo the line length + 1, character)
@@ -182,7 +188,9 @@ _EDITS = st.tuples(
     st.integers(min_value=0, max_value=1000),
     st.sampled_from("0a9fF;= \n\t-") | st.characters(),
 )
-_SAMPLE = PaymentHeader(bytes(16), AgentDid(DID_PREFIX + "ab" * 32), bytes(32), bytes(16), 40, bytes(64), 1, 11, bytes(64))
+_SAMPLE = PaymentHeader(
+    bytes(16), AgentDid(DID_PREFIX + "ab" * 32), bytes(16), 40, Delegation(bytes(32), 1, 11, bytes(64)), bytes(64)
+)
 _SAMPLE_LINE = _SAMPLE.render()
 
 
@@ -209,6 +217,19 @@ def test_one_character_edit_is_refused_or_renders_back_exactly(header, edit):
     except HeaderParseError:
         return
     assert parsed.render() == edited
+
+
+def test_parse_builds_the_payer_did_once(monkeypatch):
+    built = []
+
+    def counting(text):
+        built.append(text)
+        return AgentDid(text)
+
+    monkeypatch.setattr(micropay, "AgentDid", counting)
+    header = parse_payment_header(_SAMPLE_LINE)
+    assert built == [_SAMPLE.payer] and type(header.payer) is AgentDid
+    assert header == _SAMPLE
 
 
 @given(st.text(max_size=80))
@@ -296,7 +317,8 @@ def test_settle_every_error_reason_is_atomic():
     expect(SettleReason.AMOUNT_MISMATCH, invoice_obj=dataclasses.replace(invoice, amount=41))
     expect(SettleReason.EXPIRED, now=invoice.expires_at + 1)
     expect(SettleReason.BAD_DELEGATION, res={str(payee): resolver[str(payee)]})  # payer unresolvable
-    expect(SettleReason.BAD_DELEGATION, header_obj=dataclasses.replace(header, delegation_expires_at=4), now=5)
+    lapsed = dataclasses.replace(header.delegation, expires_at=4)
+    expect(SettleReason.BAD_DELEGATION, header_obj=dataclasses.replace(header, delegation=lapsed), now=5)
     expect(SettleReason.BAD_SIGNATURE, header_obj=dataclasses.replace(header, nonce=rng.randbytes(16)))
     # successful settle, then duplicate
     ledger.settle(header, invoice, resolver, now=5)
@@ -471,3 +493,173 @@ def test_ledger_export_shape():
     obj = ledger.export_json_obj()
     assert set(obj) == {"balances", "receipts"}
     assert obj["receipts"][0]["amount"] == 40
+
+
+# -- settle against the flat-field settle ------------------------------------
+#
+# `Ledger.settle` as it read when the header held the delegation as four
+# loose fields, copied verbatim, as the oracle for the settle over one
+# `Delegation`: the same checks in the same order, so the same receipt or
+# the same refusal, and the same ledger bytes.
+
+
+@dataclasses.dataclass(frozen=True)
+class _FlatHeader:
+    invoice_id: bytes
+    payer: AgentDid
+    ephemeral_pub: bytes
+    nonce: bytes
+    amount: int
+    delegation_sig: bytes
+    delegation_issued_at: int
+    delegation_expires_at: int
+    signature: bytes
+
+
+def _flat(header: PaymentHeader) -> _FlatHeader:
+    d = header.delegation
+    return _FlatHeader(
+        header.invoice_id,
+        header.payer,
+        d.ephemeral_pub,
+        header.nonce,
+        header.amount,
+        d.signature,
+        d.issued_at,
+        d.expires_at,
+        header.signature,
+    )
+
+
+def _delegation_message(ephemeral_pub: bytes, issued_at: int, expires_at: int) -> bytes:
+    return ephemeral_pub + enc_u64(issued_at) + enc_u64(expires_at)
+
+
+def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonce: bytes) -> bytes:
+    return invoice_id + enc_str(payer) + enc_u64(amount) + nonce
+
+
+def _flat_settle(self: Ledger, header: _FlatHeader, invoice, resolver, now: int) -> Receipt:
+    if header.invoice_id != invoice.invoice_id:
+        raise SettleError(SettleReason.UNKNOWN_INVOICE)
+    if header.amount != invoice.amount:
+        raise SettleError(SettleReason.AMOUNT_MISMATCH)
+    if now > invoice.expires_at:
+        raise SettleError(SettleReason.EXPIRED)
+
+    owner_key = resolver.get(header.payer)
+    if owner_key is None or derive_did(owner_key) != header.payer:
+        raise SettleError(SettleReason.BAD_DELEGATION)
+    if not (header.delegation_issued_at <= now <= header.delegation_expires_at):
+        raise SettleError(SettleReason.BAD_DELEGATION)
+    delegation_msg = _delegation_message(
+        header.ephemeral_pub, header.delegation_issued_at, header.delegation_expires_at
+    )
+    if not verify(owner_key, delegation_msg, header.delegation_sig):
+        raise SettleError(SettleReason.BAD_DELEGATION)
+
+    payment_msg = _payment_signing_bytes(header.invoice_id, header.payer, header.amount, header.nonce)
+    if not verify(header.ephemeral_pub, payment_msg, header.signature):
+        raise SettleError(SettleReason.BAD_SIGNATURE)
+
+    payer, payee = header.payer, invoice.payee
+    spent = (payer, header.nonce)
+    if spent in self._spent:
+        raise SettleError(SettleReason.DUPLICATE_NONCE)
+    if self.balances.get(payer, 0) < header.amount:
+        raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
+    if payee != payer and self.balances.get(payee, 0) + header.amount > MAX_U64:
+        raise SettleError(SettleReason.BALANCE_OVERFLOW)
+
+    self.balances[payer] -= header.amount
+    self.balances[payee] = self.balances.get(payee, 0) + header.amount
+    receipt = Receipt(
+        index=len(self.receipts),
+        invoice_id=header.invoice_id,
+        payer=payer,
+        payee=payee,
+        amount=header.amount,
+        nonce=header.nonce,
+        settled_at=now,
+    )
+    self.receipts.append(receipt)
+    self._spent.add(spent)
+    self._receipts_digest.update(receipt.canonical_bytes())
+    return receipt
+
+
+def _outcome(settle, *args):
+    try:
+        return settle(*args)
+    except SettleError as exc:
+        return exc.reason
+
+
+_REPLAY_DIDS = [derive_did(kp.public_key) for kp in _REPLAY_PAYERS]
+_UNKNOWN_PAYER = derive_did(generate_keypair(sha256(b"unresolved-payer")).public_key)
+_WINDOW_BOUND = st.integers(44, 64) | _U64
+# (kind, *arguments); the window arguments are clamped to a nonempty window
+# when the owner signs them again
+_mutations = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("window"), _WINDOW_BOUND, _WINDOW_BOUND),
+    st.tuples(st.just("rewindow"), _WINDOW_BOUND, _WINDOW_BOUND),
+    st.tuples(st.just("eph"), st.integers(0, 3)),
+    st.tuples(st.just("deleg_sig"), st.integers(0, 63)),
+    st.tuples(st.just("payer"), st.integers(0, 3)),
+    st.tuples(st.just("nonce"), st.integers(0, 3)),
+)
+
+
+def _mutate(header: PaymentHeader, mutation) -> PaymentHeader:
+    kind, *args = mutation
+    delegation = header.delegation
+    if kind == "window":
+        delegation = dataclasses.replace(delegation, issued_at=args[0], expires_at=args[1])
+    elif kind == "rewindow":  # a window the owner did sign
+        owner = _REPLAY_PAYERS[_REPLAY_DIDS.index(header.payer)]
+        unsigned = Delegation(delegation.ephemeral_pub, min(args), max(args), b"")
+        delegation = dataclasses.replace(unsigned, signature=sign(owner.secret_key, unsigned.message()))
+    elif kind == "eph":  # another payer's ephemeral key, or 32 zero bytes
+        pubs = [e.delegation.ephemeral_pub for e in _REPLAY_EPHEMERALS] + [bytes(32)]
+        delegation = dataclasses.replace(delegation, ephemeral_pub=pubs[args[0]])
+    elif kind == "deleg_sig":
+        signature = bytearray(delegation.signature)
+        signature[args[0]] ^= 1
+        delegation = dataclasses.replace(delegation, signature=bytes(signature))
+    elif kind == "payer":  # any of the three payers, or one the resolver lacks
+        header = dataclasses.replace(header, payer=(_REPLAY_DIDS + [_UNKNOWN_PAYER])[args[0]])
+    elif kind == "nonce":
+        header = dataclasses.replace(header, nonce=bytes([args[0]]) * 16)
+    return dataclasses.replace(header, delegation=delegation)
+
+
+@given(
+    steps=st.lists(
+        # (payer, amount, nonce, mutation, now - 50)
+        st.tuples(
+            st.integers(0, 2), st.sampled_from([10, 400, 3_000]), st.integers(0, 3), _mutations, st.integers(-3, 12)
+        ),
+        max_size=12,
+    ),
+    replays=st.lists(st.integers(0, 99), max_size=4),
+)
+@example(steps=[(0, 10, 0, ("none",), 0), (0, 10, 0, ("none",), 0)], replays=[0])
+# a signed window that opens, or closes, at the settle's now
+@example(steps=[(1, 10, 0, ("rewindow", 55, 70), 5), (1, 10, 1, ("rewindow", 40, 52), 2)], replays=[])
+@example(steps=[(2, 10, 0, ("window", 40, 60), 0)], replays=[])
+def test_settle_over_a_delegation_matches_the_flat_field_settle(steps, replays):
+    ledger = Ledger({did: 1_000 for did in _REPLAY_RESOLVER})
+    oracle = Ledger({did: 1_000 for did in _REPLAY_RESOLVER})
+    rng = random.Random(0)
+    attempts = []
+    for payer, amount, nonce, mutation, step in steps:
+        invoice = create_invoice(_REPLAY_PAYEE, amount, "t", expires_at=60, rng=rng)
+        line = build_payment_header(invoice, _REPLAY_PAYERS[payer], _REPLAY_EPHEMERALS[payer], bytes([nonce]) * 16, 50)
+        attempts.append((_mutate(parse_payment_header(line), mutation), invoice, 50 + step))
+    attempts += [attempts[i % len(attempts)] for i in replays if attempts]
+    for header, invoice, now in attempts:
+        got = _outcome(ledger.settle, header, invoice, _REPLAY_RESOLVER, now)
+        expected = _outcome(_flat_settle, oracle, _flat(header), invoice, _REPLAY_RESOLVER, now)
+        assert got == expected
+        assert ledger.canonical_bytes() == oracle.canonical_bytes()

@@ -333,7 +333,7 @@ def test_marketplace_payer_reuses_its_delegated_key_while_the_window_holds(monke
     assert sorted(minted) == sorted((did, r) for did in dids for r in (1, 7, 13))
     assert len(settled) == report.payload["receipts"] > 0
     for header, now in settled:
-        assert header.delegation_issued_at <= now <= header.delegation_expires_at
+        assert header.delegation.issued_at <= now <= header.delegation.expires_at
 
 
 def test_marketplace_rejects_a_loaded_corpus_that_discovery_accepts(tmp_path):
