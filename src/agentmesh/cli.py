@@ -125,32 +125,14 @@ def _cmd_sim(args) -> int:
             payload={**simnet.report_header(config), "trials": [r.payload for r in reports]},
             csv_fields=reports[0].csv_fields,
             csv_rows=[row for r in reports for row in r.csv_rows],
+            failure=next((r.failure for r in reports if r.failure is not None), None),
         )
 
     written = simnet.write_report(report, out)
-    failure = _scenario_failure([r.payload for r in reports])
-    _emit({"written": written, "scenario": config.scenario, "seed": config.seed, "failure": failure})
-    if args.strict and failure is not None:
+    _emit({"written": written, "scenario": config.scenario, "seed": config.seed, "failure": report.failure})
+    if args.strict and report.failure is not None:
         return 2
     return 0
-
-
-def _scenario_failure(payloads: list[dict]) -> str | None:
-    for payload in payloads:
-        if payload.get("nonconvergent_trials", 0):
-            return "nonconvergent"
-        if payload.get("converged_round") == -1:
-            return "nonconvergent"
-        for flag in (
-            "conservation_ok",
-            "payments_attested",
-            "replica_roots_equal",
-            "all_proofs_verified",
-            "sybil_mass_invariant_to_internal_weights",
-        ):
-            if payload.get(flag) is False:
-                return f"{flag}=false"
-    return None
 
 
 def _cmd_resolve(args) -> int:

@@ -20,8 +20,7 @@ import bisect
 import hashlib
 import math
 import random
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .identity import KeyResolver, verify
 from .registry import BadSignatureError, RegistryRecord
@@ -35,11 +34,9 @@ __all__ = [
     "ReplicaState",
     "RoundStats",
     "Topology",
-    "ConvergenceSummary",
     "merge",
     "gossip_round",
     "gossip_to_convergence",
-    "rounds_to_convergence",
     "default_round_cap",
 ]
 
@@ -344,57 +341,3 @@ def gossip_to_convergence(
         if stats[-1].converged == n:
             return len(stats), stats
     return None, stats
-
-
-@dataclass
-class ConvergenceSummary:
-    rounds: list[int | None]  # None marks a non-convergent trial
-    median_rounds: float | None
-    p95_rounds: float | None
-    nonconvergent: int
-    stats_rows: list[dict] = field(default_factory=list)
-
-
-def _derive_trial_seed(seed: int, trial: int) -> int:
-    digest = hashlib.sha256(f"gossip-trial:{seed}:{trial}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def rounds_to_convergence(
-    n: int,
-    topology: Topology,
-    trials: int,
-    seed: int,
-    record_source,
-    rounds_cap: int | None = None,
-) -> ConvergenceSummary:
-    """Distribution of rounds until a single fresh record reaches every
-    replica. `record_source(trial)` must return (record, resolver)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    per_trial: list[int | None] = []
-    stats_rows: list[dict] = []
-    for trial in range(trials):
-        rng = random.Random(_derive_trial_seed(seed, trial))
-        mesh = [ReplicaState(i) for i in range(n)]
-        record, resolver = record_source(trial)
-        mesh[0].local_put(record, logical_time=1, resolver=resolver)
-        rounds_used, stats = gossip_to_convergence(mesh, topology, rng, rounds_cap)
-        stats_rows.extend(
-            {"trial": trial, "round": r, "converged_count": s.converged, "messages": s.messages, "bytes": s.bytes_sent}
-            for r, s in enumerate(stats, start=1)
-        )
-        per_trial.append(rounds_used)
-    converged_rounds = [r for r in per_trial if r is not None]
-    median_rounds = float(statistics.median(converged_rounds)) if converged_rounds else None
-    p95 = None
-    if converged_rounds:
-        ordered = sorted(converged_rounds)
-        p95 = float(ordered[min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)])
-    return ConvergenceSummary(
-        rounds=per_trial,
-        median_rounds=median_rounds,
-        p95_rounds=p95,
-        nonconvergent=sum(1 for r in per_trial if r is None),
-        stats_rows=stats_rows,
-    )

@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import enc_str, enc_u8, enc_u64, json_object, json_str, json_u64
+from .wire import enc_str, enc_u8, enc_u64, json_hex, json_object, json_str, json_u64
 
 __all__ = [
     "SEED_LEN",
@@ -182,9 +182,8 @@ class Attestation:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Attestation":
         obj = json_object(obj, "credential")
-        issuer, subject, claim, payload_digest, signature = (
-            json_str(obj.get(name), f"credential field {name!r}")
-            for name in ("issuer", "subject", "claim_type", "payload_digest", "signature")
+        issuer, subject, claim = (
+            json_str(obj.get(name), f"credential field {name!r}") for name in ("issuer", "subject", "claim_type")
         )
         if claim.upper() not in ClaimType.__members__:
             raise ValueError(f"credential field 'claim_type' is not a claim type: {claim!r}")
@@ -192,9 +191,10 @@ class Attestation:
             issuer=AgentDid(issuer),
             subject=AgentDid(subject),
             claim_type=ClaimType[claim.upper()],
-            payload_digest=bytes.fromhex(payload_digest),
+            # Its length is checked by __post_init__, as for every attestation.
+            payload_digest=json_hex(obj.get("payload_digest"), "credential field 'payload_digest'"),
             issued_at=json_u64(obj.get("issued_at"), "credential field 'issued_at'"),
-            signature=bytes.fromhex(signature),
+            signature=json_hex(obj.get("signature"), "credential field 'signature'", SIG_LEN),
         )
 
 

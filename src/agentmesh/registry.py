@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .identity import AgentDid, KeyResolver, sha256, sign, verify
-from .wire import enc_str, enc_u16, enc_u64, json_list, json_object, json_str, json_u64
+from .identity import DIGEST_LEN, SIG_LEN, AgentDid, KeyResolver, sha256, sign, verify
+from .wire import enc_str, enc_u16, enc_u64, json_hex, json_list, json_object, json_str, json_u64
 
 __all__ = [
     "EMPTY_ROOT",
@@ -109,17 +109,16 @@ class RegistryRecord:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegistryRecord":
         obj = json_object(obj, "record")
-        key, metadata_url, card_digest, owner, signature = (
-            json_str(obj.get(name), f"record field {name!r}")
-            for name in ("key", "metadata_url", "card_digest", "owner", "signature")
+        key, metadata_url, owner = (
+            json_str(obj.get(name), f"record field {name!r}") for name in ("key", "metadata_url", "owner")
         )
         return cls(
             key=key,
             metadata_url=metadata_url,
-            card_digest=bytes.fromhex(card_digest),
+            card_digest=json_hex(obj.get("card_digest"), "record field 'card_digest'", DIGEST_LEN),
             owner=AgentDid(owner),
             version=json_u64(obj.get("version"), "record field 'version'"),
-            signature=bytes.fromhex(signature),
+            signature=json_hex(obj.get("signature"), "record field 'signature'", SIG_LEN),
         )
 
 
@@ -340,7 +339,7 @@ class MerkleRadixIndex:
         index = cls()
         for rec_obj in json_list(obj.get("records"), "snapshot field 'records'"):
             index.insert_trusted(RegistryRecord.from_json_obj(rec_obj))
-        declared = bytes.fromhex(json_str(obj.get("root_digest"), "snapshot field 'root_digest'"))
+        declared = json_hex(obj.get("root_digest"), "snapshot field 'root_digest'", DIGEST_LEN)
         if index.root_digest != declared:
             raise SnapshotRootMismatch(
                 f"rebuilt root {index.root_digest.hex()} != declared {declared.hex()}"

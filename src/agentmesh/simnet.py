@@ -12,6 +12,7 @@ import hashlib
 import math
 import random
 import re
+import statistics
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -204,6 +205,7 @@ class ScenarioReport:
     payload: dict
     csv_fields: list[str] = field(default_factory=list)
     csv_rows: list[dict] = field(default_factory=list)
+    failure: str | None = None  # what makes `sim --strict` exit 2; not written
 
     def to_json_bytes(self) -> bytes:
         return dumps(self.payload).encode() + b"\n"
@@ -213,6 +215,12 @@ class ScenarioReport:
         for row in self.csv_rows:
             lines.append(",".join("" if row[f] is None else str(row[f]) for f in self.csv_fields))
         return "\n".join(lines) + "\n"
+
+
+def _first_failure(*checks: tuple[bool, str]) -> str | None:
+    """The failure named by the first (held, failure) check that does not
+    hold, in the runner's order of priority."""
+    return next((failure for held, failure in checks if not held), None)
 
 
 def report_header(config: ScenarioConfig) -> dict:
@@ -385,46 +393,46 @@ def _topology_for(config: ScenarioConfig) -> federation.Topology:
 
 
 def run_convergence(config: ScenarioConfig) -> ScenarioReport:
+    """Rounds until one fresh record, put at replica 0, reaches every replica,
+    over `trials` trials, each with its own gossip stream and record."""
     topology = _topology_for(config)
-
-    def record_source(trial: int):
+    per_trial: list[int | None] = []  # None marks a trial stopped at the cap
+    csv_rows: list[dict] = []
+    for trial in range(config.trials):
+        trial_seed = hashlib.sha256(f"gossip-trial:{config.seed}:{trial}".encode()).digest()
+        rng = random.Random(int.from_bytes(trial_seed[:8], "big"))
         keypair = _keypair(b"conv-record", config.seed, trial)
         did = derive_did(keypair.public_key)
-        record = registry.make_record(
-            key=did,
-            metadata_url="https://mesh.example/meta",
-            card_digest=sha256(b"card" + trial.to_bytes(4, "big")),
-            owner_secret_key=keypair.secret_key,
-            owner=did,
-            version=1,
+        card_digest = sha256(b"card" + trial.to_bytes(4, "big"))
+        record = registry.make_record(did, "https://mesh.example/meta", card_digest, keypair.secret_key, did, 1)
+        mesh = [federation.ReplicaState(i) for i in range(config.n)]
+        mesh[0].local_put(record, logical_time=1, resolver={did: keypair.public_key})
+        rounds_used, stats = federation.gossip_to_convergence(mesh, topology, rng, config.rounds_cap)
+        per_trial.append(rounds_used)
+        csv_rows.extend(
+            {"trial": trial, "round": r, "converged_count": s.converged, "messages": s.messages, "bytes": s.bytes_sent}
+            for r, s in enumerate(stats, start=1)
         )
-        return record, {did: keypair.public_key}
-
-    summary = federation.rounds_to_convergence(
-        n=config.n,
-        topology=topology,
-        trials=config.trials,
-        seed=config.seed,
-        record_source=record_source,
-        rounds_cap=config.rounds_cap,
-    )
+    converged = sorted(r for r in per_trial if r is not None)
+    median = float(statistics.median(converged)) if converged else None
+    p95 = float(converged[math.ceil(0.95 * len(converged)) - 1]) if converged else None
+    nonconvergent = len(per_trial) - len(converged)
     bound = 3.0 * math.log2(config.n) if config.n > 1 else 0.0
     payload = {
         **report_header(config),
         "topology": topology.kind,
-        "rounds_per_trial": summary.rounds,
-        "median_rounds": summary.median_rounds,
-        "p95_rounds": summary.p95_rounds,
-        "nonconvergent_trials": summary.nonconvergent,
+        "rounds_per_trial": per_trial,
+        "median_rounds": median,
+        "p95_rounds": p95,
+        "nonconvergent_trials": nonconvergent,
         "log2_bound": bound,
-        "median_within_bound": (summary.median_rounds is not None and summary.median_rounds <= bound)
-        if config.n > 1
-        else True,
+        "median_within_bound": (median is not None and median <= bound) if config.n > 1 else True,
     }
     return ScenarioReport(
         payload=payload,
         csv_fields=["trial", "round", "converged_count", "messages", "bytes"],
-        csv_rows=summary.stats_rows,
+        csv_rows=csv_rows,
+        failure=_first_failure((nonconvergent == 0, "nonconvergent")),
     )
 
 
@@ -533,6 +541,7 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
         payload=payload,
         csv_fields=["run", "internal_weight", "honest_to_sybil_edge", "sybil_mass", "hub_mass"],
         csv_rows=[{"run": idx, **r} for idx, r in enumerate(runs)],
+        failure=_first_failure((invariant, "sybil_mass_invariant_to_internal_weights=false")),
     )
 
 
@@ -549,10 +558,11 @@ def _market_graph(n: int, successes: dict[tuple[int, int], int]) -> trust.TrustG
     return _trust_graph([str(i) for i in range(n)], edges)
 
 
-def _check_dp_budget(epsilon: float, releases: int) -> None:
-    """Refuse up front a config whose DP releases would overrun the default
-    budget or overflow the noise scale, rather than fail after the scenario
-    has run."""
+def _check_dp_budget(epsilon: float, releases: int) -> privacy.PrivacyBudget:
+    """Charge the scenario's DP releases to one default budget up front, and
+    refuse a config that would overrun it or overflow the noise scale, rather
+    than fail after the scenario has run. The releases then run uncharged;
+    the returned budget is what they spent."""
     privacy.laplace_scale(1.0, epsilon)
     budget = privacy.PrivacyBudget()
     try:
@@ -560,6 +570,7 @@ def _check_dp_budget(epsilon: float, releases: int) -> None:
             budget.charge(epsilon)
     except privacy.BudgetExhausted as exc:
         raise ValueError(f"epsilon {epsilon} over {releases} DP release(s): {exc}") from exc
+    return budget
 
 
 def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
@@ -713,7 +724,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         )
 
     fused = [row["fused"] for row in standing]
-    high_trust = privacy.dp_count(fused, lambda v: v >= 0.5, config.epsilon, dp_rng, budget=privacy.PrivacyBudget())
+    high_trust = privacy.dp_count(fused, lambda v: v >= 0.5, config.epsilon, dp_rng)
     payload = {
         **report_header(config),
         "agents": [
@@ -750,6 +761,10 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
             "deadbeat_fused",
         ],
         csv_rows=rows,
+        failure=_first_failure(
+            (payload["conservation_ok"], "conservation_ok=false"),
+            (payload["payments_attested"], "payments_attested=false"),
+        ),
     )
 
 
@@ -759,7 +774,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
 
 
 def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
-    _check_dp_budget(config.epsilon, len(_DOMAINS[:2]))
+    budget = _check_dp_budget(config.epsilon, len(_DOMAINS[:2]))
     agents = _load_or_generate_agents(config, duplicate_every=5)
     n = len(agents)
     resolver = _resolver_for(agents)
@@ -834,7 +849,6 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         query_results.append({"query": query, "results": results, "max_pairwise_cosine": float(max_pairwise)})
 
     dp_rng = subsystem_rng(config.seed, "dp")
-    budget = privacy.PrivacyBudget()
     capability_counts = {}
     for domain, _desc, caps in _DOMAINS[:2]:
         capability_counts[caps[0]] = privacy.dp_count(
@@ -842,7 +856,6 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
             lambda card, cap=caps[0]: cap in card.capabilities,
             config.epsilon,
             dp_rng,
-            budget=budget,
         )
 
     payload = {
@@ -867,6 +880,11 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         payload=payload,
         csv_fields=["query", "rank", "did", "score", "proof_ok"],
         csv_rows=csv_rows,
+        failure=_first_failure(
+            (rounds is not None, "nonconvergent"),
+            (roots_equal, "replica_roots_equal=false"),
+            (all_proofs_ok, "all_proofs_verified=false"),
+        ),
     )
 
 

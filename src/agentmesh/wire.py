@@ -6,13 +6,15 @@ computed over these byte layouts, which are only ever written, never decoded:
 values travel as JSON, written by `dumps` and read by `load_json` or
 `load_jsonl`, whose callers type-check each field with the `json_*` helpers
 below, raising ValueError for a value of the wrong type or range. A number
-read by `json_float` is finite, so no caller checks that again.
+read by `json_float` is finite, and a byte field read by `json_hex` is the
+one hex spelling `bytes.hex()` writes, so no caller checks either again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from pathlib import Path
 from typing import Callable
@@ -32,6 +34,7 @@ __all__ = [
     "json_str",
     "json_u64",
     "json_float",
+    "json_hex",
 ]
 
 
@@ -124,3 +127,17 @@ def json_float(value: object, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite")
     return number
+
+
+_LOWER_HEX = re.compile(r"(?:[0-9a-f]{2})*")
+
+
+def json_hex(value: object, what: str, size: int | None = None) -> bytes:
+    """A byte field as `bytes.hex()` writes it: lowercase hex, two digits a
+    byte, and exactly `size` bytes when a size is given."""
+    text = json_str(value, what)
+    if not _LOWER_HEX.fullmatch(text):
+        raise ValueError(f"{what} must be lowercase hex, two digits a byte")
+    if size is not None and len(text) != 2 * size:
+        raise ValueError(f"{what} must be {size} bytes, got {len(text) // 2}")
+    return bytes.fromhex(text)

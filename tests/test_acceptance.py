@@ -123,23 +123,16 @@ def test_ac3_local_scores_on_fixed_graphs():
 
 def test_ac4_gossip_convergence_scaling():
     started = time.time()
-    record, resolver = signed_record("scaling-record", owner_label="ac4-owner")
     medians: dict[int, float] = {}
     within = True
     for n in (16, 64, 256):
-        summary = federation.rounds_to_convergence(
-            n,
-            federation.Topology.complete(n),
-            trials=100,
-            seed=7,
-            record_source=lambda _t: (record, resolver),
-        )
-        assert summary.nonconvergent == 0
-        medians[n] = summary.median_rounds
+        payload = simnet.run_convergence(simnet.ScenarioConfig(scenario="convergence", n=n, trials=100, seed=7)).payload
+        assert payload["nonconvergent_trials"] == 0
+        medians[n] = payload["median_rounds"]
         bound = 3.0 * math.log2(n)
-        if summary.median_rounds > bound:
+        if payload["median_rounds"] > bound:
             within = False
-        over_bound = sum(1 for r in summary.rounds if r > bound)
+        over_bound = sum(1 for r in payload["rounds_per_trial"] if r > bound)
         if over_bound > 5:  # bound must hold in >= 95 of 100 trials
             within = False
     concave = (medians[256] - medians[64]) <= (medians[64] - medians[16]) + 2

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from agentmesh import registry, simnet
 from agentmesh.cli import build_parser, main
 from agentmesh.identity import AttestationCheck, ClaimType, derive_did, sha256
-from _helpers import json_values, json_with, keypair_for, random_card, write_cards
+from _helpers import json_values, json_with, keypair_for, random_card, runnable_configs, write_cards
 
 
 def _run(capsys, argv):
@@ -74,6 +74,44 @@ def test_sim_strict_nonconvergent_exits_2(tmp_path, capsys):
     assert code == 2
     code, _stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out)])
     assert code == 0  # without --strict the failure is reported, not fatal
+
+
+@pytest.mark.parametrize("runs", ["1", "2"])
+def test_sim_strict_on_a_convergence_run_at_a_zero_cap_exits_2(tmp_path, capsys, runs):
+    config = _write_convergence_config(tmp_path, n=8, trials=2, rounds_cap=0)
+    argv = ["sim", "--config", str(config), "--trials", runs, "--out", str(tmp_path / "r.json"), "--strict"]
+    code, stdout, _err = _run(capsys, argv)
+    assert code == 2
+    assert '"failure":"nonconvergent"' in stdout
+
+
+# What `sim` once read, by payload key, as each scenario's failure; each
+# runner now states its own.
+def _scenario_failure(payloads: list[dict]) -> str | None:
+    for payload in payloads:
+        if payload.get("nonconvergent_trials", 0):
+            return "nonconvergent"
+        if payload.get("converged_round") == -1:
+            return "nonconvergent"
+        for flag in (
+            "conservation_ok",
+            "payments_attested",
+            "replica_roots_equal",
+            "all_proofs_verified",
+            "sybil_mass_invariant_to_internal_weights",
+        ):
+            if payload.get(flag) is False:
+                return f"{flag}=false"
+    return None
+
+
+@settings(max_examples=30)
+@given(config=runnable_configs())
+@example(config={"scenario": "convergence", "n": 4, "trials": 2, "rounds_cap": 1, "topology": "ring"})
+@example(config={"scenario": "discovery_e2e", "n": 6, "replicas": 3, "rounds_cap": 0})
+def test_each_runner_reports_the_failure_its_payload_flags_name(config):
+    report = simnet.run_scenario(simnet.ScenarioConfig.from_dict(config))
+    assert report.failure == _scenario_failure([report.payload])
 
 
 def test_sim_strict_exits_2_when_a_payment_attestation_fails_to_verify(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,6 @@ from agentmesh.federation import (
     gossip_to_convergence,
     merge,
     mesh_target,
-    rounds_to_convergence,
 )
 from agentmesh.registry import BadSignatureError, MerkleRadixIndex
 from agentmesh.wire import enc_str
@@ -336,6 +336,16 @@ def test_gossip_to_convergence_on_a_converged_mesh_runs_no_round():
     assert rng.getstate() == state
 
 
+def test_single_replica_converges_in_zero_rounds():
+    rounds = []
+    for trial in range(3):
+        rounds_used, stats = gossip_to_convergence(_mesh_with_one_write(1), Topology.complete(1), random.Random(trial), None)
+        assert stats == []
+        rounds.append(rounds_used)
+    assert rounds == [0, 0, 0]
+    assert statistics.median(rounds) == 0
+
+
 def test_gossip_to_convergence_at_a_zero_cap_is_not_converged():
     mesh = _mesh_with_one_write(6)
     assert gossip_to_convergence(mesh, Topology.complete(6), random.Random(0), 0) == (None, [])
@@ -360,42 +370,12 @@ def test_gossip_to_convergence_matches_a_hand_written_round_loop(n, cap):
     assert [m.store_fingerprint() for m in mesh] == [m.store_fingerprint() for m in loop_mesh]
 
 
-def test_single_replica_converges_in_zero_rounds():
-    record, resolver = _seeded_record()
-    summary = rounds_to_convergence(
-        1, Topology.complete(1), trials=3, seed=0, record_source=lambda t: (record, resolver)
-    )
-    assert summary.rounds == [0, 0, 0]
-    assert summary.median_rounds == 0
-
-
-def test_two_replicas_complete_median_one_round():
-    record, resolver = _seeded_record()
-    summary = rounds_to_convergence(
-        2, Topology.complete(2), trials=20, seed=1, record_source=lambda t: (record, resolver)
-    )
-    assert summary.median_rounds == 1.0
-
-
 def test_disconnected_topology_reports_nonconvergent():
-    record, resolver = _seeded_record()
-    topology = Topology.from_neighbors([[], []])
-    summary = rounds_to_convergence(
-        2, topology, trials=2, seed=0, record_source=lambda t: (record, resolver), rounds_cap=10
-    )
-    assert summary.nonconvergent == 2
-    assert summary.rounds == [None, None]
-    assert summary.median_rounds is None
-
-
-def test_identical_seed_identical_trace():
-    record, resolver = _seeded_record()
-    run = lambda: rounds_to_convergence(  # noqa: E731
-        8, Topology.complete(8), trials=10, seed=5, record_source=lambda t: (record, resolver)
-    )
-    a, b = run(), run()
-    assert a.rounds == b.rounds
-    assert a.stats_rows == b.stats_rows
+    mesh = _mesh_with_one_write(2)
+    rounds, stats = gossip_to_convergence(mesh, Topology.from_neighbors([[], []]), random.Random(0), 10)
+    assert rounds is None
+    assert [(s.messages, s.bytes_sent, s.converged) for s in stats] == [(0, 0, 1)] * 10
+    assert [len(replica.store) for replica in mesh] == [1, 0]
 
 
 def test_random_regular_topology_connected():

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -272,6 +273,22 @@ def test_attestation_refuses_a_payload_digest_of_the_wrong_length(length):
         issuer.issue(did_for("subject"), ClaimType.SLA_MET, bytes(length), 1)
     obj = {**_issue_one(issuer).to_json_obj(), "payload_digest": "ab" * length}
     with pytest.raises(ValueError, match=f"^payload digest must be 32 bytes, got {length}$"):
+        Attestation.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("signature", "AB" * 64, "must be lowercase hex, two digits a byte"),
+        ("signature", "ab" * 63, "must be 64 bytes, got 63"),
+        ("signature", "", "must be 64 bytes, got 0"),
+        ("payload_digest", "0x" + "ab" * 31, "must be lowercase hex, two digits a byte"),
+        ("payload_digest", " ".join(["ab"] * 32), "must be lowercase hex, two digits a byte"),
+    ],
+)
+def test_credential_byte_field_not_written_as_its_hex_is_refused_by_name(field, value, message):
+    obj = {**_issue_one(AttestationIssuer(keypair_for("issuer"))).to_json_obj(), field: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(f'credential field {field!r} {message}')}$"):
         Attestation.from_json_obj(obj)
 
 

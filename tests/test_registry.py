@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from agentmesh.registry import (
     BadSignatureError,
     KeyAbsentError,
     MerkleRadixIndex,
+    RegistryRecord,
     SnapshotRootMismatch,
     StaleVersionError,
     make_record,
@@ -234,6 +236,24 @@ def test_snapshot_record_with_mistyped_field_is_value_error(field, value):
         MerkleRadixIndex.import_snapshot(snapshot)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("card_digest", "AB" * 32, "must be lowercase hex, two digits a byte"),
+        ("card_digest", " ".join(["ab"] * 32), "must be lowercase hex, two digits a byte"),
+        ("card_digest", "zz" * 32, "must be lowercase hex, two digits a byte"),
+        ("card_digest", "a" * 63, "must be lowercase hex, two digits a byte"),
+        ("card_digest", "ab", "must be 32 bytes, got 1"),
+        ("signature", "", "must be 64 bytes, got 0"),
+        ("signature", "ab" * 65, "must be 64 bytes, got 65"),
+    ],
+)
+def test_record_byte_field_not_written_as_its_hex_is_refused_by_name(field, value, message):
+    obj = {**_record("agent").to_json_obj(), field: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(f'record field {field!r} {message}')}$"):
+        RegistryRecord.from_json_obj(obj)
+
+
 def _one_record_snapshot() -> dict:
     _kp, _owner_did, resolver = _owner()
     index = MerkleRadixIndex()
@@ -270,6 +290,8 @@ _SNAPSHOTS = json_values | st.fixed_dictionaries(
 @example({"records": [], "root_digest": 5})
 @example({"records": [{}], "root_digest": _SNAPSHOT["root_digest"]})
 @example(_SNAPSHOT)
+@example({**_SNAPSHOT, "root_digest": _SNAPSHOT["root_digest"].upper()})
+@example({**_SNAPSHOT, "root_digest": " ".join(re.findall("..", _SNAPSHOT["root_digest"]))})
 def test_import_snapshot_is_total_on_any_json_value(obj):
     try:
         index = MerkleRadixIndex.import_snapshot(obj)

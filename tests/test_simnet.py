@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import random
 import re
+import statistics
 import struct
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentmesh import discovery, micropay, simnet
+from agentmesh import discovery, micropay, registry, simnet
 from agentmesh.cards import AgentFactCard
-from agentmesh.identity import derive_did
+from agentmesh.federation import ReplicaState, Topology, gossip_to_convergence
+from agentmesh.identity import AttestationCheck, derive_did, sha256
 from agentmesh.cli import main
 from agentmesh.simnet import (
     ScenarioConfig,
@@ -26,6 +31,7 @@ from agentmesh.simnet import (
     synthetic_agents,
     write_report,
 )
+from agentmesh.wire import dumps
 from _helpers import runnable_configs, write_cards
 
 
@@ -210,6 +216,7 @@ def test_synthetic_agents_embeds_each_distinct_description_once(monkeypatch, dup
 def test_convergence_scenario_single_replica():
     report = run_convergence(ScenarioConfig(scenario="convergence", n=1, trials=3, seed=0))
     assert report.payload["rounds_per_trial"] == [0, 0, 0]
+    assert report.payload["median_rounds"] == 0
     assert report.payload["nonconvergent_trials"] == 0
 
 
@@ -225,6 +232,148 @@ def test_ring_slower_than_complete():
     ring = run_convergence(ScenarioConfig(scenario="convergence", n=64, trials=30, seed=7, topology="ring"))
     complete = run_convergence(ScenarioConfig(scenario="convergence", n=64, trials=30, seed=7))
     assert ring.payload["median_rounds"] > complete.payload["median_rounds"]
+
+
+def test_convergence_two_replicas_complete_median_one_round():
+    report = run_convergence(ScenarioConfig(scenario="convergence", n=2, trials=20, seed=1))
+    assert report.payload["median_rounds"] == 1.0
+
+
+def test_convergence_at_a_zero_cap_reports_every_trial_nonconvergent():
+    report = run_convergence(ScenarioConfig(scenario="convergence", n=2, trials=2, seed=0, rounds_cap=0))
+    payload = report.payload
+    assert payload["rounds_per_trial"] == [None, None]
+    assert payload["nonconvergent_trials"] == 2
+    assert payload["median_rounds"] is None and payload["p95_rounds"] is None
+    assert report.csv_rows == []
+    assert report.failure == "nonconvergent"
+
+
+def test_convergence_identical_seed_identical_trace():
+    config = ScenarioConfig(scenario="convergence", n=8, trials=10, seed=5)
+    a, b = run_convergence(config), run_convergence(config)
+    assert a.payload["rounds_per_trial"] == b.payload["rounds_per_trial"]
+    assert a.csv_rows == b.csv_rows
+
+
+# The trial loop as federation held it before the convergence scenario took
+# it over, verbatim, with the record source run_convergence passed it.
+
+
+@dataclass
+class ConvergenceSummary:
+    rounds: list[int | None]  # None marks a non-convergent trial
+    median_rounds: float | None
+    p95_rounds: float | None
+    nonconvergent: int
+    stats_rows: list[dict] = field(default_factory=list)
+
+
+def _derive_trial_seed(seed: int, trial: int) -> int:
+    digest = hashlib.sha256(f"gossip-trial:{seed}:{trial}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def rounds_to_convergence(
+    n: int,
+    topology: Topology,
+    trials: int,
+    seed: int,
+    record_source,
+    rounds_cap: int | None = None,
+) -> ConvergenceSummary:
+    """Distribution of rounds until a single fresh record reaches every
+    replica. `record_source(trial)` must return (record, resolver)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    per_trial: list[int | None] = []
+    stats_rows: list[dict] = []
+    for trial in range(trials):
+        rng = random.Random(_derive_trial_seed(seed, trial))
+        mesh = [ReplicaState(i) for i in range(n)]
+        record, resolver = record_source(trial)
+        mesh[0].local_put(record, logical_time=1, resolver=resolver)
+        rounds_used, stats = gossip_to_convergence(mesh, topology, rng, rounds_cap)
+        stats_rows.extend(
+            {"trial": trial, "round": r, "converged_count": s.converged, "messages": s.messages, "bytes": s.bytes_sent}
+            for r, s in enumerate(stats, start=1)
+        )
+        per_trial.append(rounds_used)
+    converged_rounds = [r for r in per_trial if r is not None]
+    median_rounds = float(statistics.median(converged_rounds)) if converged_rounds else None
+    p95 = None
+    if converged_rounds:
+        ordered = sorted(converged_rounds)
+        p95 = float(ordered[min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)])
+    return ConvergenceSummary(
+        rounds=per_trial,
+        median_rounds=median_rounds,
+        p95_rounds=p95,
+        nonconvergent=sum(1 for r in per_trial if r is None),
+        stats_rows=stats_rows,
+    )
+
+
+def _reference_convergence(config: ScenarioConfig) -> ConvergenceSummary:
+    def record_source(trial: int):
+        keypair = simnet._keypair(b"conv-record", config.seed, trial)
+        did = derive_did(keypair.public_key)
+        record = registry.make_record(
+            key=did,
+            metadata_url="https://mesh.example/meta",
+            card_digest=sha256(b"card" + trial.to_bytes(4, "big")),
+            owner_secret_key=keypair.secret_key,
+            owner=did,
+            version=1,
+        )
+        return record, {did: keypair.public_key}
+
+    return rounds_to_convergence(
+        n=config.n,
+        topology=simnet._topology_for(config),
+        trials=config.trials,
+        seed=config.seed,
+        record_source=record_source,
+        rounds_cap=config.rounds_cap,
+    )
+
+
+# Degrees the pairing model in Topology.random_regular finds in its tries.
+_TRIAL_REGULAR_SHAPES = [(n, k) for n in range(3, 41) for k in (2, 3) if n * k % 2 == 0]
+
+
+@st.composite
+def _convergence_configs(draw) -> ScenarioConfig:
+    topology = draw(st.sampled_from(simnet.CHOICES["topology"]))
+    if topology == "random_regular":
+        n, degree = draw(st.sampled_from(_TRIAL_REGULAR_SHAPES))
+    else:
+        n, degree = draw(st.integers(1, 40)), 4
+    return ScenarioConfig(
+        scenario="convergence",
+        n=n,
+        seed=draw(st.integers(*simnet.INT_RANGES["seed"])),
+        trials=draw(st.integers(1, 4)),
+        topology=topology,
+        regular_degree=degree,
+        rounds_cap=draw(st.none() | st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=100)
+@given(config=_convergence_configs())
+@example(config=ScenarioConfig(scenario="convergence", n=40, seed=-7, trials=3, topology="ring"))
+@example(config=ScenarioConfig(scenario="convergence", n=40, seed=-1, trials=2, topology="ring", rounds_cap=3))
+@example(config=ScenarioConfig(scenario="convergence", n=1, seed=-(1 << 63), trials=2, rounds_cap=0))
+# Past 20 converged trials p95 can fall below the slowest; here it does (16 < 17).
+@example(config=ScenarioConfig(scenario="convergence", n=20, seed=-2, trials=30, topology="ring"))
+def test_run_convergence_matches_the_trial_loop_federation_held(config):
+    report = run_convergence(config)
+    expected = _reference_convergence(config)
+    payload = report.payload
+    got = [payload[k] for k in ("rounds_per_trial", "median_rounds", "p95_rounds", "nonconvergent_trials")]
+    assert dumps(got) == dumps([expected.rounds, expected.median_rounds, expected.p95_rounds, expected.nonconvergent])
+    assert dumps(report.csv_rows) == dumps(expected.stats_rows)
 
 
 def test_sybil_scenario_flags():
@@ -374,7 +523,7 @@ def test_discovery_trust_override_changes_report():
     assert high.payload["trust_report"][did5] == 0.9
 
 
-@pytest.mark.parametrize(
+_SMALL_CONFIGS = pytest.mark.parametrize(
     "config",
     [
         ScenarioConfig(scenario="convergence", n=16, trials=10, seed=5),
@@ -384,11 +533,28 @@ def test_discovery_trust_override_changes_report():
     ],
     ids=["convergence", "sybil", "marketplace", "discovery_e2e"],
 )
+
+
+@_SMALL_CONFIGS
 def test_reports_byte_identical_across_reruns(config):
     first = run_scenario(config)
     second = run_scenario(config)
     assert first.to_json_bytes() == second.to_json_bytes()
     assert first.to_csv_text() == second.to_csv_text()
+
+
+@_SMALL_CONFIGS
+def test_a_small_default_config_of_each_scenario_reports_no_failure(config):
+    assert run_scenario(config).failure is None
+
+
+def test_marketplace_names_a_broken_conservation_before_unattested_payments(monkeypatch):
+    totals = iter(range(1_000_000))
+    monkeypatch.setattr(micropay.Ledger, "total", lambda self: next(totals))
+    monkeypatch.setattr(simnet, "verify_attestation", lambda att, resolver: AttestationCheck.INVALID_SIGNATURE)
+    report = run_marketplace(ScenarioConfig(scenario="marketplace", n=4, rounds=2, seed=1))
+    assert report.payload["conservation_ok"] is False and report.payload["payments_attested"] is False
+    assert report.failure == "conservation_ok=false"
 
 
 def test_write_report_files(tmp_path):

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from agentmesh.wire import dumps, json_float, load_json, load_jsonl
+from agentmesh.wire import dumps, json_float, json_hex, load_json, load_jsonl
 
 _finite_json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -66,3 +66,28 @@ def test_json_float_reads_every_finite_number(value):
 def test_json_float_refuses_what_is_not_a_float(value):
     with pytest.raises(ValueError, match="^x "):
         json_float(value, "x")
+
+
+@given(st.binary(max_size=70))
+def test_json_hex_reads_what_bytes_hex_writes(data):
+    assert json_hex(data.hex(), "x") == data
+    assert json_hex(data.hex(), "x", len(data)) == data
+
+
+@pytest.mark.parametrize(
+    "value, size, message",
+    [
+        ("AB", None, "x must be lowercase hex, two digits a byte"),
+        ("ab cd", None, "x must be lowercase hex, two digits a byte"),
+        ("abc", None, "x must be lowercase hex, two digits a byte"),
+        ("ab\n", None, "x must be lowercase hex, two digits a byte"),
+        ("0xab", None, "x must be lowercase hex, two digits a byte"),
+        ("abcd", 1, "x must be 1 bytes, got 2"),
+        ("", 32, "x must be 32 bytes, got 0"),
+        (None, None, "x must be a string"),
+        (b"ab", None, "x must be a string"),
+    ],
+)
+def test_json_hex_refuses_any_other_spelling_or_size(value, size, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        json_hex(value, "x", size)
