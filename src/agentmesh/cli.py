@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
     p_trust.add_argument("--orientation", choices=["literal", "transpose"], default="transpose")
     p_trust.add_argument("--tol", type=float, default=1e-9)
     p_trust.add_argument("--signals", default=None, help="JSON mapping node -> {policy, anomaly, attestations}")
-    p_trust.add_argument("--context", choices=["financial", "analytical", "default"], default="default")
+    p_trust.add_argument("--context", choices=list(trust.CONTEXT_WEIGHTS), default="default")
     p_trust.add_argument("--out", default=None)
 
     p_pay = sub.add_parser("pay", help="demo a header-embedded settlement, or parse a header")
@@ -210,21 +210,19 @@ def _cmd_trust(args) -> int:
         signals_by_node = load_json(args.signals)
         if not isinstance(signals_by_node, dict):
             raise ValueError("signals file must hold a JSON object mapping node -> signals")
-    weights = trust.ContextWeights.for_context(trust.ContextKind(args.context))
     report = []
     for i, node in enumerate(graph.nodes):
         raw = signals_by_node.get(node, {})
         if not isinstance(raw, dict):
             raise ValueError(f"signals for {node!r} must be a JSON object")
-        signals = trust.TrustSignals(
-            policy_pass_rate=json_float(raw.get("policy", 1.0), f"policy signal for {node!r}"),
-            anomaly_score=json_float(raw.get("anomaly", 1.0), f"anomaly signal for {node!r}"),
-            attestation_score=trust.attestation_score(
-                json_u64(raw.get("attestations", 0), f"attestations signal for {node!r}")
-            ),
+        row = trust.trust_breakdown(
+            policy=json_float(raw.get("policy", 1.0), f"policy signal for {node!r}"),
+            behavior=json_float(raw.get("anomaly", 1.0), f"anomaly signal for {node!r}"),
+            attest=trust.attestation_score(json_u64(raw.get("attestations", 0), f"attestations signal for {node!r}")),
+            propagated=float(np.clip(vector.values[i], 0.0, 1.0)),
+            context=args.context,
         )
-        propagated = float(np.clip(vector.values[i], 0.0, 1.0))
-        report.append({"did": node, **trust.trust_breakdown(signals, weights, propagated)})
+        report.append({"did": node, **row})
     out = {
         "alpha": args.alpha,
         "orientation": args.orientation,

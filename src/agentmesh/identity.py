@@ -135,6 +135,10 @@ class ClaimType(enum.IntEnum):
     POLICY_PASS = 3
 
 
+# A claim type as credentials write it: its member's name in lowercase.
+_CLAIM_TYPES = {claim.name.lower(): claim for claim in ClaimType}
+
+
 class AttestationCheck(enum.Enum):
     VALID = "Valid"
     UNKNOWN_ISSUER = "UnknownIssuer"
@@ -185,12 +189,12 @@ class Attestation:
         issuer, subject, claim = (
             json_str(obj.get(name), f"credential field {name!r}") for name in ("issuer", "subject", "claim_type")
         )
-        if claim.upper() not in ClaimType.__members__:
+        if claim not in _CLAIM_TYPES:
             raise ValueError(f"credential field 'claim_type' is not a claim type: {claim!r}")
         return cls(
             issuer=AgentDid(issuer),
             subject=AgentDid(subject),
-            claim_type=ClaimType[claim.upper()],
+            claim_type=_CLAIM_TYPES[claim],
             # Its length is checked by __post_init__, as for every attestation.
             payload_digest=json_hex(obj.get("payload_digest"), "credential field 'payload_digest'"),
             issued_at=json_u64(obj.get("issued_at"), "credential field 'issued_at'"),

@@ -589,7 +589,6 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     deadbeat = n - 1
     resolver = _resolver_for(agents)
     model = _trained_model(config.seed)
-    weights = trust.ContextWeights.for_context(trust.ContextKind.DEFAULT)
 
     ledger = micropay.Ledger()
     for agent in agents:
@@ -620,7 +619,7 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     # Trust rows as of the last round close; before the first, every agent
     # stands at the neutral prior.
     prior = {"propagated": 0.5, "policy": 1.0, "behavior": 1.0, "attest": 0.0, "fused": 0.5}
-    standing = [{**prior, "tier": trust.verification_tier(0.5).value} for _ in agents]
+    standing = [{**prior, "tier": trust.verification_tier(0.5)} for _ in agents]
     rows = []
     # A task's query is its round's domain description, so each of the few
     # distinct queries is embedded once.
@@ -628,9 +627,10 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     amounts = [config.task_price] * n
     amounts[deadbeat] = config.max_payment + config.task_price
     # An agent asks the same amount at the same rate every time, so either
-    # all of its requests comply with the payment policy or none do.
+    # all of its requests comply with the payment policy or none do; with no
+    # tasks there are no requests, and none breaks the policy.
     within_rate = config.tasks_per_round <= config.max_requests_per_round
-    compliant = [within_rate and amount <= config.max_payment for amount in amounts]
+    compliant = [config.tasks_per_round == 0 or (within_rate and amount <= config.max_payment) for amount in amounts]
 
     for round_idx in range(1, config.rounds + 1):
         now = round_idx
@@ -699,13 +699,11 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
         anomaly = trust.behavior_scores(population)
         standing = [
             trust.trust_breakdown(
-                trust.TrustSignals(
-                    policy_pass_rate=1.0 if compliant[i] or not behaviour[i, 0] else 0.0,
-                    anomaly_score=anomaly[i],
-                    attestation_score=trust.attestation_score(valid_counts[i]),
-                ),
-                weights,
-                float(propagated[i]),
+                policy=float(compliant[i]),
+                behavior=anomaly[i],
+                attest=trust.attestation_score(valid_counts[i]),
+                propagated=float(propagated[i]),
+                context="default",
             )
             for i in range(n)
         ]
@@ -789,14 +787,15 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         replicas, federation.Topology.complete(config.replicas), subsystem_rng(config.seed, "gossip"), config.rounds_cap
     )
 
-    indexes = []
-    for replica in replicas:
-        index = registry.MerkleRadixIndex()
-        for key in sorted(replica.store):
-            index.insert_trusted(replica.store[key][0])
-        indexes.append(index)
-    roots = [index.root_digest for index in indexes]
-    roots_equal = len(set(roots)) == 1
+    # An index's root is a function of its record set alone, so the replicas'
+    # roots are equal exactly when their records are; only replica 0's index
+    # is built, for its root, its proofs and the snapshot.
+    records_of = [{key: record for key, (record, _tag) in replica.store.items()} for replica in replicas]
+    roots_equal = all(records == records_of[0] for records in records_of)
+    index = registry.MerkleRadixIndex()
+    for key in sorted(records_of[0]):
+        index.insert_trusted(records_of[0][key])
+    root = index.root_digest
 
     graph_rng = subsystem_rng(config.seed, "trust-graph")
     edges: dict[tuple[int, int], float] = {}
@@ -842,7 +841,7 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         results = []
         for rank_pos, (did, score) in enumerate(ranked):
             # Replica 0 lacks a hit only when gossip stopped at the cap.
-            proof_ok = did in replicas[0].store and registry.verify_proof(roots[0], indexes[0].prove_inclusion(did))
+            proof_ok = did in replicas[0].store and registry.verify_proof(root, index.prove_inclusion(did))
             all_proofs_ok = all_proofs_ok and proof_ok
             results.append({"did": did, "score": float(score), "proof_ok": proof_ok})
             csv_rows.append({"query": query, "rank": rank_pos, **results[-1]})
@@ -863,7 +862,7 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
         "n_agents": n,
         "converged_round": -1 if rounds is None else rounds,
         "replica_roots_equal": roots_equal,
-        "root_digest": roots[0].hex(),
+        "root_digest": root.hex(),
         "queries": query_results,
         "all_proofs_verified": all_proofs_ok,
         "dedup_below_tau": dedup_ok,
@@ -874,7 +873,7 @@ def run_discovery_e2e(config: ScenarioConfig) -> ScenarioReport:
             "budget_spent": budget.spent,
         },
         "corpus": [a.card.to_json_obj() for a in agents],
-        "snapshot": indexes[0].export_snapshot(),
+        "snapshot": index.export_snapshot(),
     }
     return ScenarioReport(
         payload=payload,

@@ -1,6 +1,8 @@
 """Computable trust: local edge scores, damped fixed-point propagation over
 the trust graph, context-weighted signal fusion, and adaptive verification
-tiers.
+tiers. Fusion policy is data: a table of context weights (CONTEXT_WEIGHTS),
+a table of tiers, and trust_breakdown, the one function that checks the
+signals and fuses them.
 
 The propagation fixed point is T = alpha*M*T + (1-alpha)*e where M is the
 row-stochastic trust matrix (LITERAL orientation, exactly as the local score
@@ -30,9 +32,6 @@ import numpy as np
 __all__ = [
     "TrustGraph",
     "TrustVector",
-    "TrustSignals",
-    "ContextWeights",
-    "VerificationTier",
     "Direction",
     "Orientation",
     "NonConvergentError",
@@ -40,15 +39,13 @@ __all__ = [
     "row_stochastic",
     "propagate_trust",
     "solve_trust_exact",
-    "fuse_signals",
+    "CONTEXT_WEIGHTS",
     "trust_breakdown",
     "verification_tier",
     "behavior_scores",
     "attestation_score",
 ]
 
-_THRESHOLDS = (0.8, 0.5, 0.3)  # lowest score of Streamlined, Standard, Enhanced
-_SIMPLEX_TOL = 1e-12
 _ALIGN = 64  # bytes: a cache line
 
 
@@ -286,94 +283,49 @@ def solve_trust_exact(
 # ---------------------------------------------------------------------------
 
 
-class ContextKind(enum.Enum):
-    FINANCIAL = "financial"
-    ANALYTICAL = "analytical"
-    DEFAULT = "default"
+# Per context, the (policy, behaviour, attestation) weights of the fused
+# score; each triple is non-negative and sums to 1.
+CONTEXT_WEIGHTS = {
+    "financial": (0.2, 0.2, 0.6),
+    "analytical": (0.2, 0.6, 0.2),
+    "default": (1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0),
+}
+# The lowest score of each tier, highest first; below the last is Quarantine.
+_TIERS = ((0.8, "Streamlined"), (0.5, "Standard"), (0.3, "Enhanced"))
 
 
-@dataclass(frozen=True)
-class ContextWeights:
-    context: ContextKind
-    w_policy: float
-    w_behavior: float
-    w_attest: float
-
-    def __post_init__(self) -> None:
-        for w in (self.w_policy, self.w_behavior, self.w_attest):
-            if w < 0.0:
-                raise ValueError("weights must be nonnegative")
-        if abs((self.w_policy + self.w_behavior + self.w_attest) - 1.0) > _SIMPLEX_TOL:
-            raise ValueError("weights must sum to 1")
-
-    @classmethod
-    def for_context(cls, context: ContextKind) -> "ContextWeights":
-        if context is ContextKind.FINANCIAL:
-            return cls(context, 0.2, 0.2, 0.6)
-        if context is ContextKind.ANALYTICAL:
-            return cls(context, 0.2, 0.6, 0.2)
-        return cls(context, 1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class TrustSignals:
-    policy_pass_rate: float
-    anomaly_score: float  # 1.0 = fully normal
-    attestation_score: float
-
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("policy_pass_rate", self.policy_pass_rate),
-            ("anomaly_score", self.anomaly_score),
-            ("attestation_score", self.attestation_score),
-        ):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} {value} outside [0,1]")
-
-
-class VerificationTier(enum.Enum):
-    STREAMLINED = "Streamlined"
-    STANDARD = "Standard"
-    ENHANCED = "Enhanced"
-    QUARANTINE = "Quarantine"
-
-
-def fuse_signals(signals: TrustSignals, weights: ContextWeights, propagated: float) -> float:
-    """Propagated trust multiplicatively gates the weighted signal blend, so
-    one good signal cannot buy a high score without earned reputation."""
-    if not (0.0 <= propagated <= 1.0):
-        raise ValueError(f"propagated trust {propagated} outside [0,1]")
-    blended = (
-        weights.w_policy * signals.policy_pass_rate
-        + weights.w_behavior * signals.anomaly_score
-        + weights.w_attest * signals.attestation_score
-    )
-    return propagated * blended
-
-
-def trust_breakdown(signals: TrustSignals, weights: ContextWeights, propagated: float) -> dict:
+def trust_breakdown(*, policy: float, behavior: float, attest: float, propagated: float, context: str) -> dict:
     """One agent's trust row: its propagated trust, each signal, the fused
-    score and the verification tier that score earns."""
-    fused = fuse_signals(signals, weights, propagated)
+    score and the verification tier that score earns. Every input must lie
+    in [0,1]. Propagated trust multiplicatively gates the blend of the
+    signals under the context's weights, so one good signal cannot buy a
+    high score without earned reputation."""
+    for name, value in (
+        ("policy_pass_rate", policy),
+        ("anomaly_score", behavior),
+        ("attestation_score", attest),
+        ("propagated trust", propagated),
+    ):
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"{name} {value} outside [0,1]")
+    w_policy, w_behavior, w_attest = CONTEXT_WEIGHTS[context]
+    fused = propagated * (w_policy * policy + w_behavior * behavior + w_attest * attest)
     return {
         "propagated": propagated,
-        "policy": signals.policy_pass_rate,
-        "behavior": signals.anomaly_score,
-        "attest": signals.attestation_score,
+        "policy": policy,
+        "behavior": behavior,
+        "attest": attest,
         "fused": fused,
-        "tier": verification_tier(fused).value,
+        "tier": verification_tier(fused),
     }
 
 
-def verification_tier(score: float) -> VerificationTier:
-    t_stream, t_standard, t_enhanced = _THRESHOLDS
-    if score >= t_stream:
-        return VerificationTier.STREAMLINED
-    if score >= t_standard:
-        return VerificationTier.STANDARD
-    if score >= t_enhanced:
-        return VerificationTier.ENHANCED
-    return VerificationTier.QUARANTINE
+def verification_tier(score: float) -> str:
+    """The name of the highest tier whose lowest score `score` reaches."""
+    for lowest, name in _TIERS:
+        if score >= lowest:
+            return name
+    return "Quarantine"
 
 
 def behavior_scores(features: np.ndarray) -> list[float]:

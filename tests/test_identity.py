@@ -294,5 +294,16 @@ def test_credential_byte_field_not_written_as_its_hex_is_refused_by_name(field, 
 
 def test_attestation_json_round_trip():
     issuer = AttestationIssuer(keypair_for("issuer"))
-    att = _issue_one(issuer)
-    assert Attestation.from_json_obj(att.to_json_obj()) == att
+    for at, claim in enumerate(ClaimType, start=1):
+        att = issuer.issue(did_for("subject"), claim, sha256(b"payload"), at)
+        assert att.to_json_obj()["claim_type"] == claim.name.lower()
+        assert Attestation.from_json_obj(att.to_json_obj()) == att
+
+
+# Each spelling upper-cases to PAYMENT_SETTLED; the long s (U+017F) does too.
+@pytest.mark.parametrize("spelling", ["PAYMENT_SETTLED", "Payment_Settled", "payment_\u017fettled"])
+def test_credential_claim_type_is_read_only_as_written(spelling):
+    obj = {**_issue_one(AttestationIssuer(keypair_for("issuer"))).to_json_obj(), "claim_type": spelling}
+    message = f"credential field 'claim_type' is not a claim type: {spelling!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Attestation.from_json_obj(obj)

@@ -10,13 +10,14 @@ import re
 import statistics
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentmesh import discovery, micropay, registry, simnet
+from agentmesh import discovery, federation, micropay, privacy, registry, simnet, trust
 from agentmesh.cards import AgentFactCard
 from agentmesh.federation import ReplicaState, Topology, gossip_to_convergence
 from agentmesh.identity import AttestationCheck, derive_did, sha256
@@ -521,6 +522,160 @@ def test_discovery_trust_override_changes_report():
     did5 = low.payload["corpus"][5]["did"]
     assert low.payload["trust_report"][did5] == 0.1
     assert high.payload["trust_report"][did5] == 0.9
+
+
+# run_discovery_e2e as it was when it built one registry index per replica,
+# verbatim, with simnet's names qualified by the module.
+
+
+def _reference_discovery_e2e(config: ScenarioConfig) -> simnet.ScenarioReport:
+    budget = simnet._check_dp_budget(config.epsilon, len(simnet._DOMAINS[:2]))
+    agents = simnet._load_or_generate_agents(config, duplicate_every=5)
+    n = len(agents)
+    resolver = simnet._resolver_for(agents)
+    records = simnet._records_for(agents)
+    model = simnet._trained_model(config.seed)
+
+    replicas = [federation.ReplicaState(i) for i in range(config.replicas)]
+    for idx, record in enumerate(records):
+        replicas[idx % config.replicas].local_put(record, logical_time=idx + 1, resolver=resolver)
+
+    rounds, _stats = federation.gossip_to_convergence(
+        replicas,
+        federation.Topology.complete(config.replicas),
+        simnet.subsystem_rng(config.seed, "gossip"),
+        config.rounds_cap,
+    )
+
+    indexes = []
+    for replica in replicas:
+        index = registry.MerkleRadixIndex()
+        for key in sorted(replica.store):
+            index.insert_trusted(replica.store[key][0])
+        indexes.append(index)
+    roots = [index.root_digest for index in indexes]
+    roots_equal = len(set(roots)) == 1
+
+    graph_rng = simnet.subsystem_rng(config.seed, "trust-graph")
+    edges: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for _ in range(2):
+            j = graph_rng.randrange(n)
+            if j != i:
+                edges.setdefault((i, j), round(graph_rng.uniform(0.2, 1.0), 6))
+    graph = simnet._trust_graph([a.did for a in agents], edges)
+    propagated = trust.propagate_trust(graph, alpha=config.alpha, orientation=trust.Orientation.TRANSPOSE).values
+    trust_report = {a.did: float(np.clip(propagated[a.index], 0.0, 1.0)) for a in agents}
+    if config.trust_overrides:
+        for index_str, value in config.trust_overrides.items():
+            agent_index = int(index_str)
+            if not 0 <= agent_index < n:
+                raise ValueError(f"trust_overrides index {agent_index} is outside the {n} agents")
+            trust_report[agents[agent_index].did] = float(value)
+
+    queries = config.queries if config.queries is not None else list(simnet._DEFAULT_QUERIES)
+    now = max(a.card.last_active for a in agents) + 1
+    cards_by_did = {a.did: a.card for a in agents}
+    query_results = []
+    csv_rows = []
+    all_proofs_ok = True
+    dedup_ok = True
+    for query in queries:
+        ranked = discovery.rank(
+            discovery.embed_text(query),
+            [a.card for a in agents],
+            trust_report,
+            model,
+            k=config.k,
+            now=now,
+            tau=config.tau,
+        )
+        embeddings = [discovery.card_embedding(cards_by_did[did]) for did, _score in ranked]
+        max_pairwise = 0.0
+        for a in range(len(embeddings)):
+            for b in range(a + 1, len(embeddings)):
+                max_pairwise = max(max_pairwise, discovery.cosine(embeddings[a], embeddings[b]))
+        if len(embeddings) > 1 and max_pairwise >= config.tau:
+            dedup_ok = False
+        results = []
+        for rank_pos, (did, score) in enumerate(ranked):
+            # Replica 0 lacks a hit only when gossip stopped at the cap.
+            proof_ok = did in replicas[0].store and registry.verify_proof(roots[0], indexes[0].prove_inclusion(did))
+            all_proofs_ok = all_proofs_ok and proof_ok
+            results.append({"did": did, "score": float(score), "proof_ok": proof_ok})
+            csv_rows.append({"query": query, "rank": rank_pos, **results[-1]})
+        query_results.append({"query": query, "results": results, "max_pairwise_cosine": float(max_pairwise)})
+
+    dp_rng = simnet.subsystem_rng(config.seed, "dp")
+    capability_counts = {}
+    for domain, _desc, caps in simnet._DOMAINS[:2]:
+        capability_counts[caps[0]] = privacy.dp_count(
+            [a.card for a in agents],
+            lambda card, cap=caps[0]: cap in card.capabilities,
+            config.epsilon,
+            dp_rng,
+        )
+
+    payload = {
+        **simnet.report_header(config),
+        "n_agents": n,
+        "converged_round": -1 if rounds is None else rounds,
+        "replica_roots_equal": roots_equal,
+        "root_digest": roots[0].hex(),
+        "queries": query_results,
+        "all_proofs_verified": all_proofs_ok,
+        "dedup_below_tau": dedup_ok,
+        "trust_report": {did: trust_report[did] for did in sorted(trust_report)},
+        "dp_aggregates": {
+            "capability_noisy_counts": capability_counts,
+            "epsilon": config.epsilon,
+            "budget_spent": budget.spent,
+        },
+        "corpus": [a.card.to_json_obj() for a in agents],
+        "snapshot": indexes[0].export_snapshot(),
+    }
+    return simnet.ScenarioReport(
+        payload=payload,
+        csv_fields=["query", "rank", "did", "score", "proof_ok"],
+        csv_rows=csv_rows,
+        failure=simnet._first_failure(
+            (rounds is not None, "nonconvergent"),
+            (roots_equal, "replica_roots_equal=false"),
+            (all_proofs_ok, "all_proofs_verified=false"),
+        ),
+    )
+
+
+@st.composite
+def _e2e_configs(draw) -> ScenarioConfig:
+    return ScenarioConfig(
+        scenario="discovery_e2e",
+        n=draw(st.integers(1, 24)),
+        replicas=draw(st.integers(1, 8)),
+        seed=draw(st.integers(*simnet.INT_RANGES["seed"])),
+        k=draw(st.integers(1, 5)),
+        rounds_cap=draw(st.none() | st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=60)
+@given(config=_e2e_configs(), loaded=st.none() | st.tuples(st.integers(1, 12), st.integers(1, 12)))
+@example(config=ScenarioConfig(scenario="discovery_e2e", n=24, replicas=3, seed=5, rounds_cap=0), loaded=None)
+@example(config=ScenarioConfig(scenario="discovery_e2e", n=24, replicas=3, seed=5, rounds_cap=1), loaded=None)
+@example(config=ScenarioConfig(scenario="discovery_e2e", n=1, replicas=8, seed=0, rounds_cap=2), loaded=(6, 6))
+def test_run_discovery_e2e_matches_one_index_per_replica(config, loaded):
+    with tempfile.TemporaryDirectory() as tmp:
+        if loaded is not None:
+            # Two corpora whose agents share names but not DIDs, so the name
+            # records of different owners race on different replicas.
+            corpus = Path(tmp) / "cards.jsonl"
+            first, second = (synthetic_agents(size, config.seed ^ part) for part, size in enumerate(loaded))
+            write_cards(corpus, [agent.card for agent in first + second])
+            config = replace(config, corpus=str(corpus))
+        report, expected = run_discovery_e2e(config), _reference_discovery_e2e(config)
+    assert report.to_json_bytes() == expected.to_json_bytes()
+    assert report.to_csv_text() == expected.to_csv_text()
+    assert report.failure == expected.failure
 
 
 _SMALL_CONFIGS = pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,21 +12,18 @@ from hypothesis import example, given, strategies as st
 
 from agentmesh import trust
 from agentmesh.trust import (
-    ContextKind,
-    ContextWeights,
+    CONTEXT_WEIGHTS,
     Direction,
     Orientation,
     TrustGraph,
-    TrustSignals,
-    VerificationTier,
     attestation_score,
     behavior_scores,
     default_base,
-    fuse_signals,
     local_trust_score,
     propagate_trust,
     row_stochastic,
     solve_trust_exact,
+    trust_breakdown,
     verification_tier,
 )
 from _helpers import behavior_score
@@ -465,50 +464,175 @@ def test_w_is_64_byte_aligned_and_multiplies_as_an_unaligned_copy(n):
 # -- fusion, tiers, signals ----------------------------------------------------
 
 
+def _row(context: str = "default", *, policy, behavior, attest, propagated) -> dict:
+    return trust_breakdown(policy=policy, behavior=behavior, attest=attest, propagated=propagated, context=context)
+
+
 def test_fuse_examples():
-    w = ContextWeights.for_context(ContextKind.DEFAULT)
-    assert fuse_signals(TrustSignals(1.0, 1.0, 1.0), w, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert fuse_signals(TrustSignals(0.0, 0.0, 0.0), w, 1.0) == 0.0
-    assert fuse_signals(TrustSignals(1.0, 0.0, 0.0), w, 0.9) == pytest.approx(0.3, abs=1e-12)
+    assert _row(policy=1.0, behavior=1.0, attest=1.0, propagated=1.0)["fused"] == pytest.approx(1.0, abs=1e-12)
+    assert _row(policy=0.0, behavior=0.0, attest=0.0, propagated=1.0)["fused"] == 0.0
+    assert _row(policy=1.0, behavior=0.0, attest=0.0, propagated=0.9)["fused"] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_fuse_validates_ranges():
-    w = ContextWeights.for_context(ContextKind.DEFAULT)
-    with pytest.raises(ValueError):
-        TrustSignals(1.2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        fuse_signals(TrustSignals(1.0, 1.0, 1.0), w, 1.2)
-    with pytest.raises(ValueError):
-        ContextWeights(ContextKind.DEFAULT, w_policy=0.5, w_behavior=0.5, w_attest=0.5)  # not a simplex
+    with pytest.raises(ValueError, match=r"^policy_pass_rate 1\.2 outside \[0,1\]$"):
+        _row(policy=1.2, behavior=0.0, attest=0.0, propagated=1.0)
+    with pytest.raises(ValueError, match=r"^propagated trust 1\.2 outside \[0,1\]$"):
+        _row(policy=1.0, behavior=1.0, attest=1.0, propagated=1.2)
 
 
 def test_context_presets_sum_to_one():
-    for kind in ContextKind:
-        w = ContextWeights.for_context(kind)
-        assert abs(w.w_policy + w.w_behavior + w.w_attest - 1.0) <= 1e-12
+    assert list(CONTEXT_WEIGHTS) == ["financial", "analytical", "default"]
+    for weights in CONTEXT_WEIGHTS.values():
+        assert len(weights) == 3 and min(weights) >= 0.0
+        assert abs(sum(weights) - 1.0) <= 1e-12
 
 
 def test_tier_boundaries():
-    assert verification_tier(0.95) is VerificationTier.STREAMLINED
-    assert verification_tier(0.80) is VerificationTier.STREAMLINED
-    assert verification_tier(0.50) is VerificationTier.STANDARD
-    assert verification_tier(0.30) is VerificationTier.ENHANCED
-    assert verification_tier(0.10) is VerificationTier.QUARANTINE
+    assert verification_tier(0.95) == "Streamlined"
+    assert verification_tier(0.80) == "Streamlined"
+    assert verification_tier(0.50) == "Standard"
+    assert verification_tier(0.30) == "Enhanced"
+    assert verification_tier(0.10) == "Quarantine"
 
 
 def test_tier_monotone_in_score():
-    order = [
-        VerificationTier.QUARANTINE,
-        VerificationTier.ENHANCED,
-        VerificationTier.STANDARD,
-        VerificationTier.STREAMLINED,
-    ]
+    order = ["Quarantine", "Enhanced", "Standard", "Streamlined"]
     rng = random.Random(404)
     for _ in range(500):
         a, b = rng.random(), rng.random()
         if a < b:
             a, b = b, a
         assert order.index(verification_tier(a)) >= order.index(verification_tier(b))
+
+
+# Signal fusion as four classes and fuse_signals held it before the policy
+# became tables, verbatim, as the oracle for trust_breakdown.
+
+
+class _ContextKind(enum.Enum):
+    FINANCIAL = "financial"
+    ANALYTICAL = "analytical"
+    DEFAULT = "default"
+
+
+@dataclasses.dataclass(frozen=True)
+class _ContextWeights:
+    context: _ContextKind
+    w_policy: float
+    w_behavior: float
+    w_attest: float
+
+    def __post_init__(self) -> None:
+        for w in (self.w_policy, self.w_behavior, self.w_attest):
+            if w < 0.0:
+                raise ValueError("weights must be nonnegative")
+        if abs((self.w_policy + self.w_behavior + self.w_attest) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1")
+
+    @classmethod
+    def for_context(cls, context: _ContextKind) -> "_ContextWeights":
+        if context is _ContextKind.FINANCIAL:
+            return cls(context, 0.2, 0.2, 0.6)
+        if context is _ContextKind.ANALYTICAL:
+            return cls(context, 0.2, 0.6, 0.2)
+        return cls(context, 1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TrustSignals:
+    policy_pass_rate: float
+    anomaly_score: float  # 1.0 = fully normal
+    attestation_score: float
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("policy_pass_rate", self.policy_pass_rate),
+            ("anomaly_score", self.anomaly_score),
+            ("attestation_score", self.attestation_score),
+        ):
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"{name} {value} outside [0,1]")
+
+
+class _VerificationTier(enum.Enum):
+    STREAMLINED = "Streamlined"
+    STANDARD = "Standard"
+    ENHANCED = "Enhanced"
+    QUARANTINE = "Quarantine"
+
+
+def _fuse_signals(signals: _TrustSignals, weights: _ContextWeights, propagated: float) -> float:
+    if not (0.0 <= propagated <= 1.0):
+        raise ValueError(f"propagated trust {propagated} outside [0,1]")
+    blended = (
+        weights.w_policy * signals.policy_pass_rate
+        + weights.w_behavior * signals.anomaly_score
+        + weights.w_attest * signals.attestation_score
+    )
+    return propagated * blended
+
+
+def _verification_tier(score: float) -> _VerificationTier:
+    t_stream, t_standard, t_enhanced = (0.8, 0.5, 0.3)
+    if score >= t_stream:
+        return _VerificationTier.STREAMLINED
+    if score >= t_standard:
+        return _VerificationTier.STANDARD
+    if score >= t_enhanced:
+        return _VerificationTier.ENHANCED
+    return _VerificationTier.QUARANTINE
+
+
+def _trust_breakdown(signals: _TrustSignals, weights: _ContextWeights, propagated: float) -> dict:
+    fused = _fuse_signals(signals, weights, propagated)
+    return {
+        "propagated": propagated,
+        "policy": signals.policy_pass_rate,
+        "behavior": signals.anomaly_score,
+        "attest": signals.attestation_score,
+        "fused": fused,
+        "tier": _verification_tier(fused).value,
+    }
+
+
+def _outcome(fn) -> tuple:
+    """A row as its keys, each value's float bits and the tier; or the error."""
+    try:
+        row = fn()
+    except ValueError as exc:
+        return ("error", str(exc))
+    bits = tuple(struct.pack("<d", row[key]) for key in ("propagated", "policy", "behavior", "attest", "fused"))
+    return (list(row), bits, row["tier"])
+
+
+# A signal: the ends and signed zeros of [0,1], values just outside it, NaN,
+# and any float in [0,1].
+_SIGNALS = st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300, 1.5, math.nan]) | st.floats(0.0, 1.0)
+
+
+@given(
+    context=st.sampled_from(list(_ContextKind)),
+    policy=_SIGNALS,
+    behavior=_SIGNALS,
+    attest=_SIGNALS,
+    propagated=_SIGNALS,
+)
+@example(context=_ContextKind.DEFAULT, policy=1.0, behavior=1.0, attest=1.0, propagated=1.0)
+@example(context=_ContextKind.FINANCIAL, policy=1.5, behavior=math.nan, attest=-0.0, propagated=2.0)
+@example(context=_ContextKind.ANALYTICAL, policy=-0.0, behavior=0.0, attest=0.0, propagated=-0.0)
+def test_trust_breakdown_matches_the_classes_it_replaced(context, policy, behavior, attest, propagated):
+    got = _outcome(
+        lambda: trust_breakdown(
+            policy=policy, behavior=behavior, attest=attest, propagated=propagated, context=context.value
+        )
+    )
+    expected = _outcome(
+        lambda: _trust_breakdown(
+            _TrustSignals(policy, behavior, attest), _ContextWeights.for_context(context), propagated
+        )
+    )
+    assert got == expected
 
 
 def test_behavior_score_examples():
