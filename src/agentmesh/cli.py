@@ -191,6 +191,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
+_SIGNAL_FIELDS = ("policy", "anomaly", "attestations")  # the fields of one node's trust --signals entry
+
+
 def _cmd_trust(args) -> int:
     graph_obj = json_object(load_json(args.graph), "graph file")
     edges = []
@@ -210,11 +213,21 @@ def _cmd_trust(args) -> int:
         signals_by_node = load_json(args.signals)
         if not isinstance(signals_by_node, dict):
             raise ValueError("signals file must hold a JSON object mapping node -> signals")
+    # Every entry is checked, so a misspelt node or field is refused rather
+    # than dropped for the defaults.
+    nodes = set(graph.nodes)
+    for node, raw in signals_by_node.items():
+        if node not in nodes:
+            raise ValueError(f"signals name node {node!r}, which is not in the graph")
+        if not isinstance(raw, dict):
+            raise ValueError(f"signals for {node!r} must be a JSON object")
+        for name in raw:
+            if name not in _SIGNAL_FIELDS:
+                fields = ", ".join(_SIGNAL_FIELDS)
+                raise ValueError(f"signals for {node!r} have field {name!r}; the fields are {fields}")
     report = []
     for i, node in enumerate(graph.nodes):
         raw = signals_by_node.get(node, {})
-        if not isinstance(raw, dict):
-            raise ValueError(f"signals for {node!r} must be a JSON object")
         row = trust.trust_breakdown(
             policy=json_float(raw.get("policy", 1.0), f"policy signal for {node!r}"),
             behavior=json_float(raw.get("anomaly", 1.0), f"anomaly signal for {node!r}"),

@@ -441,21 +441,33 @@ def run_convergence(config: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _honest_graph_edges(n: int, rng: random.Random, hubs: int) -> dict[tuple[int, int], float]:
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        j = (i + 1) % n
-        if i != j:
-            edges[(i, j)] = 0.6
-    for i in range(n):
-        j = (i + 3) % n
-        if i != j:
-            edges.setdefault((i, j), round(rng.uniform(0.3, 1.0), 6))
-    for i in range(n):
-        hub = i % max(1, hubs)
-        if hub != i:
-            edges[(i, hub)] = max(edges.get((i, hub), 0.0), 0.9)
-    return edges
+def _honest_graph_edges(n: int, rng: random.Random, hubs: int) -> np.ndarray:
+    """The honest graph as an (E, 3) array of (i, j, w) rows: a ring of 0.6
+    edges i -> i+1, a skip edge i -> i+3 of random weight, and an edge from
+    every node i >= hubs to its hub i % hubs of weight at least 0.9.
+
+    Every node whose skip edge is not a self-loop draws its weight in node
+    order, even when the ring already holds that pair (n = 2) and keeps its
+    0.6. A hub edge that meets the node's ring or skip edge raises that
+    edge's weight to 0.9 if it is lower; it adds no second edge."""
+    node = np.arange(n)
+    ring, skip, hub = (node + 1) % n, (node + 3) % n, node % hubs
+    drawn = skip != node
+    skip_w = np.zeros(n)
+    skip_w[drawn] = [round(rng.uniform(0.3, 1.0), 6) for _ in range(int(drawn.sum()))]
+    ring_w = np.full(n, 0.6)
+    has_ring, has_skip, has_hub = ring != node, drawn & (skip != ring), hub != node
+    hub_on_ring = has_hub & has_ring & (hub == ring)
+    hub_on_skip = has_hub & has_skip & (hub == skip)
+    ring_w[hub_on_ring] = np.maximum(ring_w[hub_on_ring], 0.9)
+    skip_w[hub_on_skip] = np.maximum(skip_w[hub_on_skip], 0.9)
+    has_hub &= ~(hub_on_ring | hub_on_skip)
+    return np.concatenate(
+        [
+            np.column_stack((node[has], dst[has], w[has]))
+            for has, dst, w in ((has_ring, ring, ring_w), (has_skip, skip, skip_w), (has_hub, hub, np.full(n, 0.9)))
+        ]
+    )
 
 
 def _trust_graph(nodes: list[str], edges: dict[tuple[int, int], float]) -> trust.TrustGraph:
@@ -487,7 +499,7 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
     n_sybil = int(n * config.sybil_fraction)
     rng = subsystem_rng(config.seed, "sybil-graph")
     hubs = max(1, n_sybil)
-    honest_edges = np.array([(i, j, w) for (i, j), w in _honest_graph_edges(n, rng, hubs).items()]).reshape(-1, 3)
+    honest_edges = _honest_graph_edges(n, rng, hubs)
     base_value = 0.5
 
     def masses(graph: trust.TrustGraph) -> dict:

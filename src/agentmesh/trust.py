@@ -16,8 +16,9 @@ against the direct linear solve instead.
 
 Cost: a graph is validated and held as three edge arrays (src, dst, weight),
 so building it and every local score is O(E) array work. The engine is dense:
-row_stochastic scatters the edges into an n x n matrix W, O(n^2) memory and
-time, and each power iteration is one O(n^2) matvec over W.
+row_stochastic scatters the edges into a zeroed n x n matrix W and takes its
+row sums, O(n^2) memory and time, then normalises W with one division per
+edge, O(E); each power iteration is one O(n^2) matvec over W.
 """
 
 from __future__ import annotations
@@ -105,13 +106,23 @@ class TrustGraph:
         i, j, w = table.T
         with np.errstate(invalid="ignore"):
             ok = (0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j) & (0.0 <= w) & (w <= 1.0)
-            ok &= (i % 1 == 0) & (j % 1 == 0)
+            # An index in range is an integer exactly when it is its own floor,
+            # which numpy computes far faster than a float remainder; Python
+            # ints have no floor loop, so an object table takes the remainder.
+            if table.dtype.kind == "O":
+                ok &= (i % 1 == 0) & (j % 1 == 0)
+            else:
+                ok &= (np.floor(i) == i) & (np.floor(j) == j)
         refused = int(np.argmin(ok)) if not ok.all() else len(table)
         # Every edge before the first bad one is valid on its own, so an
         # edge there is refused only as a repeat of an earlier pair.
         src, dst = i[:refused].astype(np.intp), j[:refused].astype(np.intp)
-        _keys, first = np.unique(src * n + dst, return_index=True)
-        if first.size < refused:
+        # A sort finds whether any pair repeats; only then is the first
+        # repeat located, by the stable sort inside np.unique.
+        keys = src * n + dst
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            _keys, first = np.unique(keys, return_index=True)
             repeat = np.ones(refused, dtype=bool)
             repeat[first] = False
             refused = int(np.argmax(repeat))
@@ -192,7 +203,11 @@ def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndar
     W[graph.src, graph.dst] = graph.weight
     sums = W.sum(axis=1)
     live = sums > 0.0
-    np.divide(W, sums[:, None], out=W, where=live[:, None])
+    # One division per edge on a live row: every other cell of a live row is
+    # 0.0, which a division by its row sum would leave 0.0.
+    on = live[graph.src]
+    src = graph.src[on]
+    W[src, graph.dst[on]] = graph.weight[on] / sums[src]
     W[~live] = teleport
     return W
 
@@ -240,7 +255,8 @@ def propagate_trust(
         np.multiply(alpha, product, out=step)
         np.subtract(T, step, out=gap)
         np.subtract(gap, hold, out=gap)
-        residual = float(np.abs(gap, out=gap).max())
+        np.abs(gap, out=gap)
+        residual = float(np.maximum.reduce(gap))
         if keep_trace:
             trace.append(residual)
         if residual < tol:

@@ -70,9 +70,18 @@ def dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _decode(text: str, where: str) -> object:
+    """`json.loads`, with nesting too deep for the decoder's recursion
+    refused as a ValueError that names `where`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"JSON in {where} nested too deeply") from None
+
+
 def load_json(path: str | Path) -> object:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decode(fh.read(), str(path))
 
 
 def load_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
@@ -84,7 +93,7 @@ def load_jsonl(path: str | Path, parse: Callable[[object], object]) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(_decode(line, str(path))))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return out

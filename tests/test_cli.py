@@ -359,6 +359,42 @@ def test_trust_non_object_signals_is_clean_error(tmp_path, capsys, signals_text,
     assert message in _one_line_diagnostic(stdout, stderr)["error"]
 
 
+@pytest.mark.parametrize(
+    ("signals", "message"),
+    [
+        ({"z": {"policy": 0.0}, "a": {"polcy": 0.0}}, "signals name node 'z', which is not in the graph"),
+        ({"a": {"polcy": 0.0}}, "signals for 'a' have field 'polcy'; the fields are policy, anomaly, attestations"),
+        ({"b": {"policy": 0.5, "attestation": 2}}, "signals for 'b' have field 'attestation'"),
+    ],
+    ids=["unknown-node", "misspelt-policy", "misspelt-attestations"],
+)
+def test_trust_refuses_signals_it_would_ignore(tmp_path, capsys, signals, message):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [[0, 1, 0.5]]}))
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps(signals))
+    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path), "--signals", str(signals_path)])
+    assert code == 1
+    assert message in _one_line_diagnostic(stdout, stderr)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trust", "--graph", "deep.json"],
+        ["sim", "--config", "deep.json"],
+        ["rank", "--query", "q", "--corpus", "deep.json"],
+    ],
+    ids=["trust", "sim", "rank"],
+)
+def test_json_nested_past_the_recursion_limit_is_one_json_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 1
+    assert "deep.json nested too deeply" in _one_line_diagnostic(stdout, stderr)["error"]
+
+
 def test_train_diverged_is_clean_error(tmp_path, capsys, monkeypatch):
     from agentmesh import discovery
 

@@ -396,6 +396,70 @@ def test_sybil_zero_fraction_degenerates():
     assert report.payload["runs"][0]["sybil_mass"] == 0.0
 
 
+# Reference builders for the Sybil scenario: the honest graph as a dict and W
+# normalised cell by cell. The array builds must match them bit for bit.
+
+
+def _dict_honest_graph_edges(n: int, rng: random.Random, hubs: int) -> dict[tuple[int, int], float]:
+    edges: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        j = (i + 1) % n
+        if i != j:
+            edges[(i, j)] = 0.6
+    for i in range(n):
+        j = (i + 3) % n
+        if i != j:
+            edges.setdefault((i, j), round(rng.uniform(0.3, 1.0), 6))
+    for i in range(n):
+        hub = i % max(1, hubs)
+        if hub != i:
+            edges[(i, hub)] = max(edges.get((i, hub), 0.0), 0.9)
+    return edges
+
+
+def _per_cell_row_stochastic(graph: trust.TrustGraph, base: np.ndarray | None = None) -> np.ndarray:
+    """row_stochastic with one division per cell of every live row."""
+    n = graph.n
+    if base is None:
+        base = np.full(n, 1.0 / n) if n else np.zeros(0)
+    base = trust._validate_base(base, n)
+    teleport = base / base.sum()
+    W = trust._aligned_zeros(n)
+    W[graph.src, graph.dst] = graph.weight
+    sums = W.sum(axis=1)
+    live = sums > 0.0
+    np.divide(W, sums[:, None], out=W, where=live[:, None])
+    W[~live] = teleport
+    return W
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_honest_graph_is_the_dict_build_with_the_same_draws(seed):
+    for n in range(1, 65):
+        for hubs in range(1, n + 1):
+            dict_rng, array_rng = random.Random(f"{seed}-{n}-{hubs}"), random.Random(f"{seed}-{n}-{hubs}")
+            expected = _dict_honest_graph_edges(n, dict_rng, hubs)
+            rows = simnet._honest_graph_edges(n, array_rng, hubs)
+            assert rows.shape == (len(expected), 3) and rows.dtype == np.float64
+            assert {(int(i), int(j)): w for i, j, w in rows.tolist()} == expected
+            assert array_rng.getstate() == dict_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_sybil_report_bytes_equal_the_dict_and_per_cell_builds(n, monkeypatch):
+    config = ScenarioConfig(scenario="sybil", n=n, seed=1)
+    report = run_sybil(config)
+    monkeypatch.setattr(
+        simnet,
+        "_honest_graph_edges",
+        lambda n, rng, hubs: np.array([(i, j, w) for (i, j), w in _dict_honest_graph_edges(n, rng, hubs).items()]),
+    )
+    monkeypatch.setattr(trust, "row_stochastic", _per_cell_row_stochastic)
+    before = run_sybil(config)
+    assert report.to_json_bytes() == before.to_json_bytes()
+    assert report.to_csv_text() == before.to_csv_text()
+
+
 def test_marketplace_invariants():
     report = run_marketplace(ScenarioConfig(scenario="marketplace", n=8, rounds=20, seed=11))
     payload = report.payload

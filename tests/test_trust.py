@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from agentmesh import trust
+from agentmesh import simnet, trust
 from agentmesh.trust import (
     CONTEXT_WEIGHTS,
     Direction,
@@ -327,10 +327,36 @@ def _bases(n):
     return st.one_of(uniform, drawn).map(lambda b: None if b is None else np.array(b))
 
 
-@given(data=st.data())
-def test_row_stochastic_equals_the_per_edge_and_per_row_loop(data):
-    n, edges = data.draw(_edge_lists())
-    base = data.draw(_bases(n))
+def _sybil_cases(n: int = 200, seed: int = 1) -> list[tuple[int, list, np.ndarray]]:
+    """(nodes, edges, base) of each of the three graphs the sybil scenario
+    analyses at n honest nodes, far past the sizes the strategy draws."""
+    config = simnet.ScenarioConfig(scenario="sybil", n=n, seed=seed)
+    n_sybil = int(n * config.sybil_fraction)
+    honest = simnet._honest_graph_edges(n, simnet.subsystem_rng(seed, "sybil-graph"), n_sybil)
+    w_a, w_b = config.sybil_internal_weights
+    cases = []
+    for internal_weight, honest_to_sybil in ((w_a, False), (w_b, False), (w_b, True)):
+        graph = simnet._sybil_graph(n, n_sybil, internal_weight, honest, honest_to_sybil)
+        edges = list(zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
+        cases.append((graph.n, edges, np.full(graph.n, 0.5)))
+    return cases
+
+
+_SYBIL_CASES = _sybil_cases()
+
+
+@st.composite
+def _row_stochastic_cases(draw):
+    n, edges = draw(_edge_lists())
+    return n, edges, draw(_bases(n))
+
+
+@given(case=_row_stochastic_cases())
+@example(case=_SYBIL_CASES[0])
+@example(case=_SYBIL_CASES[1])
+@example(case=_SYBIL_CASES[2])
+def test_row_stochastic_equals_the_per_edge_and_per_row_loop(case):
+    n, edges, base = case
     W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges), base)
     expected = _loop_row_stochastic(n, edges, np.full(n, 1.0 / n) if base is None else base)
     assert np.array_equal(W, expected)
@@ -387,7 +413,22 @@ def _any_edge_lists(draw):
     return n, draw(st.lists(st.one_of(valid, valid, anything), max_size=8))
 
 
+def _long_edge_list(repeated: int) -> tuple[int, list]:
+    """2,000 edges over 50 nodes: 1,999 distinct pairs in shuffled order, and
+    a last edge that repeats the first, whose pair is the `repeated`-th of all
+    2,450 in key order, so that the repeat is first or last once keys are sorted."""
+    n = 50
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    first = pairs.pop(repeated)
+    rng = random.Random(repeated)
+    rest = rng.sample(pairs, 1998)
+    return n, [(i, j, rng.random()) for i, j in [first, *rest, first]]
+
+
 @given(case=_any_edge_lists())
+@example(case=_long_edge_list(0))
+@example(case=_long_edge_list(-1))
+@example(case=(50, _long_edge_list(0)[1][:-1]))
 @example(case=(2, [(0, 2**64 - 1, 0.5)]))
 @example(case=(3, [(0, 1, 0.5), (1, 2, math.nan), (0, 1, 0.5)]))
 @example(case=(3, [(0, 1, 0.5), (1, 0, 0.5), (0, 1, 2.0)]))
@@ -428,6 +469,26 @@ def test_graph_is_frozen_and_its_arrays_read_only():
     for array in (g.src, g.dst, g.weight):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+_FLOAT_INDEX = st.floats(-3.0, 7.0) | st.sampled_from(
+    [-0.0, -1e-20, 1e-300, 2.5, 3.0, 1e300, math.inf, -math.inf, math.nan]
+)
+
+
+@given(i=_FLOAT_INDEX, j=_FLOAT_INDEX)
+@example(i=-1e-20, j=1.0)
+@example(i=math.nextafter(2.0, 0.0), j=1.0)
+def test_a_float_index_is_refused_as_the_remainder_rule_refuses_it(i, j):
+    """The graph tests a float index for integrality with its floor; the
+    verdict is the remainder rule's, x % 1 == 0, for every float."""
+    n = 4
+    in_range = 0 <= i < n and 0 <= j < n and i != j
+    if in_range and i % 1 == 0 and j % 1 == 0:
+        assert TrustGraph(nodes=list("abcd"), edges=np.array([(i, j, 0.5)])).src.tolist() == [int(i)]
+    else:
+        with pytest.raises(ValueError, match="non-integer index" if in_range else "range|self-edge"):
+            TrustGraph(nodes=list("abcd"), edges=np.array([(i, j, 0.5)]))
 
 
 def test_graph_refuses_edges_that_are_not_numeric_triples():
