@@ -41,6 +41,13 @@ __all__ = [
 DEFAULT_TAU = 0.95
 DEFAULT_RECENCY_HORIZON = 1000.0
 
+# `cosine`'s fast path: a plain ndarray whose dtype is the object numpy gives
+# native float64 arrays. An equal dtype that is another object (an unpickled
+# array's) takes the conversion path. Module names, not `np.` lookups, since
+# the check runs twice on each of the ranking's many calls.
+_NDARRAY = np.ndarray
+_FLOAT64 = np.dtype(float)
+
 
 def embed_text(text: str) -> np.ndarray:
     """Deterministic unit-norm embedding of arbitrary text.
@@ -81,14 +88,22 @@ def cosine(
     the norm of a 1-D float vector is ``sqrt(x.dot(x))``; scalar arithmetic
     skips numpy's per-call overhead, which dominates on 256-vectors.
 
+    A call costs one dot, plus one for each norm it takes itself. An
+    argument that is a plain ``np.ndarray`` of native float64 is used as it
+    is; any other form (a list, a tuple, another dtype or byte order, an
+    ndarray subclass) is first converted by ``np.asarray(x, dtype=float)``,
+    which is the same array for the fast form, so both give the same bits.
+
     A caller that compares one vector many times may pass its norm as
     ``norm_a`` or ``norm_b``; it must be ``math.sqrt(x.dot(x))`` of the
     float array ``np.asarray(x, dtype=float)``, so the result has the same
     bits as when ``cosine`` takes the norm itself. Each comparison is then
     one dot.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    if type(a) is not _NDARRAY or a.dtype is not _FLOAT64:
+        a = np.asarray(a, dtype=float)
+    if type(b) is not _NDARRAY or b.dtype is not _FLOAT64:
+        b = np.asarray(b, dtype=float)
     na = math.sqrt(a.dot(a)) if norm_a is None else norm_a
     nb = math.sqrt(b.dot(b)) if norm_b is None else norm_b
     if na == 0.0 or nb == 0.0:
@@ -253,9 +268,10 @@ def score_pairwise_loss(
     dot loop once per row (``diffs @ theta`` rounds differently), each
     sigmoid takes its ``exp`` from ``math.exp`` (``np.exp`` can differ in
     the last bit) on the non-positive side, as the scalar form does, and the
-    gradient is a sequential sum that starts from a row of +0.0, as the loop
-    does, so a column of zero diffs sums to 0.0, not -0.0. `train` passes
-    one `_PairTable` to every call; any other sequence is wrapped here.
+    gradient is one axis-0 ``add.reduce`` from an initial +0.0, which numpy
+    runs row by row over the C-ordered (n, 4) terms, as the loop sums, so a
+    column of zero diffs sums to 0.0, not -0.0. `train` passes one
+    `_PairTable` to every call; any other sequence is wrapped here.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -266,11 +282,10 @@ def score_pairwise_loss(
     # d/d margin of ln(1+exp(-margin)) = -sigmoid(-margin) = -sigmoid(x).
     # np.where keeps a NaN's sign bit, which -np.abs(x) would clear.
     up = x >= 0
-    e = np.array(list(map(math.exp, np.where(up, -x, x).tolist())))
-    sig = np.where(up, 1.0 / (1.0 + e), e / (1.0 + e))
-    terms = np.zeros((n + 1, 4))
-    terms[1:] = (-sig)[:, None] * table.diffs
-    grad_theta = np.add.accumulate(terms, axis=0)[-1]
+    e = np.fromiter(map(math.exp, np.where(up, -x, x).tolist()), float, n)
+    one_plus_e = 1.0 + e
+    sig = np.where(up, 1.0 / one_plus_e, e / one_plus_e)
+    grad_theta = np.add.reduce((-sig)[:, None] * table.diffs, axis=0, initial=0.0)
     gradient = np.concatenate([grad_theta / n, [0.0]])
     return loss, gradient
 
@@ -336,7 +351,12 @@ def rank(
     so each score has the bits of `model.score` (`table @ theta` rounds
     differently). The query's norm is taken once per call and each card's
     once per card, and the scored norms go on to `dedup`, so each
-    similarity and each dedup comparison is one dot."""
+    similarity and each dedup comparison is one dot.
+
+    A call costs n `cosine` calls, one `vecdot` and one sort of n keys, then
+    the `dedup` scan of all n candidates. Each card's array and norm come
+    from its `_card_vector` memo, built on the card's first ranking, and
+    are handed on as they are."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query_norm = _norm(query_embedding)
@@ -345,20 +365,24 @@ def rank(
     for card in cards:
         did = card.did
         trust = float(trust_report.get(did, 0.0))
-        embedding, norm = _card_vector(card)
+        vector = _card_vector(card)
         age = max(0, now - card.last_active)
         values += (
-            cosine(query_embedding, embedding, query_norm, norm),
+            cosine(query_embedding, vector[0], query_norm, vector[1]),
             trust,
             math.log1p(card.usage_count),
             math.exp(-age / DEFAULT_RECENCY_HORIZON),
         )
-        entries.append((did, trust, embedding, norm))
+        entries.append((did, trust, vector))
     table = np.array(values, dtype=float).reshape(len(entries), 4)
     scores = (np.vecdot(table, model.theta) + model.bias).tolist()
-    scored = [(did, score, trust, embedding, norm) for (did, trust, embedding, norm), score in zip(entries, scores)]
-    scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
-    kept = dedup([(did, score, emb) for did, score, _t, emb, _n in scored], tau, [norm for *_, norm in scored])
+    keys = [(-score, -trust, did) for score, (did, trust, _vector) in zip(scores, entries)]
+    order = sorted(range(len(entries)), key=keys.__getitem__)
+    kept = dedup(
+        [(entries[i][0], scores[i], entries[i][2][0]) for i in order],
+        tau,
+        [entries[i][2][1] for i in order],
+    )
     return [(did, score) for did, score, _emb in kept[:k]]
 
 
@@ -371,7 +395,12 @@ def dedup(
     already-kept candidate is >= tau (or NaN); output is pairwise-dissimilar
     below tau. Each candidate's norm is taken once, so each comparison is
     one dot, and a candidate's comparisons stop at the first kept candidate
-    that drops it.
+    that drops it. The kept candidates are the tuples passed in.
+
+    A scan costs one `cosine` call per comparison: up to ``len(kept)`` per
+    candidate, ``n(n-1)/2`` when every candidate is kept. Each call gets
+    both norms, and gets the arrays as they were passed, so a plain float64
+    array reaches `cosine`'s fast path.
 
     A caller that holds the candidates' norms may pass them as ``norms``,
     one per candidate, in order, each as `cosine` would take it (see its
@@ -382,14 +411,15 @@ def dedup(
     if norms is None:
         norms = [_norm(emb) for _did, _score, emb in candidates]
     kept: list[tuple[str, float, np.ndarray]] = []
-    kept_norms: list[float] = []
-    for (did, score, emb), norm in zip(candidates, norms, strict=True):
-        for (_d, _s, kept_emb), kept_norm in zip(kept, kept_norms):
+    kept_vectors: list[tuple[np.ndarray, float]] = []
+    for candidate, norm in zip(candidates, norms, strict=True):
+        _did, _score, emb = candidate
+        for kept_emb, kept_norm in kept_vectors:
             if not cosine(emb, kept_emb, norm, kept_norm) < tau:
                 break
         else:
-            kept.append((did, score, emb))
-            kept_norms.append(norm)
+            kept.append(candidate)
+            kept_vectors.append((emb, norm))
     return kept
 
 

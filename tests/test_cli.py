@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -1039,6 +1040,62 @@ def test_every_subcommand_keeps_exit_code_and_stderr_contract(argv):
         try:
             for name, obj in _ARGV_FILES.values():
                 Path(name).write_text(json.dumps(obj) + "\n")
+            _assert_contract(*_run_quietly(argv))
+        finally:
+            os.chdir(cwd)
+
+
+# -- the CLI contract over the bytes of each input file ------------------------
+
+# Each command that reads a file: the file it reads, the well-formed bytes of
+# that file, and its argument list. The other files are written well-formed.
+_BYTE_INPUTS = {
+    "sim-config": ("config.json", ["sim", "--config", "config.json", "--out", "out/r.json"]),
+    "resolve-snapshot": ("snapshot.json", ["resolve", "--snapshot", "snapshot.json", "--key", "alpha", "--prove"]),
+    "rank-corpus": ("cards.jsonl", ["rank", "--query", "q", "--corpus", "cards.jsonl"]),
+    "train-pairs": ("pairs.jsonl", ["train", "--pairs", "pairs.jsonl", "--iters", "5"]),
+    "trust-graph": ("graph.json", ["trust", "--graph", "graph.json"]),
+    "trust-signals": ("signals.json", ["trust", "--graph", "graph.json", "--signals", "signals.json"]),
+    "dp-input": ("cards.jsonl", ["dp", "--input", "cards.jsonl"]),
+}
+_WELL_FORMED = {name: (json.dumps(obj) + "\n").encode() for name, obj in _ARGV_FILES.values()}
+_JSON_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_INVALID_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82", b"\x80"]
+
+
+@st.composite
+def _file_bytes(draw, valid: bytes) -> bytes:
+    """Arbitrary bytes, or one byte-level edit of a well-formed file: cut
+    short, one byte flipped, invalid UTF-8 put in, or one run of digits (a
+    number, or part of a string) replaced by a 100,000-deep nesting or a
+    5,000-digit integer."""
+    edit = draw(st.sampled_from(["bytes", "truncate", "flip", "utf-8", "deep", "digits"]))
+    if edit == "bytes":
+        return draw(st.binary())
+    if edit in ("deep", "digits"):
+        number = draw(st.sampled_from(list(_JSON_NUMBER.finditer(valid))))
+        value = b"[" * 100_000 + b"]" * 100_000 if edit == "deep" else b"9" * 5_000
+        return valid[: number.start()] + value + valid[number.end() :]
+    at = draw(st.integers(min_value=0, max_value=len(valid) - 1))
+    if edit == "truncate":
+        return valid[:at]
+    if edit == "flip":
+        return valid[:at] + bytes([valid[at] ^ draw(st.integers(min_value=1, max_value=255))]) + valid[at + 1 :]
+    return valid[:at] + draw(st.sampled_from(_INVALID_UTF8)) + valid[at:]
+
+
+@pytest.mark.parametrize("command", sorted(_BYTE_INPUTS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_each_input_file_keeps_exit_code_and_stderr_contract_on_any_bytes(command, data):
+    name, argv = _BYTE_INPUTS[command]
+    content = data.draw(_file_bytes(_WELL_FORMED[name]), label=name)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for other, valid in _WELL_FORMED.items():
+                Path(other).write_bytes(content if other == name else valid)
             _assert_contract(*_run_quietly(argv))
         finally:
             os.chdir(cwd)

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from agentmesh import discovery, simnet
 from agentmesh.cards import EMBED_DIM
@@ -77,17 +77,69 @@ def _reference_cosine(a, b) -> float:
     return float(np.clip(float(np.dot(a, b)) / (na * nb), -1.0, 1.0))
 
 
+def _converting_cosine(a, b, norm_a=None, norm_b=None) -> float:
+    """`cosine` with no fast path, the oracle for every input form: each
+    argument converted by ``np.asarray(x, dtype=float)``, then the same
+    scalar arithmetic."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na = math.sqrt(a.dot(a)) if norm_a is None else norm_a
+    nb = math.sqrt(b.dot(b)) if norm_b is None else norm_b
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    similarity = float(a.dot(b)) / (na * nb)
+    if similarity > 1.0:
+        return 1.0
+    if similarity < -1.0:
+        return -1.0
+    return similarity
+
+
 def _same_float(x: float, y: float) -> bool:
     if math.isnan(x) or math.isnan(y):
         return math.isnan(x) and math.isnan(y)
     return struct.pack(">d", x) == struct.pack(">d", y)
 
 
+def _strided(v):
+    wide = np.zeros(2 * len(v))
+    wide[::2] = v
+    return wide[::2]
+
+
+def _masked(v):
+    """An ndarray subclass with its own arithmetic: a masked array's dot
+    skips the masked entry, while ``np.asarray`` keeps the data under it."""
+    v = np.asarray(v, dtype=float)
+    return np.ma.masked_array(v, mask=np.arange(len(v)) == 0)
+
+
+def _read_only(v):
+    v = np.array(v, dtype=float)
+    v.flags.writeable = False
+    return v
+
+
+# The forms a vector may reach `cosine` in. Only the first three are plain
+# float64 arrays, which `cosine` uses as they are; it converts the others.
+_COSINE_FORMS = {
+    "float64": lambda v: np.ascontiguousarray(v, dtype=float),
+    "strided": _strided,
+    "read-only": _read_only,
+    "list": lambda v: np.asarray(v).tolist(),
+    "tuple": lambda v: tuple(np.asarray(v).tolist()),
+    "float32": lambda v: np.asarray(v, dtype=np.float32),
+    "byte-swapped": lambda v: np.asarray(v, dtype=">f8"),
+    "int64": lambda v: np.asarray(v).astype(np.int64),
+    "subclass": _masked,
+}
+
 _cosine_cases = given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(["random", "near", "scaled", "negated", "unit", "zero", "nan", "integers"]),
     noise=st.floats(min_value=1e-12, max_value=1.0),
     factor=st.floats(min_value=1e-3, max_value=1e3),
+    form=st.sampled_from(sorted(_COSINE_FORMS)),
 )
 
 
@@ -117,26 +169,38 @@ def _cosine_case(seed, kind, noise, factor):
     return a, b
 
 
+def _formed_cosine_case(seed, kind, noise, factor, form):
+    """The drawn pair, each vector in the drawn form."""
+    assume(not (form == "int64" and kind == "nan"))  # a NaN has no int64
+    return tuple(_COSINE_FORMS[form](v) for v in _cosine_case(seed, kind, noise, factor))
+
+
 def _own_norm(v) -> float:
     v = np.asarray(v, dtype=float)
     return math.sqrt(v.dot(v))
 
 
 @_cosine_cases
-def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor):
-    a, b = _cosine_case(seed, kind, noise, factor)
+def test_cosine_bit_identical_to_numpy_reference(seed, kind, noise, factor, form):
+    a, b = _formed_cosine_case(seed, kind, noise, factor, form)
     for x, y in ((a, b), (b, a), (a, a)):
         got = cosine(x, y)
         assert isinstance(got, float)
-        assert _same_float(got, _reference_cosine(x, y))
+        assert _same_float(got, _converting_cosine(x, y))
+        # np.linalg.norm copies a strided vector before its dot, and a
+        # strided dot rounds differently, so that form has only the oracle
+        # above.
+        if form != "strided":
+            assert _same_float(got, _reference_cosine(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
         assert math.isnan(got) or -1.0 <= got <= 1.0
 
 
 @_cosine_cases
-def test_cosine_with_given_norms_bit_identical_to_cosine_taking_them(seed, kind, noise, factor):
-    a, b = _cosine_case(seed, kind, noise, factor)
+def test_cosine_with_given_norms_bit_identical_to_cosine_taking_them(seed, kind, noise, factor, form):
+    a, b = _formed_cosine_case(seed, kind, noise, factor, form)
     for x, y in ((a, b), (b, a), (a, a)):
-        expected = cosine(x, y)
+        expected = _converting_cosine(x, y)
+        assert _same_float(cosine(x, y), expected)
         assert _same_float(cosine(x, y, _own_norm(x), _own_norm(y)), expected)
         assert _same_float(cosine(x, y, _own_norm(x)), expected)
         assert _same_float(cosine(x, y, norm_b=_own_norm(y)), expected)
@@ -722,13 +786,10 @@ def _all_form_dedup(candidates, tau):
     return kept
 
 
-@pytest.mark.parametrize("tau", [0.95, 1.0])
-@pytest.mark.parametrize("seed", [1, 7])
-def test_rank_and_dedup_make_the_comparisons_of_the_all_form(seed, tau, monkeypatch):
-    cards = [agent.card for agent in simnet.synthetic_agents(64, seed, duplicate_every=5)]
+def _check_the_comparisons_of_the_all_form(cards, trust_report, model, k, tau):
+    """Rank once with `cosine` and `dedup` recorded, check that its calls are
+    those of the all() form, and return (scan comparisons, kept, candidates)."""
     query = embed_text("weather forecast")
-    trust_report = {str(card.did): 0.5 for card in cards[::3]}
-    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
     original_cosine = discovery.cosine
     original_dedup = discovery.dedup
     calls = []
@@ -747,36 +808,91 @@ def test_rank_and_dedup_make_the_comparisons_of_the_all_form(seed, tau, monkeypa
         calls.clear()
         return got
 
-    monkeypatch.setattr(discovery, "cosine", recording_cosine)
-    monkeypatch.setattr(discovery, "dedup", recording_dedup)
-    hits = rank(query, cards, trust_report, model, k=8, now=10, tau=tau)
-    rank_calls = list(calls)
-    rank_pairs = pairs()
-    (candidates,) = scans
-    assert len(candidates) == len(cards)
-    expected_kept = _all_form_dedup(candidates, tau)
-    scan_pairs = pairs()
-    kept = original_dedup(candidates, tau)
-    dedup_calls = list(calls)
-    assert pairs() == scan_pairs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "cosine", recording_cosine)
+        patch.setattr(discovery, "dedup", recording_dedup)
+        hits = rank(query, cards, trust_report, model, k=k, now=10, tau=tau)
+        rank_calls = list(calls)
+        rank_pairs = pairs()
+        (candidates,) = scans
+        assert len(candidates) == len(cards)
+        expected_kept = _all_form_dedup(candidates, tau)
+        scan_pairs = pairs()
+        kept = original_dedup(candidates, tau)
+        dedup_calls = list(calls)
+        assert pairs() == scan_pairs
     assert [(did, struct.pack(">d", score), id(emb)) for did, score, emb in kept] == [
         (did, struct.pack(">d", score), id(emb)) for did, score, emb in expected_kept
     ]
-    assert hits == [(did, score) for did, score, _emb in kept[:8]]
+    assert hits == [(did, score) for did, score, _emb in kept[:k]]
+    # The candidates are the cards in (-score, -trust, DID) order, each with
+    # its own ranking vector.
+    by_did = {str(card.did): card for card in cards}
+    order = [(-score, -trust_report.get(did, 0.0), did) for did, score, _emb in candidates]
+    assert order == sorted(order)
+    assert all(emb is card_embedding(by_did[did]) for did, _score, emb in candidates)
     # One similarity per card, in card order, then the dedup scan's
     # comparisons: n plus the scan, as with the all() form.
     similarity_pairs = [(id(query), id(card_embedding(card))) for card in cards]
     assert rank_pairs == similarity_pairs + scan_pairs
     assert len(rank_pairs) == len(cards) + len(scan_pairs)
-    assert len(scan_pairs) > len(cards)
-    if tau < 1.0:
-        assert len(kept) < len(candidates)
     # Every norm passed is its own vector's norm, bit for bit; none is
     # assumed (a unit card's norm is not always exactly 1.0).
     for a, b, norm_a, norm_b in rank_calls + dedup_calls:
         assert norm_a is not None and norm_b is not None
         assert struct.pack(">d", norm_a) == struct.pack(">d", _own_norm(a))
         assert struct.pack(">d", norm_b) == struct.pack(">d", _own_norm(b))
+    return scan_pairs, kept, candidates
+
+
+@pytest.mark.parametrize("tau", [0.95, 1.0])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_rank_and_dedup_make_the_comparisons_of_the_all_form(seed, tau):
+    cards = [agent.card for agent in simnet.synthetic_agents(64, seed, duplicate_every=5)]
+    trust_report = {str(card.did): 0.5 for card in cards[::3]}
+    model = L2RModel(theta=np.array([1.0, 0.5, 0.1, 0.2]))
+    scan_pairs, kept, candidates = _check_the_comparisons_of_the_all_form(cards, trust_report, model, 8, tau)
+    # The synthetic corpus makes a long scan, and its near-duplicates are
+    # dropped below tau 1.
+    assert len(scan_pairs) > len(cards)
+    if tau < 1.0:
+        assert len(kept) < len(candidates)
+
+
+@st.composite
+def _rank_corpora(draw):
+    """(cards, trust report, model, k) for one `rank` call. Cards keep their
+    stored embedding, are bare (ranked by their description's embedding),
+    share one embedding tuple exactly, or share it with one usage and
+    activity profile and one trust, so that only the DID breaks their tie.
+    A card's trust may be zero, or missing from the report; k runs from 1
+    to one past the number of cards."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["stored", "bare", "shared", "tied"]), max_size=24))
+    shared = unit_embedding(rng)
+    cards = []
+    trust_report = {}
+    for kind in kinds:
+        card = random_card(rng)
+        if kind == "bare":
+            card = card.bump(embedding=None)
+        elif kind == "shared":
+            card = card.bump(embedding=shared)
+        elif kind == "tied":
+            card = card.bump(embedding=shared, usage_count=7, last_active=0)
+        cards.append(card)
+        trust = 0.5 if kind == "tied" else draw(st.sampled_from([None, 0.0, 0.5, 0.9]))
+        if trust is not None:
+            trust_report[str(card.did)] = trust
+    theta = draw(st.sampled_from([(1.0, 0.5, 0.1, 0.2), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]))
+    k = draw(st.integers(min_value=1, max_value=len(cards) + 1))
+    return cards, trust_report, L2RModel(theta=np.array(theta)), k
+
+
+@settings(max_examples=60)
+@given(_rank_corpora(), st.sampled_from([0.3, discovery.DEFAULT_TAU, 1.0]))
+def test_rank_and_dedup_make_the_comparisons_of_the_all_form_on_drawn_corpora(corpus, tau):
+    _check_the_comparisons_of_the_all_form(*corpus, tau)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([0.3, 0.9, 0.95, 1.0]))
