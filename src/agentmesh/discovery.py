@@ -99,6 +99,11 @@ def cosine(
     float array ``np.asarray(x, dtype=float)``, so the result has the same
     bits as when ``cosine`` takes the norm itself. Each comparison is then
     one dot.
+
+    The bits depend on the layout of the values as well as on the values: a
+    strided view (a matrix column, say) goes to BLAS with its stride and can
+    round differently from a contiguous copy of the same values. `rank`
+    hands it only C-contiguous card vectors.
     """
     if type(a) is not _NDARRAY or a.dtype is not _FLOAT64:
         a = np.asarray(a, dtype=float)

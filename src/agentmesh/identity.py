@@ -13,6 +13,7 @@ import enum
 import functools
 import hashlib
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -102,8 +103,9 @@ def derive_did(public_key: bytes) -> AgentDid:
 
 
 # Parsing a private key costs about as much as one signature, so each key is
-# parsed once, by generate_keypair or by its first sign; public keys parse in
-# about 1 µs and are not cached. Bounded, because ephemeral keys keep coming:
+# parsed once, by generate_keypair or by its first sign; a public key parses in
+# about 1 µs and is not kept, because `verify` keeps whole checks instead (see
+# `_verified`). Bounded, because ephemeral keys keep coming:
 # a marketplace payer signs with its owner key and with one delegated key per
 # six-round window, about two live keys per agent, so past about 512 agents
 # the live keys outnumber the 1,024 entries, evict each other and are parsed
@@ -117,15 +119,43 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
     return _private_key(secret_key).sign(message)
 
 
+# The SHA-256 of `public_key ‖ signature ‖ message` of each triple that has
+# verified, least recently used first. An Ed25519 check costs over 100 µs, and
+# the same triple comes back: a marketplace settle re-checks the owner's
+# signature on its delegation for every payment in the delegation's window. A
+# failed check is never kept, so forged input cannot fill the cache, and an
+# answer never depends on what it holds. The delegation of a window comes back
+# after about one round of checks, about 4 per agent, so 1,024 entries (about
+# 150 KB) keep the hits up to about 256 agents.
+_VERIFIED_MAX = 1024
+_verified: OrderedDict[bytes, bool] = OrderedDict()
+
+
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature checks. Malformed inputs yield False, never raise."""
+    """True iff the signature checks. Malformed inputs yield False, never raise.
+    A triple that has verified before in this process is answered without a
+    second Ed25519 check (see `_verified`)."""
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    # Joined, the key and signature must be their 96 bytes, so a buffer of
+    # wider items cannot shift the concatenation onto another triple's.
+    key_and_signature = b"".join((public_key, signature))
+    if len(key_and_signature) != KEY_LEN + SIG_LEN:
+        return False
+    seen = hashlib.sha256(key_and_signature + message).digest()
+    # `pop` finds a hit and takes it out in one step, which no other thread
+    # can split; putting it back makes it the most recently used.
+    if _verified.pop(seen, False):
+        _verified[seen] = True
         return True
+    try:
+        Ed25519PublicKey.from_public_bytes(bytes(public_key)).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
+    _verified[seen] = True
+    if len(_verified) > _VERIFIED_MAX:
+        _verified.popitem(last=False)
+    return True
 
 
 class ClaimType(enum.IntEnum):

@@ -7,9 +7,10 @@ import math
 import random
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import strategies as st
 
-from agentmesh import privacy, simnet
+from agentmesh import identity, privacy, simnet
 from agentmesh.cards import EMBED_DIM, AgentFactCard
 from agentmesh.identity import AgentDid, AttestationIssuer, ClaimType, KeyPair, derive_did, generate_keypair, sha256
 from agentmesh.registry import RegistryRecord, make_record
@@ -22,6 +23,22 @@ def keypair_for(label: str) -> KeyPair:
 
 def did_for(label: str) -> AgentDid:
     return derive_did(keypair_for(label).public_key)
+
+
+def count_ed25519_checks(monkeypatch) -> list[bytes]:
+    """The public key of each Ed25519 check that `identity.verify` runs from
+    now on, in order. A check starts with parsing its key, so the parse is
+    counted; the traced `verify` names stay bound as they are."""
+    checked: list[bytes] = []
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data: bytes) -> Ed25519PublicKey:
+            checked.append(data)
+            return Ed25519PublicKey.from_public_bytes(data)
+
+    monkeypatch.setattr(identity, "Ed25519PublicKey", Counting)
+    return checked
 
 
 def signed_record(key: str, version: int = 1, owner_label: str = "owner", url: str = "https://x/meta"):

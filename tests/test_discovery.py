@@ -836,6 +836,13 @@ def _check_the_comparisons_of_the_all_form(cards, trust_report, model, k, tau):
     similarity_pairs = [(id(query), id(card_embedding(card))) for card in cards]
     assert rank_pairs == similarity_pairs + scan_pairs
     assert len(rank_pairs) == len(cards) + len(scan_pairs)
+    # Every card vector reaches `cosine` as a C-contiguous native float64
+    # array: a strided view of the same values can round differently.
+    vectors = {id(card_embedding(card)) for card in cards}
+    handed = [x for a, b, _na, _nb in rank_calls for x in (a, b) if id(x) in vectors]
+    assert {id(x) for x in handed} == vectors
+    for x in handed:
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.dtype.isnative and x.flags.c_contiguous
     # Every norm passed is its own vector's norm, bit for bit; none is
     # assumed (a unit card's norm is not always exactly 1.0).
     for a, b, norm_a, norm_b in rank_calls + dedup_calls:

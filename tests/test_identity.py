@@ -7,8 +7,9 @@ import random
 import re
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from hypothesis import given, strategies as st
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from hypothesis import given, settings, strategies as st
 
 from agentmesh import identity, micropay
 from agentmesh.cards import AgentFactCard, card_digest
@@ -28,7 +29,7 @@ from agentmesh.identity import (
 )
 from agentmesh.registry import RegistryRecord, make_record
 from agentmesh.wire import dumps
-from _helpers import did_for, keypair_for
+from _helpers import count_ed25519_checks, did_for, keypair_for
 
 
 def test_keygen_deterministic():
@@ -212,6 +213,112 @@ def test_a_generated_key_is_parsed_once():
 def test_parsed_key_cache_is_bounded():
     maxsize = identity._private_key.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 1024
+
+
+def _uncached_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """The oracle: one bare Ed25519 check, with no cache in front of it."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+@st.composite
+def _triples(draw):
+    """(public key, message, signature): a signer's own triple, or one whose
+    key, message or signature is another's, random or of the wrong length."""
+    seed = draw(st.binary(min_size=32, max_size=32))
+    keypair = generate_keypair(seed)
+    message = draw(st.binary(max_size=120))
+    signature = sign(keypair.secret_key, message)
+    public_key = draw(
+        st.sampled_from(
+            [
+                keypair.public_key,
+                generate_keypair(sha256(seed)).public_key,
+                sha256(b"random key" + seed),
+                keypair.public_key[:31],
+                keypair.public_key + b"\x00",
+            ]
+        )
+    )
+    message = draw(st.sampled_from([message, message + b"!", sha256(message)]))
+    signature = draw(st.sampled_from([signature, sha256(signature) * 2, signature[:63], signature + b"\x00"]))
+    return public_key, message, signature
+
+
+@settings(max_examples=200)
+@given(_triples())
+def test_verify_equals_an_uncached_check_on_first_and_repeated_calls(triple):
+    expected = _uncached_verify(*triple)
+    for form in (bytes, bytearray, memoryview):
+        identity._verified.clear()
+        identity._verified[sha256(b"held")] = True
+        for _ in range(2):
+            held = list(identity._verified)
+            assert verify(*map(form, triple)) is expected
+            if not expected:
+                # A failed check leaves the cache as it was.
+                assert list(identity._verified) == held
+        assert len(identity._verified) == 1 + expected
+    # A triple cached from another form is answered for bytes the same.
+    assert verify(*triple) is expected
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(min_size=1, max_size=60),
+    mask=st.integers(min_value=1, max_value=255),
+)
+def test_a_cached_triple_with_any_one_byte_changed_does_not_verify(seed, message, mask):
+    keypair = generate_keypair(seed)
+    triple = (keypair.public_key, message, sign(keypair.secret_key, message))
+    assert verify(*triple)
+    for part, value in enumerate(triple):
+        for at in range(len(value)):
+            changed = bytearray(value)
+            changed[at] ^= mask
+            tampered = list(triple)
+            tampered[part] = bytes(changed)
+            assert not verify(*tampered)
+            assert not _uncached_verify(*tampered)
+    assert verify(*triple)
+
+
+def test_a_buffer_of_wider_items_cannot_borrow_a_cached_triple():
+    keypair = keypair_for("wide")
+    message = bytes(range(160))
+    signature = sign(keypair.secret_key, message)
+    assert verify(keypair.public_key, message, signature)
+    # 32 four-byte items and 64 bytes hash to the cached triple's bytes.
+    joined = keypair.public_key + signature + message
+    wide_key = memoryview(joined[:128]).cast("I")
+    assert len(wide_key) == 32
+    assert not verify(wide_key, joined[192:], joined[128:192])
+
+
+def test_verified_cache_is_bounded_and_keeps_the_most_recently_used(monkeypatch):
+    maxsize = identity._VERIFIED_MAX
+    assert 0 < maxsize <= 1024
+    keypair = keypair_for("bounded")
+    triples = []
+    for i in range(maxsize + 1):
+        message = i.to_bytes(2, "big")
+        triples.append((keypair.public_key, message, sign(keypair.secret_key, message)))
+    identity._verified.clear()
+    checked = count_ed25519_checks(monkeypatch)
+    assert all(verify(*triple) for triple in triples[:maxsize])
+    assert len(checked) == len(identity._verified) == maxsize
+    # A hit needs no check and makes its triple the most recently used, so
+    # one more triple evicts the second, not the first.
+    assert verify(*triples[0]) and len(checked) == maxsize
+    assert verify(*triples[maxsize]) and len(checked) == maxsize + 1
+    assert len(identity._verified) == maxsize
+    assert verify(*triples[0]) and len(checked) == maxsize + 1
+    assert verify(*triples[1]) and len(checked) == maxsize + 2
+    assert len(identity._verified) == maxsize
 
 
 def _issue_one(issuer: AttestationIssuer, at: int = 5) -> Attestation:
