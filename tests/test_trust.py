@@ -3,8 +3,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import os
+import platform
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,12 +179,7 @@ def test_one_matvec_iteration_bit_identical_to_two_matvec_loop():
         start = np.array([rng.random() for _ in range(g.n)]) if rng.random() < 0.5 else None
         for orientation in (Orientation.LITERAL, Orientation.TRANSPOSE):
             alpha = rng.uniform(0.1, 0.95)
-            tv = propagate_trust(g, alpha=alpha, orientation=orientation, tol=1e-11, start=start, keep_trace=True)
-            T, trace = _two_matvec_reference(g, alpha, orientation, 1e-11, start)
-            assert tv.values.tobytes() == T.tobytes()
-            assert tv.residual_trace == tuple(trace)
-            assert tv.residual == trace[-1]
-            assert tv.iterations == len(trace) - 1
+            _assert_propagates_as_the_one_iterate_loops(g, alpha, orientation, 1e-11, start)
 
 
 def test_propagate_validates_inputs():
@@ -297,13 +297,16 @@ def _loop_row_stochastic(n, edges, base):
     return W
 
 
-def _loop_propagate(M, base, alpha, tol, start):
-    """The power loop that allocated a new array for every operation."""
+def _loop_propagate(M, base, alpha, tol, start, max_iters=None):
+    """The power loop that allocated a new array for every operation, one
+    iterate at a time; past max_iters iterates it raises as the library does."""
     T = np.array(base if start is None else start, dtype=float, copy=True)
     hold = (1.0 - alpha) * base
     step = alpha * (M @ T)
     trace = [float(np.max(np.abs(T - step - hold)))]
-    while trace[-1] >= tol:
+    while not trace[-1] < tol:
+        if max_iters is not None and len(trace) > max_iters:
+            raise trust.NonConvergentError(f"residual {trace[-1]} after {len(trace) - 1} iterations")
         T = step + hold
         step = alpha * (M @ T)
         trace.append(float(np.max(np.abs(T - step - hold))))
@@ -520,6 +523,183 @@ def test_w_is_64_byte_aligned_and_multiplies_as_an_unaligned_copy(n):
         T = np.array([rng.random() for _ in range(n)])
         assert (W.T @ T).tobytes() == (U.T @ T).tobytes()
         assert (W @ T).tobytes() == (U @ T).tobytes()
+    # The call the power loop makes: np.dot from one row of a block buffer
+    # into one row of another, at every row offset the loop uses.
+    Ts, steps = np.empty((trust._BLOCK + 1, n)), np.empty((trust._BLOCK, n))
+    for M, unaligned in ((W.T, U.T), (W, U)):
+        for t in range(trust._BLOCK):
+            Ts[t] = [rng.random() for _ in range(n)]
+            np.dot(M, Ts[t], out=steps[t])
+            assert steps[t].tobytes() == (unaligned @ Ts[t].copy()).tobytes()
+
+
+# -- the power loop in blocks against the one-iterate loops --------------------
+
+
+def _assert_propagates_as_the_one_iterate_loops(graph, alpha, orientation, tol, start=None):
+    """propagate_trust gives the bits, the count, the residual and the trace
+    of both one-iterate references; returns its iteration count."""
+    tv = propagate_trust(graph, alpha=alpha, orientation=orientation, tol=tol, start=start, keep_trace=True)
+    base = default_base(graph.n, orientation)
+    W = row_stochastic(graph, base)
+    T, iterations, trace = _loop_propagate(W if orientation is Orientation.LITERAL else W.T, base, alpha, tol, start)
+    T2, trace2 = _two_matvec_reference(graph, alpha, orientation, tol, start)
+    assert tv.values.tobytes() == T.tobytes() == T2.tobytes()
+    assert tv.iterations == iterations == len(trace2) - 1
+    assert tv.residual_trace == trace == tuple(trace2)
+    assert tv.residual == trace[-1]
+    return tv.iterations
+
+
+_BLOCK_EDGES = (0, trust._BLOCK - 1, trust._BLOCK, trust._BLOCK + 1, 2 * trust._BLOCK)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("graph_seed", [3, 11])
+@pytest.mark.parametrize("target", _BLOCK_EDGES)
+def test_block_loop_stops_where_the_one_iterate_loop_stops(target, graph_seed, orientation):
+    """Stops at 0, _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 _BLOCK iterates: the
+    first from a start that is already the fixed point, the others at a tol
+    that the chosen iterate is the first to pass."""
+    rng = random.Random(graph_seed)
+    g = _random_graph(rng)
+    start = np.array([rng.random() for _ in range(g.n)])
+    alpha = 0.95
+    base = default_base(g.n, orientation)
+    W = row_stochastic(g, base)
+    T, _iterations, trace = _loop_propagate(W if orientation is Orientation.LITERAL else W.T, base, alpha, 1e-14, start)
+    assert len(trace) > target + 1
+    if target == 0:
+        start, tol = T, 1e-14
+    else:
+        tol = min(trace[:target])
+        assert trace[target] < tol
+    assert _assert_propagates_as_the_one_iterate_loops(g, alpha, orientation, tol, start) == target
+
+
+@pytest.mark.parametrize("case", range(len(_SYBIL_CASES)))
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_block_loop_equals_the_one_iterate_loops_at_benchmark_size(case, orientation):
+    """The sybil scenario's three 240-node graphs at its tol, where the gemv
+    kernels block differently from the small graphs drawn above. The
+    scenario starts from the base; under LITERAL the uniform base is already
+    the fixed point, so that run starts from a drawn vector."""
+    n, edges, _base = _SYBIL_CASES[case]
+    graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+    rng = random.Random(case)
+    start = None if orientation is Orientation.TRANSPOSE else np.array([rng.random() for _ in range(n)])
+    assert _assert_propagates_as_the_one_iterate_loops(graph, 0.85, orientation, 1e-12, start) > 2 * trust._BLOCK
+
+
+def _max_iters(n: int, alpha: float) -> int:
+    return math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
+
+
+@pytest.mark.parametrize("cap", [trust._BLOCK - 1, trust._BLOCK, trust._BLOCK + 1, 3 * trust._BLOCK + 5])
+@pytest.mark.parametrize("nan_start", [False, True])
+def test_block_loop_raises_at_the_iterate_and_with_the_message_of_the_one_iterate_loop(cap, nan_start):
+    """At tol 1e-300 the residual stalls at rounding level, or at NaN from a
+    NaN start, until the iteration cap, set through alpha. A graph whose
+    iterates happen to reach the fixed point exactly is passed over."""
+    rng = random.Random(cap)
+    for _attempt in range(20):
+        g = _random_graph(rng)
+        alpha = math.exp(-100.0 * math.log(g.n) / (cap - 0.5))
+        assert _max_iters(g.n, alpha) == cap
+        start = np.array([rng.random() for _ in range(g.n)])
+        if nan_start:
+            start[rng.randrange(g.n)] = math.nan
+        base = default_base(g.n, Orientation.TRANSPOSE)
+        try:
+            _loop_propagate(row_stochastic(g, base).T, base, alpha, 1e-300, start, max_iters=cap)
+        except trust.NonConvergentError as error:
+            expected = str(error)
+            break
+    else:
+        pytest.fail("every graph drawn reached its fixed point")
+    assert expected.endswith(f" after {cap} iterations")
+    with pytest.raises(trust.NonConvergentError) as got:
+        propagate_trust(g, alpha=alpha, tol=1e-300, start=start, keep_trace=True)
+    assert str(got.value) == expected
+
+
+def test_block_loop_raises_as_the_one_iterate_loop_at_benchmark_size():
+    n, edges, base = _SYBIL_CASES[2]
+    graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+    cap = _max_iters(n, 0.85)
+    with pytest.raises(trust.NonConvergentError) as expected:
+        _loop_propagate(row_stochastic(graph, base).T, base, 0.85, 1e-300, None, max_iters=cap)
+    with pytest.raises(trust.NonConvergentError) as got:
+        propagate_trust(graph, alpha=0.85, tol=1e-300)
+    assert str(got.value) == str(expected.value)
+
+
+def test_returned_values_share_no_memory_with_the_block_buffers(monkeypatch):
+    buffers = []
+    empty = np.empty
+
+    def recording_empty(*args, **kwargs):
+        buffers.append(empty(*args, **kwargs))
+        return buffers[-1]
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    g = _random_graph(random.Random(5))
+    for tol in (1e-3, 1e-12):
+        tv = propagate_trust(g, alpha=0.85, tol=tol)
+        assert buffers and tv.values.flags.owndata
+        assert not any(np.shares_memory(tv.values, buffer) for buffer in buffers)
+        buffers.clear()
+
+
+# The power-loop equality tests, which the test below re-runs under a second
+# set of BLAS kernels.
+_POWER_LOOP_TESTS = (
+    "test_one_matvec_iteration_bit_identical_to_two_matvec_loop",
+    "test_propagate_trust_equals_the_allocating_power_loop",
+    "test_w_is_64_byte_aligned_and_multiplies_as_an_unaligned_copy",
+    "test_block_loop_stops_where_the_one_iterate_loop_stops",
+    "test_block_loop_equals_the_one_iterate_loops_at_benchmark_size",
+    "test_block_loop_raises_at_the_iterate_and_with_the_message_of_the_one_iterate_loop",
+    "test_block_loop_raises_as_the_one_iterate_loop_at_benchmark_size",
+    "test_returned_values_share_no_memory_with_the_block_buffers",
+)
+
+# Prints the core name of each OpenBLAS that numpy loaded into the process.
+_OPENBLAS_CORENAME = """
+import ctypes, os
+import numpy
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "openblas" in os.path.basename(line.split()[-1]).lower()}
+for path in sorted(paths):
+    for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            print(get().decode())
+            break
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64 ones")
+def test_power_loop_equality_holds_under_the_haswell_kernels():
+    """The power-loop equality tests pass in a child process whose OpenBLAS
+    runs its Haswell (AVX2) kernels, whatever kernels this CPU would get.
+    OPENBLAS_CORETYPE is set for the child alone."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    probe = subprocess.run([sys.executable, "-c", _OPENBLAS_CORENAME], env=env, capture_output=True, text=True)
+    if probe.stdout.split() != ["Haswell"]:
+        pytest.skip(f"the child's OpenBLAS reports {probe.stdout.split() or 'no core name'}, not Haswell")
+    here = Path(__file__)
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(f"{here}::{name}" for name in _POWER_LOOP_TESTS)],
+        cwd=here.parents[1],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
+    summary = child.stdout.strip().splitlines()[-1]
+    assert " passed" in summary and "skipped" not in summary, summary
 
 
 # -- fusion, tiers, signals ----------------------------------------------------
