@@ -8,6 +8,13 @@ credentials, which need a key resolver, are checked later, by `validate_card`.
 The digest is taken over a canonical binary layout whose embedding
 coordinates are quantized to a 1e-9 grid first, so digests are reproducible
 across platforms.
+
+Cost: the first card built from an embedding tuple runs the three embedding
+checks (O(EMBED_DIM)) and holds the tuple as a checked value, which keeps its
+quantized bytes once a digest has needed them. A card built from a checked
+value (a `bump` or `replace` that keeps the embedding, or another card of a
+corpus that shares it) checks nothing for it, and its digest quantizes
+nothing: it hashes the card's other fields and the kept bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +75,27 @@ class EncodingRefused(ValueError):
     """A card failed a structural check, so it was not built."""
 
 
+def _quantize(embedding) -> bytes:
+    # np.rint rounds half to even, as round() does; a card's embedding is unit,
+    # so every coordinate times 1e9 fits an int64.
+    return np.rint(np.asarray(embedding, dtype=float) * _QUANT).astype(">i8").tobytes()
+
+
+class _CheckedEmbedding(tuple):
+    """An embedding tuple that passed the structural checks, as a card holds
+    it: a card built from one checks nothing for its embedding, and the value
+    keeps its quantized digest bytes once they are asked for. A copy or a
+    pickle of it is a plain tuple, so the memo stays behind and the next card
+    built from the copy checks it again."""
+
+    @cached_property
+    def quantized(self) -> bytes:
+        return _quantize(self)
+
+    def __reduce__(self):
+        return (tuple, (tuple(self),))
+
+
 @dataclass(frozen=True)
 class AgentFactCard:
     did: AgentDid
@@ -84,6 +113,8 @@ class AgentFactCard:
         violations = _structural_violations(self)
         if violations:
             raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
+        if type(self.embedding) is tuple:
+            object.__setattr__(self, "embedding", _CheckedEmbedding(self.embedding))
 
     def __getstate__(self) -> dict:
         """The fields alone: a copy or a pickle leaves behind what is kept in
@@ -146,12 +177,14 @@ def _structural_violations(card: AgentFactCard) -> list[CardViolation]:
         out.append(CardViolation.EMPTY_CAPABILITY)
     if len(card.display_name.encode("utf-8")) > MAX_DISPLAY_NAME_BYTES:
         out.append(CardViolation.DISPLAY_NAME_TOO_LONG)
-    if card.embedding is not None:
+    if card.embedding is not None and type(card.embedding) is not _CheckedEmbedding:
         if len(card.embedding) != EMBED_DIM:
             out.append(CardViolation.EMBEDDING_WRONG_LENGTH)
         elif not all(map(math.isfinite, card.embedding)):
             out.append(CardViolation.EMBEDDING_NOT_FINITE)
-        elif abs(math.hypot(*card.embedding) - 1.0) > NORM_TOL:  # hypot does not overflow
+        # hypot scales, so finite squares whose sum overflows still measure;
+        # a norm past the largest float is inf, which is not unit either.
+        elif abs(math.hypot(*card.embedding) - 1.0) > NORM_TOL:
             out.append(CardViolation.EMBEDDING_NOT_UNIT)
     return out
 
@@ -169,9 +202,9 @@ def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> l
 def _encode_embedding_quantized(embedding: tuple[float, ...] | None) -> bytes:
     if embedding is None:
         return enc_u8(0)
-    # np.rint rounds half to even, as round() does; a card's embedding is unit,
-    # so every coordinate times 1e9 fits an int64.
-    return enc_u8(1) + np.rint(np.asarray(embedding, dtype=float) * _QUANT).astype(">i8").tobytes()
+    if type(embedding) is _CheckedEmbedding:
+        return enc_u8(1) + embedding.quantized
+    return enc_u8(1) + _quantize(embedding)
 
 
 def _digest_body(card: AgentFactCard) -> bytes:

@@ -8,10 +8,12 @@ equivalent to merging full states. Each replica also keeps a per-writer log
 of its live entries sorted by sequence, so a delta costs one comparison per
 writer, plus O(log S) for each writer with entries the peer lacks, plus
 O(|delta|), with S the number of live keys, not a scan of the store; its size
-sums the wire sizes each record computes once. A reachable replica's store is
-the LWW fold of exactly the writes its vector covers, so two replicas with
-equal vectors hold equal stores: convergence is a vector comparison,
-O(writers) per replica.
+sums the wire sizes each record computes once. A delta against a digest equal
+to the replica's own vector is empty and costs one dict comparison. Tags are
+tuples, so each LWW comparison runs in C. A reachable replica's store is the
+LWW fold of exactly the writes its vector covers, so two replicas with equal
+vectors hold equal stores: convergence is a vector comparison, O(writers) per
+replica.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .identity import KeyResolver, verify
 from .registry import BadSignatureError, RegistryRecord
@@ -41,9 +44,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class LwwTag:
-    """Total order over writes: (logical_time, writer_id, sequence)."""
+class LwwTag(NamedTuple):
+    """Total order over writes: (logical_time, writer_id, sequence), compared
+    as a tuple, so each LWW comparison runs in C."""
 
     logical_time: int
     writer_id: int
@@ -114,7 +117,14 @@ class ReplicaState:
     def delta_for(self, remote_digest: dict[int, int]) -> DeltaSet:
         """Live entries whose sequence exceeds `remote_digest` for their
         writer, writer-major and in ascending sequence order. A writer whose
-        newest live entry the peer has seen costs one comparison."""
+        newest live entry the peer has seen costs one comparison. A digest
+        equal to this replica's vector lacks nothing, since the vector covers
+        every live entry: one dict comparison answers it. That cover holds in
+        every state that local puts, `merge` and deltas from `delta_for`
+        reach; a hand-made delta whose vector omits its own entries' sequences
+        leaves a state outside it."""
+        if remote_digest == self.version_vector:
+            return DeltaSet(entries=[], version_vector=dict(self.version_vector))
         store = self.store
         entries = []
         for writer, (seqs, keys) in self._log.items():
@@ -172,7 +182,28 @@ def merge(a: ReplicaState, b: ReplicaState) -> ReplicaState:
 # Topologies
 # ---------------------------------------------------------------------------
 
-_REGULAR_TRIES = 200
+def _steger_wormald(n: int, k: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    """Edges (a < b) of a simple k-regular graph on n nodes, by Steger and
+    Wormald's pairing in rounds: shuffle the unpaired stubs, pair them off,
+    and keep each pair that is neither a self-loop nor an edge already made;
+    the stubs of the rest go to the next round. None when the stubs left can
+    form no new edge."""
+    edges: set[tuple[int, int]] = set()
+    stubs = [i for i in range(n) for _ in range(k)]
+    while stubs:
+        rng.shuffle(stubs)
+        left: list[int] = []
+        for a, b in zip(stubs[::2], stubs[1::2]):
+            edge = (a, b) if a < b else (b, a)
+            if a != b and edge not in edges:
+                edges.add(edge)
+            else:
+                left += edge
+        nodes = sorted(set(left))
+        if left and all((a, b) in edges for i, a in enumerate(nodes) for b in nodes[i + 1 :]):
+            return None
+        stubs = left
+    return edges
 
 
 @dataclass
@@ -193,25 +224,24 @@ class Topology:
 
     @classmethod
     def random_regular(cls, n: int, k: int, seed: int) -> "Topology":
-        """Connected k-regular graph via the pairing model, retrying bounded
-        times on self-loops, multi-edges, or disconnection."""
+        """Connected k-regular graph by Steger-Wormald pairing, drawn again
+        until it is connected. For k > n/2 it draws an (n-1-k)-regular graph
+        and takes its complement, which is connected: two nodes that are not
+        adjacent share a neighbour."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
         if n * k % 2 != 0 or k >= n:
             raise ValueError(f"no {k}-regular graph on {n} nodes")
+        if k == 1 and n > 2:
+            raise ValueError(f"no connected 1-regular graph on {n} nodes")
         rng = random.Random(seed)
-        for _ in range(_REGULAR_TRIES):
-            stubs = [i for i in range(n) for _ in range(k)]
-            rng.shuffle(stubs)
-            edges = set()
-            ok = True
-            for a, b in zip(stubs[::2], stubs[1::2]):
-                if a == b or (a, b) in edges or (b, a) in edges:
-                    ok = False
-                    break
-                edges.add((a, b))
-            if not ok:
+        complement = 2 * k > n
+        while True:
+            edges = _steger_wormald(n, n - 1 - k if complement else k, rng)
+            if edges is None:
                 continue
+            if complement:
+                edges = {(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges}
             lists: list[list[int]] = [[] for _ in range(n)]
             for a, b in edges:
                 lists[a].append(b)
@@ -219,7 +249,6 @@ class Topology:
             topo = cls("random_regular", n, [sorted(l) for l in lists])
             if topo.is_connected():
                 return topo
-        raise ValueError(f"no connected {k}-regular graph found in {_REGULAR_TRIES} tries")
 
     @classmethod
     def from_neighbors(cls, neighbor_lists: list[list[int]]) -> "Topology":

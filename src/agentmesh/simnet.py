@@ -271,7 +271,8 @@ def synthetic_agents(
     `oddball_last` gives the final agent a domain nobody queries.
 
     A corpus has at most 31 distinct descriptions, so each is embedded once,
-    and every card with that description holds the same tuple."""
+    and every card with that description holds the same value: the checked
+    embedding that the first such card made of the tuple."""
     rng = subsystem_rng(seed, "corpus")
     agents: list[SimAgent] = []
     embeddings: dict[str, tuple[float, ...]] = {}
@@ -292,7 +293,7 @@ def synthetic_agents(
         embedding = embeddings.get(description)
         if embedding is None:
             # tolist() gives the Python float of each element, as float(x) does.
-            embedding = embeddings[description] = tuple(discovery.embed_text(description).tolist())
+            embedding = tuple(discovery.embed_text(description).tolist())
         card = AgentFactCard(
             did=did,
             display_name=f"agent-{i:03d}",
@@ -304,6 +305,7 @@ def synthetic_agents(
             last_active=rng.randrange(0, 500),
             version=1,
         )
+        embeddings.setdefault(description, card.embedding)
         agents.append(SimAgent(index=i, keypair=keypair, did=did, name=f"agent-{i:03d}", domain=domain, card=card))
     return agents
 

@@ -188,10 +188,9 @@ _ALPHA_CAP = 0.99
 _DP_RELEASES = {"marketplace": 1, "discovery_e2e": 2}
 _SMALLEST_DP_EPSILON = 1e-300
 # Runner rule: a random_regular topology needs degree < n and n * degree even,
-# and the pairing model in Topology.random_regular finds a connected graph in
-# its tries only at degree 2 or 3, or at degree 1 with n = 2.
+# and a connected one needs degree 2 or more, or n = 2.
 _REGULAR_SHAPES = [
-    (n, k) for n in range(2, _SIZE_CAPS["n"] + 1) for k in (1, 2, 3) if k < n and n * k % 2 == 0 and (k > 1 or n == 2)
+    (n, k) for n in range(2, _SIZE_CAPS["n"] + 1) for k in range(1, n) if n * k % 2 == 0 and (k > 1 or n == 2)
 ]
 
 

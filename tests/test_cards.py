@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
+import types
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -211,3 +215,106 @@ _coordinate = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-1
 @example(embedding=(0.0, -0.0, 1.0, -1.0, 5e-10, -5e-10, 2.5e-9, -2.5e-9))
 def test_quantized_embedding_matches_the_per_coordinate_loop(embedding):
     assert cards._encode_embedding_quantized(embedding) == _loop_quantized(embedding)
+
+
+# -- the checked embedding a card holds ---------------------------------------
+
+
+def _reference_structural_violations(card) -> list[CardViolation]:
+    """The structural checks as they were before a card kept its embedding
+    as a checked value, kept as the oracle."""
+    out: list[CardViolation] = []
+    if not card.capabilities:
+        out.append(CardViolation.NO_CAPABILITIES)
+    elif any(not c for c in card.capabilities):
+        out.append(CardViolation.EMPTY_CAPABILITY)
+    if len(card.display_name.encode("utf-8")) > cards.MAX_DISPLAY_NAME_BYTES:
+        out.append(CardViolation.DISPLAY_NAME_TOO_LONG)
+    if card.embedding is not None:
+        if len(card.embedding) != EMBED_DIM:
+            out.append(CardViolation.EMBEDDING_WRONG_LENGTH)
+        elif not all(map(math.isfinite, card.embedding)):
+            out.append(CardViolation.EMBEDDING_NOT_FINITE)
+        elif abs(math.hypot(*card.embedding) - 1.0) > cards.NORM_TOL:
+            out.append(CardViolation.EMBEDDING_NOT_UNIT)
+    return out
+
+
+_UNIT_TUPLE = tuple(_UNIT)
+_drawn_embeddings = st.one_of(
+    st.none(),
+    st.integers(0, 2**32).map(lambda seed: unit_embedding(random.Random(seed))),
+    st.integers(0, EMBED_DIM + 2).map(lambda n: _UNIT_TUPLE[:n]),
+    st.sampled_from([0.5, 2.0, 1e154, 1e200, 1e308, -1e308]).map(lambda x: (x,) * EMBED_DIM),
+    st.tuples(st.integers(0, EMBED_DIM - 1), st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 1.5])).map(
+        lambda at: _UNIT_TUPLE[: at[0]] + (at[1],) + _UNIT_TUPLE[at[0] + 1 :]
+    ),
+)
+
+
+@given(
+    embedding=_drawn_embeddings,
+    capabilities=st.sampled_from([(), ("weather.forecast",), ("weather.forecast", "")]),
+    display_name=st.sampled_from(["weather-bot", "x" * 129]),
+)
+@example(embedding=(1e308,) * EMBED_DIM, capabilities=("weather.forecast",), display_name="weather-bot")
+def test_violations_and_refusal_text_equal_the_reference_checks(embedding, capabilities, display_name):
+    fields = dict(_card().__dict__, embedding=embedding, capabilities=capabilities, display_name=display_name)
+    expected = _reference_structural_violations(types.SimpleNamespace(**fields))
+    assert cards._structural_violations(types.SimpleNamespace(**fields)) == expected
+    if expected:
+        with pytest.raises(EncodingRefused) as refused:
+            AgentFactCard(**fields)
+        assert str(refused.value) == "card violates " + ", ".join(v.value for v in expected)
+        return
+    card = AgentFactCard(**fields)
+    assert card.embedding == embedding
+    if embedding is not None:
+        assert type(card.embedding) is cards._CheckedEmbedding
+        assert card.embedding.quantized == np.rint(np.asarray(embedding) * 1e9).astype(">i8").tobytes()
+    assert cards._encode_embedding_quantized(card.embedding) == _loop_quantized(embedding)
+
+
+def test_a_huge_finite_embedding_is_refused_as_not_unit():
+    # hypot of 256 coordinates of 1e308 is inf: not unit, though every coordinate is finite.
+    assert math.hypot(*[1e308] * EMBED_DIM) == math.inf
+    with pytest.raises(EncodingRefused, match="^card violates EmbeddingNotUnit$"):
+        _card(embedding=(1e308,) * EMBED_DIM)
+    with pytest.raises(EncodingRefused, match="^card violates EmbeddingNotUnit$"):
+        _card(embedding=unit_embedding(random.Random(2))).bump(embedding=(-1e308,) * EMBED_DIM)
+
+
+def test_a_card_built_from_a_checked_embedding_checks_and_quantizes_nothing(monkeypatch):
+    embedding = unit_embedding(random.Random(8))
+    card = _card(embedding=embedding)
+    digest_of = {usage: card_digest(_card(embedding=embedding, usage_count=usage, version=2)) for usage in (3, 4)}
+    card_digest(card)
+
+    def refuse(*args):
+        raise AssertionError("the checked embedding was checked or quantized again")
+
+    monkeypatch.setattr(cards, "math", types.SimpleNamespace(isfinite=refuse, hypot=refuse))
+    monkeypatch.setattr(cards, "_quantize", refuse)
+    bumped = card.bump()
+    replaced = dataclasses.replace(card, usage_count=4, version=2)
+    for built, usage in ((bumped, 3), (replaced, 4)):
+        assert built.embedding is card.embedding
+        assert card_digest(built) == digest_of[usage]
+    # A new tuple with equal values is checked as it is built.
+    with pytest.raises(AssertionError, match="checked or quantized again"):
+        card.bump(embedding=tuple(embedding))
+
+
+def test_a_copied_or_pickled_embedding_is_a_plain_tuple_without_the_memo():
+    card = _card(embedding=unit_embedding(random.Random(9)))
+    digest = card_digest(card)
+    assert "quantized" in vars(card.embedding)
+    for copied in (copy.copy(card.embedding), copy.deepcopy(card.embedding), pickle.loads(pickle.dumps(card.embedding))):
+        assert type(copied) is tuple and copied == card.embedding
+    for copied in (copy.deepcopy(card), pickle.loads(pickle.dumps(card))):
+        assert type(copied.embedding) is tuple
+        assert copied == card and card_digest(copied) == digest
+        # The copy's next card checks the tuple again and holds its own checked value.
+        rebuilt = dataclasses.replace(copied)
+        assert type(rebuilt.embedding) is cards._CheckedEmbedding and rebuilt.embedding is not card.embedding
+        assert card_digest(rebuilt) == digest

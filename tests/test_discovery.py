@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from agentmesh import discovery, simnet
-from agentmesh.cards import EMBED_DIM
+from agentmesh.cards import EMBED_DIM, card_digest
 from agentmesh.discovery import (
     L2RModel,
     RankFeatures,
@@ -245,6 +245,8 @@ def test_a_copied_or_pickled_card_leaves_its_ranking_vector_behind():
     card = simnet.synthetic_agents(8, 1)[0].card
     unranked = len(pickle.dumps(card))
     card_embedding(card)
+    digest = card_digest(card)  # the card's checked embedding keeps its quantized bytes
+    assert "quantized" in vars(card.embedding)
     assert len(pickle.dumps(card)) == unranked
     for copied in (copy.copy(card), copy.deepcopy(card), pickle.loads(pickle.dumps(card))):
         assert copied == card
@@ -252,6 +254,12 @@ def test_a_copied_or_pickled_card_leaves_its_ranking_vector_behind():
         assert not array.flags.writeable
         assert array is not card_embedding(card)
         assert array.tobytes() == card_embedding(card).tobytes()
+        assert card_digest(copied) == digest
+    # A shallow copy shares the card's embedding value; a deep copy or a
+    # pickle holds a plain tuple, with no memo.
+    assert copy.copy(card).embedding is card.embedding
+    for copied in (copy.deepcopy(card), pickle.loads(pickle.dumps(card))):
+        assert type(copied.embedding) is tuple and not hasattr(copied.embedding, "__dict__")
 
 
 # -- pairwise loss and training --------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import random
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from agentmesh import federation
 from agentmesh.federation import (
     DeltaSet,
     LwwTag,
@@ -19,7 +22,7 @@ from agentmesh.federation import (
     mesh_target,
 )
 from agentmesh.registry import BadSignatureError, MerkleRadixIndex
-from agentmesh.wire import enc_str
+from agentmesh.wire import enc_str, enc_u32, enc_u64
 from _helpers import signed_record, state_from_pool, unsigned_record, write_pool
 
 
@@ -200,6 +203,181 @@ def test_delta_for_and_its_size_match_a_store_scan_through_puts_and_gossip(n, op
                 assert sorted(delta.entries, key=lambda e: e[2].writer_id) == _reference_delta(state, digest)
                 assert delta.encoded_size() == _old_encoded_size(delta)
                 assert all(key == record.key for key, record, _tag in delta.entries)
+
+# -- the dataclass-ordered tag, bisect-placed log and writer-by-writer delta of
+# the replica before LwwTag became a NamedTuple, kept as an oracle ----------------
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _DataclassTag:
+    logical_time: int
+    writer_id: int
+    sequence: int
+
+
+class _OracleReplica:
+    def __init__(self, replica_id: int) -> None:
+        self.replica_id = replica_id
+        self.store = {}
+        self.version_vector = {}
+        self._log = {}
+
+    def local_put(self, record, logical_time: int) -> None:
+        sequence = self.version_vector.get(self.replica_id, 0) + 1
+        self.version_vector[self.replica_id] = sequence
+        self._apply_entry(record.key, record, _DataclassTag(logical_time, self.replica_id, sequence))
+
+    def _apply_entry(self, key, record, tag) -> None:
+        current = self.store.get(key)
+        if current is not None:
+            old = current[1]
+            if not tag > old:
+                return
+            seqs, keys = self._log[old.writer_id]
+            slot = bisect.bisect_left(seqs, old.sequence)
+            del seqs[slot]
+            del keys[slot]
+        self.store[key] = (record, tag)
+        seqs, keys = self._log.setdefault(tag.writer_id, ([], []))
+        slot = bisect.bisect_right(seqs, tag.sequence)
+        seqs.insert(slot, tag.sequence)
+        keys.insert(slot, key)
+
+    def digest(self) -> dict:
+        return dict(self.version_vector)
+
+    def delta_for(self, remote_digest) -> DeltaSet:
+        entries = []
+        for writer, (seqs, keys) in self._log.items():
+            seen = remote_digest.get(writer, 0)
+            if not seqs or seqs[-1] <= seen:
+                continue
+            for key in keys[bisect.bisect_right(seqs, seen) :]:
+                record, tag = self.store[key]
+                entries.append((key, record, tag))
+        return DeltaSet(entries=entries, version_vector=dict(self.version_vector))
+
+    def apply_delta(self, delta: DeltaSet) -> None:
+        if not delta.entries and delta.version_vector == self.version_vector:
+            return
+        for key, record, tag in delta.entries:
+            self._apply_entry(key, record, tag)
+        for writer, seq in delta.version_vector.items():
+            if seq > self.version_vector.get(writer, 0):
+                self.version_vector[writer] = seq
+
+    def copy(self) -> "_OracleReplica":
+        out = _OracleReplica(self.replica_id)
+        out.store = dict(self.store)
+        out.version_vector = dict(self.version_vector)
+        out._log = {writer: (list(seqs), list(keys)) for writer, (seqs, keys) in self._log.items()}
+        return out
+
+    def canonical_store_bytes(self) -> bytes:
+        parts = []
+        for key in sorted(self.store):
+            record, tag = self.store[key]
+            parts.append(enc_str(key))
+            parts.append(enc_u64(tag.logical_time) + enc_u32(tag.writer_id) + enc_u64(tag.sequence))
+            parts.append(record.canonical_bytes())
+        return b"".join(parts)
+
+
+def _oracle_merge(a: _OracleReplica, b: _OracleReplica) -> _OracleReplica:
+    out = a.copy()
+    out.apply_delta(DeltaSet(entries=[(k, r, t) for k, (r, t) in b.store.items()], version_vector=b.version_vector))
+    return out
+
+
+def _oracle_gossip_round(mesh: list[_OracleReplica], topology: Topology, rng: random.Random) -> tuple:
+    n = len(mesh)
+    digests = [replica.digest() for replica in mesh]
+    messages = bytes_sent = 0
+    inbox = [[] for _ in range(n)]
+    for i in range(n):
+        j = topology.sample_neighbor(i, rng)
+        if j is None:
+            continue
+        delta_from_j = mesh[j].delta_for(digests[i])
+        delta_from_i = mesh[i].delta_for(digests[j])
+        inbox[i].append(delta_from_j)
+        inbox[j].append(delta_from_i)
+        messages += 3
+        bytes_sent += 12 * len(digests[i]) + 12 * len(digests[j])
+        bytes_sent += delta_from_j.encoded_size() + delta_from_i.encoded_size()
+    for i in range(n):
+        for delta in inbox[i]:
+            mesh[i].apply_delta(delta)
+    acc = _OracleReplica(-1)
+    for replica in mesh:
+        acc.apply_delta(DeltaSet([], replica.version_vector))
+    converged = sum(1 for replica in mesh if replica.version_vector == acc.version_vector)
+    return messages, bytes_sent, converged
+
+
+def _plain(entries) -> list:
+    return [(key, record, (tag.logical_time, tag.writer_id, tag.sequence)) for key, record, tag in entries]
+
+
+def _assert_same_replica(replica: ReplicaState, oracle: _OracleReplica) -> None:
+    assert _plain((k, r, t) for k, (r, t) in replica.store.items()) == _plain(
+        (k, r, t) for k, (r, t) in oracle.store.items()
+    )
+    assert replica.version_vector == oracle.version_vector
+    assert list(replica._log.items()) == list(oracle._log.items())
+    assert replica.canonical_store_bytes() == oracle.canonical_store_bytes()
+
+
+_oracle_ops = st.lists(
+    st.tuples(st.just("put"), st.integers(0, 4), st.integers(0, len(_PUTS) - 1), st.integers(1, 6))
+    | st.tuples(st.just("merge"), st.integers(0, 4), st.integers(0, 4))
+    | st.tuples(st.just("gossip"), st.integers(0, 2**32)),
+    max_size=24,
+)
+
+
+@given(n=st.integers(2, 5), ops=_oracle_ops, extra=st.dictionaries(st.integers(0, 6), st.integers(0, 8), max_size=4))
+# Writer 0 rewrites k0 after k1, so the merge, which reads the store in key
+# order, brings that writer's sequences 3 then 2: the log places 2 before 3.
+@example(n=2, ops=[("put", 0, 0, 1), ("put", 0, 1, 2), ("put", 0, 3, 3), ("merge", 1, 0)], extra={})
+def test_replicas_equal_the_dataclass_tag_bisect_log_full_scan_oracle(n, ops, extra):
+    """Stores, vectors, per-writer logs, round stats, store bytes and every
+    delta equal those of the replica before the NamedTuple tag and the
+    equal-vector answer in delta_for."""
+    mesh = [ReplicaState(i) for i in range(n)]
+    oracle = [_OracleReplica(i) for i in range(n)]
+    topology = Topology.complete(n)
+    for op in ops:
+        if op[0] == "put":
+            _name, at, record, logical_time = op
+            mesh[at % n].local_put(_PUTS[record][0], logical_time, _PUT_RESOLVER)
+            oracle[at % n].local_put(_PUTS[record][0], logical_time)
+        elif op[0] == "merge":
+            _name, a, b = op
+            mesh[a % n] = merge(mesh[a % n], mesh[b % n])
+            oracle[a % n] = _oracle_merge(oracle[a % n], oracle[b % n])
+        else:
+            stats = gossip_round(mesh, topology, random.Random(op[1]))
+            assert dataclasses.astuple(stats) == _oracle_gossip_round(oracle, topology, random.Random(op[1]))
+        for replica, expected in zip(mesh, oracle):
+            _assert_same_replica(replica, expected)
+            # The equal-vector answer in delta_for rests on this cover.
+            assert all(tag.sequence <= replica.version_vector[tag.writer_id] for _record, tag in replica.store.values())
+        for digest in [replica.digest() for replica in mesh] + [{}, extra]:
+            for replica, expected in zip(mesh, oracle):
+                delta, expected_delta = replica.delta_for(digest), expected.delta_for(digest)
+                assert _plain(delta.entries) == _plain(expected_delta.entries)
+                assert delta.version_vector == expected_delta.version_vector
+                assert delta.encoded_size() == expected_delta.encoded_size()
+
+
+def test_lww_tags_order_as_the_dataclass_tags():
+    values = [(t, w, s) for t in (0, 1, 2) for w in (0, 1, 2) for s in (1, 2)]
+    for a in values:
+        for b in values:
+            assert (LwwTag(*a) > LwwTag(*b)) == (_DataclassTag(*a) > _DataclassTag(*b))
+            assert (LwwTag(*a) == LwwTag(*b)) == (_DataclassTag(*a) == _DataclassTag(*b))
+
 
 def test_mesh_target_is_the_vector_of_the_full_store_fold():
     rng = random.Random(32)
@@ -392,6 +570,30 @@ def test_random_regular_topology_connected():
 def test_random_regular_refuses_a_degree_below_1_before_drawing(n, k):
     with pytest.raises(ValueError, match=r"^k must be >= 1"):
         Topology.random_regular(n, k, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [(5, 3, "no 3-regular graph on 5 nodes"), (4, 4, "no 4-regular graph on 4 nodes"), (6, 7, "no 7-regular graph on 6 nodes")]
+    + [(n, 1, f"no connected 1-regular graph on {n} nodes") for n in (4, 6, 16)],
+)
+def test_random_regular_refuses_the_infeasible_shapes(n, k, message, monkeypatch):
+    monkeypatch.setattr(federation, "random", None)  # refused before any draw
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Topology.random_regular(n, k, seed=0)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_random_regular_draws_every_feasible_shape(n):
+    """Every feasible degree on n <= 16 nodes, seeds 0-39, gives a connected
+    simple k-regular graph."""
+    for k in [k for k in range(1, n) if n * k % 2 == 0 and (k > 1 or n == 2)]:
+        for seed in range(40):
+            topology = Topology.random_regular(n, k, seed)
+            lists = topology.neighbor_lists
+            assert topology.kind == "random_regular" and topology.is_connected()
+            assert all(len(set(l)) == k == len(l) and i not in l for i, l in enumerate(lists))
+            assert all(i in lists[j] for i, l in enumerate(lists) for j in l)
 
 
 def test_complete_topology_draws_and_picks_as_indexing_its_lists():

@@ -309,3 +309,51 @@ def test_did_and_name_keys_share_one_tree():
     assert index.resolve(record_a.key) == record_a
     assert index.resolve(record_b.key) == record_b
     assert len(index) == 2
+
+
+# -- children in nibble order: the incremental root against the hash rules ------
+
+
+def _reference_root(records: dict[str, RegistryRecord]) -> bytes:
+    """The root from the module's hash rules alone, built from scratch over
+    the storage paths, each branching node's children sorted by nibble."""
+    by_path = {}
+    for key, record in records.items():
+        data = key.encode("utf-8")
+        namespace = b"D" if key.startswith("did:") else b"N"
+        by_path[(namespace + len(data).to_bytes(2, "big") + data).hex()] = record
+
+    def subtree(paths: list[str], depth: int) -> bytes:
+        if len(paths) == 1:
+            return sha256(b"\x01" + by_path[paths[0]].canonical_bytes())
+        while len({path[depth] for path in paths}) == 1:  # a compressed prefix is not hashed
+            depth += 1
+        groups: dict[int, list[str]] = {}
+        for path in paths:
+            groups.setdefault(int(path[depth], 16), []).append(path)
+        bitmap = sum(1 << nibble for nibble in groups)
+        children = b"".join(subtree(groups[nibble], depth + 1) for nibble in sorted(groups))
+        return sha256(b"\x02" + bitmap.to_bytes(2, "big") + children)
+
+    return EMPTY_ROOT if not by_path else subtree(sorted(by_path), 0)
+
+
+_radix_keys = st.text(alphabet="0123456789:abdié", max_size=5) | st.text(alphabet="0123456789abcdef", max_size=4).map(
+    lambda tail: "did:" + tail
+)
+
+
+@given(inserts=st.lists(st.tuples(_radix_keys, st.integers(1, 3)), max_size=40))
+def test_incremental_root_equals_the_hash_rules_and_every_proof_verifies(inserts):
+    index = MerkleRadixIndex()
+    stored: dict[str, RegistryRecord] = {}
+    for key, version in inserts:
+        record = RegistryRecord(key, f"https://r/{version}", sha256(key.encode()), derive_did(b"\x07" * 32), version, b"s" * 64)
+        index.insert_trusted(record)
+        stored[key] = record
+        assert index.root_digest == index.recompute_root() == _reference_root(stored)
+    assert len(index) == len(stored)
+    for key, record in stored.items():
+        proof = index.prove_inclusion(key)
+        assert proof.record == record
+        assert verify_proof(index.root_digest, proof)

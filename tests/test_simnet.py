@@ -339,8 +339,9 @@ def _reference_convergence(config: ScenarioConfig) -> ConvergenceSummary:
     )
 
 
-# Degrees the pairing model in Topology.random_regular finds in its tries.
-_TRIAL_REGULAR_SHAPES = [(n, k) for n in range(3, 41) for k in (2, 3) if n * k % 2 == 0]
+# Every shape with a connected k-regular graph: k < n, n * k even, and k >= 2
+# unless n = 2.
+_TRIAL_REGULAR_SHAPES = [(n, k) for n in range(2, 41) for k in range(1, n) if n * k % 2 == 0 and (k > 1 or n == 2)]
 
 
 @st.composite
