@@ -191,10 +191,12 @@ def _structural_violations(card: AgentFactCard) -> list[CardViolation]:
 
 def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> list[CardViolation]:
     """Each credential against the resolver (an absent resolver resolves
-    nothing, so cards with credentials fail)."""
+    nothing, so cards with credentials fail). A credential must be about the
+    card's own agent; one about another is refused before its signature is
+    checked."""
     lookup: KeyResolver = resolver if resolver is not None else {}
     for cred in card.credentials:
-        if verify_attestation(cred, lookup) is not AttestationCheck.VALID:
+        if cred.subject != card.did or verify_attestation(cred, lookup) is not AttestationCheck.VALID:
             return [CardViolation.BAD_CREDENTIAL]
     return []
 

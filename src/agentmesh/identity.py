@@ -5,6 +5,9 @@ Keys are a pure function of a 32-byte seed (the Ed25519 private key *is* its
 seed under RFC 8032), signatures are deterministic, and the DID is the
 SHA-256 digest of the public key. Everything downstream (registry records,
 payment delegations, trust credentials) anchors on these primitives.
+
+An issuer signs a claim on its own (an attestation, as a card carries a
+credential) or seals a batch of its claims with one signature.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import functools
 import hashlib
 import re
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -23,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import enc_str, enc_u8, enc_u64, json_hex, json_object, json_str, json_u64
+from .wire import enc_bytes, enc_str, enc_u8, enc_u64, json_hex, json_object, json_str, json_u64
 
 __all__ = [
     "SEED_LEN",
@@ -34,6 +37,7 @@ __all__ = [
     "KeyPair",
     "AgentDid",
     "ClaimType",
+    "Claim",
     "Attestation",
     "AttestationIssuer",
     "AttestationCheck",
@@ -45,6 +49,7 @@ __all__ = [
     "verify",
     "sha256",
     "verify_attestation",
+    "seal_covers",
 ]
 
 SEED_LEN = 32
@@ -163,6 +168,9 @@ class ClaimType(enum.IntEnum):
     PAYMENT_SETTLED = 1
     SLA_MET = 2
     POLICY_PASS = 3
+    # An issuer's one signature over a batch of its claims (see
+    # `AttestationIssuer.seal`); its subject is the issuer itself.
+    ROUND_SEAL = 4
 
 
 # A claim type as credentials write it: its member's name in lowercase.
@@ -176,16 +184,16 @@ class AttestationCheck(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Attestation:
-    """A signed claim one agent makes about another. Its payload digest is
-    checked when it is built, so every attestation has signing bytes."""
+class Claim:
+    """What one agent states about another, unsigned: the five fields an
+    attestation signs. Its payload digest is checked when it is built, so
+    every claim has signing bytes."""
 
     issuer: AgentDid
     subject: AgentDid
     claim_type: ClaimType
     payload_digest: bytes
     issued_at: int
-    signature: bytes
 
     def __post_init__(self) -> None:
         if len(self.payload_digest) != DIGEST_LEN:
@@ -199,6 +207,13 @@ class Attestation:
             + self.payload_digest
             + enc_u64(self.issued_at)
         )
+
+
+@dataclass(frozen=True)
+class Attestation(Claim):
+    """A claim with its issuer's signature over its signing bytes."""
+
+    signature: bytes
 
     def canonical_bytes(self) -> bytes:
         return self.signing_bytes() + self.signature
@@ -232,14 +247,40 @@ class Attestation:
         )
 
 
+# Domain tag of a seal's payload digest; registry and cards use 0x01-0x03.
+_SEAL_DOMAIN = b"\x04"
+
+
+def _seal_digest(claims: Iterable[Claim]) -> bytes:
+    """SHA-256 of the domain tag and each claim's length-prefixed signing
+    bytes, in the order given."""
+    return sha256(_SEAL_DOMAIN + b"".join(enc_bytes(claim.signing_bytes()) for claim in claims))
+
+
 class AttestationIssuer:
     """Signing context for one issuer; enforces a strictly increasing
-    issued_at across everything it signs."""
+    issued_at across every claim, attestation and seal it makes."""
 
     def __init__(self, keypair: KeyPair) -> None:
         self.keypair = keypair
         self.did = derive_did(keypair.public_key)
         self._last_issued_at: int | None = None
+
+    def claim(
+        self,
+        subject: AgentDid,
+        claim_type: ClaimType,
+        payload_digest: bytes,
+        issued_at: int,
+    ) -> Claim:
+        """An unsigned claim at the next logical time, to be sealed later."""
+        if self._last_issued_at is not None and issued_at <= self._last_issued_at:
+            raise MonotonicityViolation(
+                f"issued_at {issued_at} not greater than {self._last_issued_at}"
+            )
+        claim = Claim(self.did, subject, claim_type, payload_digest, issued_at)
+        self._last_issued_at = issued_at
+        return claim
 
     def issue(
         self,
@@ -248,21 +289,19 @@ class AttestationIssuer:
         payload_digest: bytes,
         issued_at: int,
     ) -> Attestation:
-        if self._last_issued_at is not None and issued_at <= self._last_issued_at:
-            raise MonotonicityViolation(
-                f"issued_at {issued_at} not greater than {self._last_issued_at}"
-            )
-        unsigned = Attestation(
-            issuer=self.did,
-            subject=subject,
-            claim_type=claim_type,
-            payload_digest=payload_digest,
-            issued_at=issued_at,
-            signature=b"\x00" * SIG_LEN,
-        )
-        signature = sign(self.keypair.secret_key, unsigned.signing_bytes())
-        self._last_issued_at = issued_at
-        return replace(unsigned, signature=signature)
+        """A claim signed on its own, as a card carries a credential."""
+        claim = self.claim(subject, claim_type, payload_digest, issued_at)
+        signature = sign(self.keypair.secret_key, claim.signing_bytes())
+        return Attestation(self.did, subject, claim_type, payload_digest, issued_at, signature)
+
+    def seal(self, claims: Sequence[Claim], issued_at: int) -> Attestation:
+        """One signature over a batch of this issuer's claims, in issue order:
+        a `ROUND_SEAL` attestation about the issuer whose payload digest
+        covers each claim's signing bytes (see `seal_covers`). A claim of
+        another issuer is refused with ValueError."""
+        if any(claim.issuer != self.did for claim in claims):
+            raise ValueError("an issuer seals only its own claims")
+        return self.issue(self.did, ClaimType.ROUND_SEAL, _seal_digest(claims), issued_at)
 
 
 def verify_attestation(att: Attestation, resolver: KeyResolver) -> AttestationCheck:
@@ -272,3 +311,16 @@ def verify_attestation(att: Attestation, resolver: KeyResolver) -> AttestationCh
     if not verify(public_key, att.signing_bytes(), att.signature):
         return AttestationCheck.INVALID_SIGNATURE
     return AttestationCheck.VALID
+
+
+def seal_covers(seal: Attestation, claims: Sequence[Claim]) -> bool:
+    """Whether `seal` is its issuer's seal over exactly `claims`, in order,
+    each of them that issuer's. This checks no signature: a caller that gets
+    True checks the seal's once, with `verify_attestation`, and then holds
+    every claim as signed."""
+    return (
+        seal.claim_type is ClaimType.ROUND_SEAL
+        and seal.subject == seal.issuer
+        and all(claim.issuer == seal.issuer for claim in claims)
+        and seal.payload_digest == _seal_digest(claims)
+    )

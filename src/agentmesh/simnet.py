@@ -24,10 +24,12 @@ from .cards import AgentFactCard
 from .identity import (
     AgentDid,
     AttestationIssuer,
+    Claim,
     ClaimType,
     KeyPair,
     derive_did,
     generate_keypair,
+    seal_covers,
     sha256,
     verify_attestation,
     AttestationCheck,
@@ -619,9 +621,11 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
     ephemerals: list[micropay.EphemeralKey | None] = [None] * n
     index_of = {a.did: a.index for a in agents}
     cards = [a.card for a in agents]
-    # Attestations minted since the last round close; each is verified once,
-    # at the close of its round, and tallied against its subject.
-    unverified: list = []
+    # Claims made since the last round close, by issuer index in the order
+    # of each issuer's first claim. At the close each issuer seals its
+    # claims with one signature; the seal is checked once, and every claim
+    # it covers is tallied against its subject.
+    unsealed: dict[int, list[Claim]] = {}
     valid_counts = [0] * n
     payments_verified = 0
     successes: dict[tuple[int, int], int] = {}
@@ -691,9 +695,11 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
                 successes[(i, p)] = successes.get((i, p), 0) + 1
                 digest = sha256(task_id.encode())
                 event_clock += 1
-                unverified.append(issuers[p].issue(agent.did, ClaimType.PAYMENT_SETTLED, digest, event_clock))
+                payment = issuers[p].claim(agent.did, ClaimType.PAYMENT_SETTLED, digest, event_clock)
+                unsealed.setdefault(p, []).append(payment)
                 event_clock += 1
-                unverified.append(issuers[i].issue(provider.did, ClaimType.TASK_COMPLETED, digest, event_clock))
+                completed = issuers[i].claim(provider.did, ClaimType.TASK_COMPLETED, digest, event_clock)
+                unsealed.setdefault(i, []).append(completed)
 
         graph = _market_graph(n, successes)
         propagated = trust.propagate_trust(
@@ -703,11 +709,14 @@ def run_marketplace(config: ScenarioConfig) -> ScenarioReport:
             tol=1e-10,
         ).values
         propagated = np.clip(propagated, 0.0, 1.0)
-        for att in unverified:
-            if verify_attestation(att, resolver) is AttestationCheck.VALID:
-                valid_counts[index_of[att.subject]] += 1
-                payments_verified += att.claim_type is ClaimType.PAYMENT_SETTLED
-        unverified.clear()
+        for issuer_index, claims in unsealed.items():
+            event_clock += 1
+            seal = issuers[issuer_index].seal(claims, event_clock)
+            if seal_covers(seal, claims) and verify_attestation(seal, resolver) is AttestationCheck.VALID:
+                for claim in claims:
+                    valid_counts[index_of[claim.subject]] += 1
+                    payments_verified += claim.claim_type is ClaimType.PAYMENT_SETTLED
+        unsealed.clear()
         population = behaviour.copy()
         population[:, 3] /= config.task_price
         anomaly = trust.behavior_scores(population)

@@ -100,14 +100,12 @@ def unit_embedding(rng: random.Random) -> tuple[float, ...]:
 
 def random_card(rng: random.Random, with_credentials: bool = False) -> AgentFactCard:
     issuer = AttestationIssuer(keypair_for(f"cred-{rng.randrange(4)}"))
-    creds = ()
-    if with_credentials:
-        creds = tuple(
-            issuer.issue(did_for("subject"), ClaimType.TASK_COMPLETED, rng.randbytes(32), t + 1)
-            for t in range(rng.randrange(1, 3))
-        )
+    payloads = [rng.randbytes(32) for _ in range(rng.randrange(1, 3))] if with_credentials else []
+    did = did_for(f"card-{rng.randrange(1 << 30)}")
+    # Credentials are about the card's own agent, as `validate_card` requires.
+    creds = tuple(issuer.issue(did, ClaimType.TASK_COMPLETED, payload, t + 1) for t, payload in enumerate(payloads))
     return AgentFactCard(
-        did=did_for(f"card-{rng.randrange(1 << 30)}"),
+        did=did,
         display_name=f"agent-{rng.randrange(1000)}",
         description=" ".join(rng.choice("alpha beta gamma delta weather invoice map".split()) for _ in range(6)),
         capabilities=tuple(f"cap.{rng.randrange(20)}" for _ in range(rng.randrange(1, 4))),

@@ -22,7 +22,7 @@ from agentmesh.cards import (
     load_cards,
     validate_card,
 )
-from agentmesh.identity import AttestationIssuer, ClaimType, sha256
+from agentmesh.identity import AttestationCheck, AttestationIssuer, ClaimType, sha256
 from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding, write_cards
 
 
@@ -66,13 +66,20 @@ def test_construction_refuses_each_structural_violation(violation):
         _card().bump(**_VIOLATING[violation])
 
 
-def test_credential_checked_against_resolver():
+def test_credential_checked_against_resolver(monkeypatch):
     issuer = AttestationIssuer(keypair_for("cred-issuer"))
     att = issuer.issue(did_for("card"), ClaimType.SLA_MET, sha256(b"p"), 1)
     card = _card(credentials=(att,))
     assert CardViolation.BAD_CREDENTIAL in validate_card(card)  # no resolver supplied
     resolver = {str(issuer.did): issuer.keypair.public_key}
     assert validate_card(card, resolver) == []
+    # A credential about another agent is refused before any signature check.
+    about_other = issuer.issue(did_for("other"), ClaimType.SLA_MET, sha256(b"p"), 2)
+    checked = []
+    monkeypatch.setattr(cards, "verify_attestation", lambda att, lookup: checked.append(att) or AttestationCheck.VALID)
+    for credentials in ((about_other,), (att, about_other)):
+        assert validate_card(_card(credentials=credentials), resolver) == [CardViolation.BAD_CREDENTIAL]
+    assert checked == [att]
 
 
 def test_encode_deterministic_and_digest_sensitive():

@@ -116,13 +116,15 @@ def test_each_runner_reports_the_failure_its_payload_flags_name(config):
 
 
 def test_sim_strict_exits_2_when_a_payment_attestation_fails_to_verify(tmp_path, capsys, monkeypatch):
-    def refuse_payments(att, resolver):
-        if att.claim_type is ClaimType.PAYMENT_SETTLED:
+    # The close checks one seal per issuer a round; a refused seal refuses
+    # every claim it covers, the payment claims among them.
+    def refuse_seals(att, resolver):
+        if att.claim_type is ClaimType.ROUND_SEAL:
             return AttestationCheck.INVALID_SIGNATURE
         return verify_attestation(att, resolver)
 
     verify_attestation = simnet.verify_attestation
-    monkeypatch.setattr(simnet, "verify_attestation", refuse_payments)
+    monkeypatch.setattr(simnet, "verify_attestation", refuse_seals)
     config = tmp_path / "market.json"
     config.write_text(json.dumps({"scenario": "marketplace", "n": 4, "rounds": 2, "seed": 1}))
     out = tmp_path / "r.json"

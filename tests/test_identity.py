@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -18,6 +19,7 @@ from agentmesh.identity import (
     Attestation,
     AttestationCheck,
     AttestationIssuer,
+    Claim,
     ClaimType,
     MonotonicityViolation,
     derive_did,
@@ -364,13 +366,113 @@ def test_attestation_unknown_issuer():
 
 
 def test_attestation_timestamps_strictly_increase():
+    """Over claims, attestations and seals alike: one clock per issuer."""
     issuer = AttestationIssuer(keypair_for("issuer"))
-    _issue_one(issuer, at=5)
+    made = [issuer.claim(did_for("subject"), ClaimType.SLA_MET, sha256(b"p"), 5)]
+    for stale in (5, 4):
+        with pytest.raises(MonotonicityViolation):
+            issuer.claim(did_for("subject"), ClaimType.SLA_MET, sha256(b"p"), stale)
+        with pytest.raises(MonotonicityViolation):
+            _issue_one(issuer, at=stale)
+        with pytest.raises(MonotonicityViolation):
+            issuer.seal(made, stale)
+    issuer.seal(made, 6)
     with pytest.raises(MonotonicityViolation):
-        _issue_one(issuer, at=5)
+        issuer.claim(did_for("subject"), ClaimType.SLA_MET, sha256(b"p"), 6)
     with pytest.raises(MonotonicityViolation):
-        _issue_one(issuer, at=4)
-    _issue_one(issuer, at=6)
+        issuer.seal(made, 6)
+    _issue_one(issuer, at=7)
+
+
+def test_a_claim_signs_as_the_attestation_with_its_five_fields():
+    issuer = AttestationIssuer(keypair_for("issuer"))
+    att = _issue_one(issuer)
+    claim = Claim(att.issuer, att.subject, att.claim_type, att.payload_digest, att.issued_at)
+    assert claim.signing_bytes() == att.signing_bytes()
+    assert att.canonical_bytes() == claim.signing_bytes() + att.signature
+    assert claim != att
+
+
+def _seal_layout(claims) -> bytes:
+    """The seal's payload digest, spelled out: SHA-256 of the 0x04 domain tag
+    and each claim's signing bytes behind its 4-byte big-endian length."""
+    body = b"".join(len(c.signing_bytes()).to_bytes(4, "big") + c.signing_bytes() for c in claims)
+    return sha256(b"\x04" + body)
+
+
+def test_a_seal_is_one_signature_over_its_issuers_claims_in_issue_order():
+    issuer = AttestationIssuer(keypair_for("issuer"))
+    claims = [
+        issuer.claim(did_for(f"subject-{t % 2}"), ClaimType(t % 2), sha256(bytes([t])), t + 1) for t in range(3)
+    ]
+    seal = issuer.seal(claims, 10)
+    assert (seal.issuer, seal.subject, seal.claim_type, seal.issued_at) == (
+        issuer.did,
+        issuer.did,
+        ClaimType.ROUND_SEAL,
+        10,
+    )
+    assert seal.payload_digest == _seal_layout(claims)
+    assert identity.seal_covers(seal, claims)
+    resolver = {str(issuer.did): issuer.keypair.public_key}
+    assert verify_attestation(seal, resolver) is AttestationCheck.VALID
+    # An empty batch has a seal of its own, which covers no other batch.
+    empty = issuer.seal([], 11)
+    assert identity.seal_covers(empty, []) and not identity.seal_covers(empty, claims[:1])
+
+
+def test_an_issuer_seals_only_its_own_claims_and_a_seal_covers_only_its_issuers():
+    issuer, other = AttestationIssuer(keypair_for("issuer")), AttestationIssuer(keypair_for("other"))
+    mine = issuer.claim(did_for("subject"), ClaimType.SLA_MET, sha256(b"p"), 1)
+    theirs = other.claim(did_for("subject"), ClaimType.SLA_MET, sha256(b"p"), 1)
+    with pytest.raises(ValueError, match="seals only its own claims"):
+        issuer.seal([mine, theirs], 2)
+    issuer.seal([mine], 2)  # the refused seal did not move the clock
+    # A dishonest issuer's seal over another's claims, with the right digest:
+    # refused, as is a seal whose subject is not its issuer and an
+    # attestation of another claim type that carries a seal's digest.
+    forged = other.issue(other.did, ClaimType.ROUND_SEAL, _seal_layout([mine]), 2)
+    assert not identity.seal_covers(forged, [mine])
+    about_other = issuer.issue(did_for("subject"), ClaimType.ROUND_SEAL, _seal_layout([mine]), 3)
+    assert not identity.seal_covers(about_other, [mine])
+    typed = issuer.issue(issuer.did, ClaimType.TASK_COMPLETED, _seal_layout([mine]), 4)
+    assert not identity.seal_covers(typed, [mine])
+    assert identity.seal_covers(issuer.seal([mine], 5), [mine])
+
+
+_CLAIM_FIELDS = ("subject", "claim_type", "payload_digest", "issued_at")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=st.integers(1, 5))
+def test_a_seal_covers_no_batch_with_one_claim_altered_dropped_added_or_moved(data, size):
+    issuer = AttestationIssuer(keypair_for("issuer"))
+    claims = [
+        issuer.claim(did_for(f"subject-{t}"), ClaimType(t % 4), sha256(bytes([t])), 2 * t + 1) for t in range(size)
+    ]
+    seal = issuer.seal(claims, 2 * size + 1)
+    assert identity.seal_covers(seal, claims)
+    i = data.draw(st.integers(0, size - 1), label="claim")
+    changes = ["drop", "add", "alter"] + (["swap"] if size > 1 else [])
+    change = data.draw(st.sampled_from(changes), label="change")
+    tampered = list(claims)
+    if change == "drop":
+        del tampered[i]
+    elif change == "add":
+        tampered.insert(data.draw(st.integers(0, size), label="at"), claims[i])
+    elif change == "swap":
+        j = data.draw(st.integers(0, size - 1).filter(lambda j: j != i), label="with")
+        tampered[i], tampered[j] = tampered[j], tampered[i]
+    else:
+        field = data.draw(st.sampled_from(_CLAIM_FIELDS), label="field")
+        value = {
+            "subject": did_for("someone-else"),
+            "claim_type": ClaimType((claims[i].claim_type + 1) % 4),
+            "payload_digest": sha256(claims[i].payload_digest),
+            "issued_at": claims[i].issued_at + 1,
+        }[field]
+        tampered[i] = dataclasses.replace(claims[i], **{field: value})
+    assert not identity.seal_covers(seal, tampered)
 
 
 @pytest.mark.parametrize("length", [0, 31, 33])

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from agentmesh import discovery, federation, micropay, privacy, registry, simnet, trust
 from agentmesh.cards import AgentFactCard
 from agentmesh.federation import ReplicaState, Topology, gossip_to_convergence
-from agentmesh.identity import AttestationCheck, derive_did, sha256
+from agentmesh.identity import AttestationCheck, AttestationIssuer, ClaimType, derive_did, sha256
 from agentmesh.cli import main
 from agentmesh.simnet import (
     ScenarioConfig,
@@ -499,26 +499,154 @@ def test_marketplace_embeds_each_domain_query_once(monkeypatch):
     assert sorted(queries) == sorted(f"need a {desc}" for _domain, desc, _caps in simnet._DOMAINS)
 
 
-@pytest.mark.parametrize("tasks_per_round", [1, 2])
-def test_marketplace_verifies_each_attestation_once(monkeypatch, tasks_per_round):
-    from agentmesh import simnet
+def _sealed_marketplace(monkeypatch, config, tamper=None):
+    """Run a marketplace that records every round seal as (round, issuer DID,
+    the claims it was made over, the seal). `tamper(round, issuer, claims,
+    seal, seals)` runs after each seal is made: it may alter the claims the
+    close holds, in place, or return another seal for the close to check.
+    Returns the report, the seals, and each round's tally of checked claims
+    per agent, read where the close scores it."""
+    seals, counts = [], []
+    seal, score = AttestationIssuer.seal, trust.attestation_score
 
-    calls = []
+    def sealing(issuer, claims, issued_at):
+        made = seal(issuer, claims, issued_at)
+        round_idx = len(counts) // config.n + 1
+        seals.append((round_idx, issuer.did, list(claims), made))
+        return (tamper and tamper(round_idx, issuer.did, claims, made, seals)) or made
+
+    def scoring(count):
+        counts.append(count)
+        return score(count)
+
+    monkeypatch.setattr(AttestationIssuer, "seal", sealing)
+    monkeypatch.setattr(trust, "attestation_score", scoring)
+    report = run_marketplace(config)
+    return report, seals, [counts[r * config.n : (r + 1) * config.n] for r in range(config.rounds)]
+
+
+def _expected_tallies(report, seals, refused=()):
+    """Each round's running tally per agent, and each round's
+    `payments_attested`, when every seal but those of the (round, issuer)
+    pairs in `refused` covers its claims."""
+    index = {agent["did"]: agent["index"] for agent in report.payload["agents"]}
+    counts = [0] * len(index)
+    refused_payments = 0
+    tallies, attested = [], []
+    for round_idx in range(1, len(report.payload["rounds"]) + 1):
+        for r, issuer, claims, _seal in seals:
+            if r != round_idx:
+                continue
+            if (r, issuer) in refused:
+                refused_payments += sum(c.claim_type is ClaimType.PAYMENT_SETTLED for c in claims)
+                continue
+            for claim in claims:
+                counts[index[claim.subject]] += 1
+        tallies.append(list(counts))
+        attested.append(refused_payments == 0)
+    return tallies, attested
+
+
+@pytest.mark.parametrize("tasks_per_round", [1, 2])
+def test_marketplace_checks_one_seal_per_issuer_round_and_tallies_each_claim_once(monkeypatch, tasks_per_round):
+    checked = []
 
     def counting(att, resolver):
-        calls.append(att)
+        checked.append(att)
         return original(att, resolver)
 
     original = simnet.verify_attestation
     monkeypatch.setattr(simnet, "verify_attestation", counting)
-    report = run_marketplace(
-        ScenarioConfig(scenario="marketplace", n=8, rounds=20, seed=11, tasks_per_round=tasks_per_round)
-    )
+    config = ScenarioConfig(scenario="marketplace", n=8, rounds=20, seed=11, tasks_per_round=tasks_per_round)
+    report, seals, tallies = _sealed_marketplace(monkeypatch, config)
     receipts = report.payload["receipts"]
     assert receipts > 0
-    # Two attestations are minted per settled payment; each is checked once.
-    assert len(calls) == 2 * receipts
-    assert len({id(att) for att in calls}) == len(calls)
+    # One seal per (round, issuer) that has claims, each checked once.
+    assert all(claims for _r, _issuer, claims, _seal in seals)
+    assert len({(r, issuer) for r, issuer, _claims, _seal in seals}) == len(seals)
+    assert checked == [made for _r, _issuer, _claims, made in seals]
+    assert {att.claim_type for att in checked} == {ClaimType.ROUND_SEAL}
+    # Two claims per settled payment, each in exactly one seal and tallied once.
+    claims = [claim for _r, _issuer, covered, _seal in seals for claim in covered]
+    assert len(claims) == 2 * receipts
+    assert len(set(claims)) == len(claims)
+    assert sum(tallies[-1]) == 2 * receipts
+    assert (tallies, [row["payments_attested"] for row in report.payload["rounds"]]) == _expected_tallies(
+        report, seals
+    )
+
+
+def _in_place(change):
+    """A tamper that alters the claims the close holds and keeps the seal."""
+
+    def tamper(claims, seals, issuer):
+        change(claims)
+
+    return tamper
+
+
+def _altered(field, value):
+    def change(claims):
+        claims[0] = replace(claims[0], **{field: value(claims[0])})
+
+    return _in_place(change)
+
+
+# Each takes the claims the close holds, the seals made so far (this one
+# last) and the issuer; it alters the claims, or returns another seal.
+_TAMPERS = {
+    "altered subject": _altered("subject", lambda c: c.issuer),
+    "altered claim type": _altered("claim_type", lambda c: ClaimType.SLA_MET),
+    "altered payload digest": _altered("payload_digest", lambda c: sha256(c.payload_digest)),
+    "altered issued_at": _altered("issued_at", lambda c: c.issued_at + 1),
+    "dropped claim": _in_place(lambda claims: claims.pop()),
+    "added claim": _in_place(lambda claims: claims.append(claims[0])),
+    "reordered claims": _in_place(lambda claims: claims.reverse()),
+    "seal replayed for another issuer": lambda claims, seals, issuer: next(
+        made for _r, did, _claims, made in reversed(seals) if did != issuer
+    ),
+    "seal replayed for another round": lambda claims, seals, issuer: next(
+        made for r, did, _claims, made in seals if did == issuer and r == 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPERS))
+def test_marketplace_tallies_nothing_of_an_issuer_round_whose_seal_does_not_cover_its_claims(monkeypatch, case):
+    targets = []
+
+    def tamper(round_idx, issuer, claims, seal, seals):
+        if targets or not (
+            round_idx == 2
+            and len(claims) >= 2
+            and any(c.claim_type is ClaimType.PAYMENT_SETTLED for c in claims)
+            and any(r == 1 and did == issuer for r, did, _claims, _seal in seals)
+        ):
+            return None
+        targets.append((round_idx, issuer))
+        return _TAMPERS[case](claims, seals, issuer)
+
+    checked = []
+
+    def counting(att, resolver):
+        checked.append(att)
+        return original(att, resolver)
+
+    original = simnet.verify_attestation
+    monkeypatch.setattr(simnet, "verify_attestation", counting)
+    config = ScenarioConfig(scenario="marketplace", n=8, rounds=4, seed=11, tasks_per_round=2)
+    report, seals, tallies = _sealed_marketplace(monkeypatch, config, tamper)
+    assert len(targets) == 1
+    expected, attested = _expected_tallies(report, seals, refused=set(targets))
+    assert tallies == expected
+    # The tampered issuer-round had a payment claim, so from round 2 on the
+    # receipts outnumber the payment claims that checked.
+    rows = report.payload["rounds"]
+    assert [row["payments_attested"] for row in rows] == attested == [True, False, False, False]
+    assert report.payload["payments_attested"] is False
+    assert report.failure == "payments_attested=false"
+    # A seal that does not cover the claims held costs no signature check.
+    assert len(checked) == len(seals) - 1
 
 
 @pytest.mark.parametrize("tasks_per_round", [1, 2])
