@@ -301,7 +301,7 @@ def _cmd_dp(args) -> int:
     corpus = cards_mod.load_cards(args.input)
     rng = random.Random(args.seed)
     budget = privacy.PrivacyBudget(args.budget)
-    if args.capability:
+    if args.capability is not None:
         predicate = lambda card: args.capability in card.capabilities  # noqa: E731
     else:
         predicate = lambda card: True  # noqa: E731

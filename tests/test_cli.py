@@ -8,12 +8,15 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import agentmesh
 from agentmesh import registry, simnet
 from agentmesh.cli import build_parser, main
 from agentmesh.identity import AttestationCheck, ClaimType, derive_did, sha256
@@ -145,8 +148,8 @@ def test_sim_discovery_e2e_stopped_at_the_round_cap_reports_nonconvergent(tmp_pa
     out = tmp_path / "r.json"
     code, stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out), "--strict"])
     assert code == 2
-    assert json.loads(stdout)["failure"] == "nonconvergent"
-    report = json.loads(out.read_text())
+    assert _strict_json(stdout)["failure"] == "nonconvergent"
+    report = _strict_json(out.read_text())
     assert report["converged_round"] == -1
     assert report["replica_roots_equal"] is False
     assert report["all_proofs_verified"] is False
@@ -203,11 +206,15 @@ def test_unknown_subcommand_rejected(capsys):
     assert "explode" in json.loads(stderr.strip())["error"]
 
 
-def _extract_e2e_artifacts(tmp_path, capsys):
-    config = tmp_path / "e2e.json"
-    config.write_text(json.dumps({"scenario": "discovery_e2e", "n": 12, "replicas": 3, "seed": 5, "k": 4}))
-    out = tmp_path / "e2e-report.json"
-    code, _stdout, _err = _run(capsys, ["sim", "--config", str(config), "--out", str(out)])
+def _extract_e2e_artifacts(tmp_path, capsys, config=None, out="e2e-report.json"):
+    """Run `sim` on a discovery_e2e config and write the report's card
+    corpus, snapshot and trust report for the other commands. Returns those
+    paths after the report and `sim`'s printed line."""
+    config = config or {"scenario": "discovery_e2e", "n": 12, "replicas": 3, "seed": 5, "k": 4}
+    config_path = tmp_path / "e2e.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / out
+    code, stdout, _err = _run(capsys, ["sim", "--config", str(config_path), "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     corpus = tmp_path / "cards.jsonl"
@@ -216,11 +223,11 @@ def _extract_e2e_artifacts(tmp_path, capsys):
     snapshot.write_text(json.dumps(report["snapshot"]))
     trust = tmp_path / "trust.json"
     trust.write_text(json.dumps(report["trust_report"]))
-    return report, corpus, snapshot, trust
+    return report, json.loads(stdout), corpus, snapshot, trust
 
 
 def test_rank_returns_at_most_k(tmp_path, capsys):
-    _report, corpus, _snapshot, trust = _extract_e2e_artifacts(tmp_path, capsys)
+    _report, _printed, corpus, _snapshot, trust = _extract_e2e_artifacts(tmp_path, capsys)
     code, stdout, _err = _run(
         capsys,
         ["rank", "--query", "weather", "--corpus", str(corpus), "--k", "5", "--trust", str(trust)],
@@ -238,7 +245,7 @@ def test_rank_returns_at_most_k(tmp_path, capsys):
 
 
 def test_resolve_from_snapshot(tmp_path, capsys):
-    report, _corpus, snapshot, _trust = _extract_e2e_artifacts(tmp_path, capsys)
+    report, _printed, _corpus, snapshot, _trust = _extract_e2e_artifacts(tmp_path, capsys)
     key = report["corpus"][0]["did"]
     code, stdout, _err = _run(capsys, ["resolve", "--snapshot", str(snapshot), "--key", key, "--prove"])
     assert code == 0
@@ -314,13 +321,44 @@ def test_trust_rejects_tol_that_is_not_finite_and_positive(tmp_path, capsys):
         assert "tol must be finite and positive" in _one_line_diagnostic(stdout, stderr)["error"]
 
 
-def test_trust_refuses_an_index_past_int64_with_one_json_line(tmp_path, capsys):
-    graph_path = tmp_path / "g.json"
-    graph_path.write_text('{"nodes":["a","b"],"edges":[[0,18446744073709551615,0.5]]}')
-    code, stdout, stderr = _run(capsys, ["trust", "--graph", str(graph_path)])
-    assert code == 1
-    assert stdout == ""
-    assert stderr == '{"error":"ValueError: edge (0,18446744073709551615) out of range for 2 nodes"}\n'
+# A four-node graph with signals whose fusion, once per context, reaches all
+# four tiers between the three contexts.
+_FUSION_GRAPH = '{"nodes": ["a", "b", "c", "d"], "edges": [[1, 0, 1.0], [2, 0, 1.0], [3, 0, 1.0], [0, 1, 0.2]]}'
+_FUSION_SIGNALS = (
+    '{"a": {"policy": 1.0, "anomaly": 0.9, "attestations": 12}, '
+    '"b": {"policy": 0.8, "anomaly": 0.6, "attestations": 2}, "c": {"attestations": 1}}'
+)
+# What `trust --signals` prints for them in each context: the bytes printed
+# before the fusion policy became tables.
+_FUSION_ROWS = {
+    "financial": '{"agents":[{"attest":0.9092820467105875,"behavior":0.9,"did":"a","fused":0.8880461516767048,"policy":1.0,"propagated":0.9594594599588617,"tier":"Streamlined"},{"attest":0.3296799539643607,"behavior":0.6,"did":"b","fused":0.42550736975801406,"policy":0.8,"propagated":0.8905405400411377,"tier":"Enhanced"},{"attest":0.18126924692201818,"behavior":1.0,"did":"c","fused":0.03815711611149083,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"},{"attest":0.0,"behavior":1.0,"did":"d","fused":0.030000000000000006,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"}],"alpha":0.85,"base_vector":"uniform-0.5","iterations":127,"orientation":"transpose","residual":9.238947940026776e-10}\n',
+    "analytical": '{"agents":[{"attest":0.9092820467105875,"behavior":0.9,"did":"a","fused":0.8844838526670035,"policy":1.0,"propagated":0.9594594599588617,"tier":"Streamlined"},{"attest":0.3296799539643607,"behavior":0.6,"did":"b","fused":0.5217997536702235,"policy":0.8,"propagated":0.8905405400411377,"tier":"Standard"},{"attest":0.18126924692201818,"behavior":1.0,"did":"c","fused":0.06271903870383029,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"},{"attest":0.0,"behavior":1.0,"did":"d","fused":0.06000000000000001,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"}],"alpha":0.85,"base_vector":"uniform-0.5","iterations":127,"orientation":"transpose","residual":9.238947940026776e-10}\n',
+    "default": '{"agents":[{"attest":0.9092820467105875,"behavior":0.9,"did":"a","fused":0.8984640784696887,"policy":1.0,"propagated":0.9594594599588617,"tier":"Streamlined"},{"attest":0.3296799539643607,"behavior":0.6,"did":"b","fused":0.5134500401005839,"policy":0.8,"propagated":0.8905405400411377,"tier":"Standard"},{"attest":0.18126924692201818,"behavior":1.0,"did":"c","fused":0.05453173117305046,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"},{"attest":0.0,"behavior":1.0,"did":"d","fused":0.05,"policy":1.0,"propagated":0.07500000000000001,"tier":"Quarantine"}],"alpha":0.85,"base_vector":"uniform-0.5","iterations":127,"orientation":"transpose","residual":9.238947940026776e-10}\n',
+}
+
+
+@pytest.mark.parametrize(
+    ("graph", "argv", "stderr"),
+    [
+        (
+            '{"nodes":["a","b"],"edges":[[0,18446744073709551615,0.5]]}',
+            [],
+            '{"error":"ValueError: edge (0,18446744073709551615) out of range for 2 nodes"}\n',
+        ),
+        (
+            _FUSION_GRAPH,
+            ["--signals", "signals.json", "--context", "nope"],
+            '{"error":"argument --context: invalid choice: \'nope\' '
+            '(choose from \'financial\', \'analytical\', \'default\')"}\n',
+        ),
+    ],
+    ids=["index-past-int64", "context-nope"],
+)
+def test_trust_refusal_is_one_exact_json_line(tmp_path, capsys, monkeypatch, graph, argv, stderr):
+    monkeypatch.chdir(tmp_path)
+    Path("graph.json").write_text(graph)
+    Path("signals.json").write_text(_FUSION_SIGNALS)
+    assert _run(capsys, ["trust", "--graph", "graph.json", *argv]) == (1, "", stderr)
 
 
 def _one_pair_file(tmp_path):
@@ -457,13 +495,20 @@ def test_pay_out_of_range_integers_are_clean_errors(capsys, argv, message):
 
 
 def test_dp_subcommand(tmp_path, capsys):
-    _report, corpus, _snapshot, _trust = _extract_e2e_artifacts(tmp_path, capsys)
+    _report, _printed, corpus, _snapshot, _trust = _extract_e2e_artifacts(tmp_path, capsys)
     code, stdout, _err = _run(
         capsys, ["dp", "--input", str(corpus), "--epsilon", "2.0", "--seed", "4", "--capability", "weather.forecast"]
     )
     assert code == 0
     result = json.loads(stdout)
     assert result["budget_spent"] == 2.0
+    # No card holds an empty capability, so --capability "" counts as an
+    # unknown capability does; only leaving the flag out counts every card.
+    empty, nope = (
+        _run(capsys, ["dp", "--input", str(corpus), "--epsilon", "2.0", "--seed", "4", "--capability", capability])[1]
+        for capability in ("", "nope")
+    )
+    assert empty == nope
     # budget refusal
     code, _stdout, stderr = _run(
         capsys, ["dp", "--input", str(corpus), "--epsilon", "2.0", "--seed", "4", "--budget", "1.0"]
@@ -691,20 +736,144 @@ def test_resolve_snapshot_that_is_not_a_snapshot_is_value_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "config_text",
+    ("config_text", "field"),
     [
-        '{"scenario":"sybil","n":1e400}',
-        '{"scenario":"sybil","n":8,"sybil_internal_weights":[0.1]}',
+        ('{"scenario":"sybil","n":1e400}', "n"),
+        ('{"scenario":"sybil","n":8,"sybil_internal_weights":[0.1]}', "sybil_internal_weights"),
         # At weight 0 the Sybil rows count as dangling: no clique.
-        '{"scenario":"sybil","n":20,"seed":1,"sybil_internal_weights":[0,1]}',
+        ('{"scenario":"sybil","n":20,"seed":1,"sybil_internal_weights":[0,1]}', "sybil_internal_weights"),
+        ('{"scenario": "marketplace", "n": 4, "rounds": 2, "seed": 1, "tasks_per_round": -2}', "tasks_per_round"),
     ],
 )
-def test_sim_malformed_config_is_clean_error(tmp_path, capsys, config_text):
+def test_sim_malformed_config_is_clean_error(tmp_path, capsys, config_text, field):
     config = tmp_path / "config.json"
     config.write_text(config_text)
-    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    out = tmp_path / "r.json"
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(config), "--strict", "--out", str(out)])
     assert code == 1
-    assert "error" in _one_line_diagnostic(stdout, stderr)
+    assert field in _one_line_diagnostic(stdout, stderr)["error"]
+    assert not out.exists()
+
+
+# -- the README walkthrough, every scenario, and the process exit code ---------
+
+
+def test_readme_walkthrough_prints_the_pinned_outputs(tmp_path, capsys, monkeypatch):
+    """The README's commands on its inputs: each exits 0 and prints standard
+    JSON, and the outputs below are the bytes pinned for them."""
+
+    def ok(*argv) -> str:
+        code, stdout, stderr = _run(capsys, list(argv))
+        assert code == 0 and stdout.strip()
+        _assert_contract(code, stdout, stderr)
+        return stdout
+
+    monkeypatch.chdir(tmp_path)
+    config = {"scenario": "discovery_e2e", "n": 16, "replicas": 4, "seed": 9, "k": 5}
+    report, printed, _corpus, _snapshot, _trust = _extract_e2e_artifacts(Path(), capsys, config, "out/e2e.json")
+    assert printed["written"] == ["out/e2e.json", "out/e2e.csv"]
+    assert '"failure":null' in ok("sim", "--config", "e2e.json", "--strict", "--out", "out/e2e-strict.json")
+
+    resolved = json.loads(ok("resolve", "--snapshot", "snapshot.json", "--key", "agent-003", "--prove"))
+    assert resolved["found"] and resolved["proof_verified"]
+    rank = ("rank", "--query", "weather forecast", "--k", "5", "--trust", "trust.json", "--corpus")
+    ranked = ok(*rank, "cards.jsonl")
+    # Cards without a stored embedding rank by the embedding of their
+    # description, and an empty corpus ranks to [].
+    bare = [json.dumps({**card, "embedding": None}) for card in report["corpus"]]
+    Path("bare-cards.jsonl").write_text("\n".join(bare) + "\n")
+    assert ok(*rank, "bare-cards.jsonl") == ranked
+    Path("empty.jsonl").write_text("")
+    assert ok("rank", "--query", "weather forecast", "--corpus", "empty.jsonl") == "[]\n"
+    ok("dp", "--input", "cards.jsonl", "--epsilon", "1.0", "--seed", "4", "--capability", "weather.forecast")
+
+    # The parsed header gives back the amount, the delegation window and the
+    # payer of the receipt that pay --seed 3 printed.
+    paid = json.loads(ok("pay", "--seed", "3"))
+    parsed = ok("pay", "--parse", paid["header"])
+    assert '"amount":1000' in parsed and '"delegation_window":[1,11]' in parsed
+    assert json.loads(parsed)["payer"] == paid["receipt"]["payer"]
+
+    Path("graph.json").write_text('{"nodes": ["a", "b", "c"], "edges": [[0, 1, 0.9], [1, 2, 0.5], [2, 0, 0.7]]}')
+    ok("trust", "--graph", "graph.json")
+    Path("fusion-graph.json").write_text(_FUSION_GRAPH)
+    Path("fusion-signals.json").write_text(_FUSION_SIGNALS)
+    fuse = ("trust", "--graph", "fusion-graph.json", "--signals", "fusion-signals.json", "--context")
+    for context, rows in _FUSION_ROWS.items():
+        assert ok(*fuse, context) == rows
+    tiers = {agent["tier"] for rows in _FUSION_ROWS.values() for agent in json.loads(rows)["agents"]}
+    assert tiers == {"Streamlined", "Standard", "Enhanced", "Quarantine"}
+
+    # The fitted model's exact bytes, pinned before the pair table was built
+    # once per fit.
+    Path("pairs.jsonl").write_text(
+        '{"preferred": {"cos_sim": 0.9, "trust": 0.5, "log_usage": 2.0, "recency": 0.8}, '
+        '"other": {"cos_sim": 0.2, "trust": 0.4, "log_usage": 1.0, "recency": 0.3}}\n'
+    )
+    assert ok("train", "--pairs", "pairs.jsonl", "--lr", "0.5", "--iters", "200", "--out", "model.json") == (
+        '{"bias":0.0,"final_loss":0.005768889096178847,"iterations":200,'
+        '"theta":[2.0609559667089488,0.29442228095842116,2.944222809584211,1.4721114047921056]}\n'
+    )
+
+
+# Each scenario kind, then the edges of two. Marketplace: no rounds (a report
+# and a header-only CSV), no tasks, more tasks than the rate policy allows,
+# agents that run out of funds, and the smallest market. Sybil: at n = 1 and 3
+# each node's skip edge i -> i+3 is a self-loop, at n = 2 it is the ring edge,
+# and n = 4 runs with a zero sybil_fraction, so with no Sybils.
+_SCENARIO_CONFIGS = {
+    "convergence": {"scenario": "convergence", "n": 8, "trials": 3, "seed": 1},
+    "sybil": {"scenario": "sybil", "n": 20, "seed": 1},
+    "marketplace": {"scenario": "marketplace", "n": 6, "rounds": 3, "seed": 1},
+    "discovery_e2e": {"scenario": "discovery_e2e", "n": 16, "replicas": 4, "seed": 9, "k": 5},
+    "marketplace-rounds0": {"scenario": "marketplace", "n": 6, "rounds": 0, "seed": 1},
+    "marketplace-tasks0": {"scenario": "marketplace", "n": 6, "rounds": 3, "seed": 1, "tasks_per_round": 0},
+    "marketplace-tasks4": {"scenario": "marketplace", "n": 6, "rounds": 3, "seed": 1, "tasks_per_round": 4},
+    "marketplace-broke": {"scenario": "marketplace", "n": 8, "rounds": 6, "seed": 1, "task_price": 600000},
+    "marketplace-n2": {"scenario": "marketplace", "n": 2, "rounds": 3, "seed": 1},
+    "sybil-n1": {"scenario": "sybil", "n": 1, "seed": 1},
+    "sybil-n2": {"scenario": "sybil", "n": 2, "seed": 1},
+    "sybil-n3": {"scenario": "sybil", "n": 3, "seed": 1},
+    "sybil-n4-honest": {"scenario": "sybil", "n": 4, "seed": 1, "sybil_fraction": 0},
+}
+
+
+@pytest.mark.parametrize("config", _SCENARIO_CONFIGS.values(), ids=_SCENARIO_CONFIGS.keys())
+def test_every_scenario_holds_under_strict_over_two_trials(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out" / "report.json"
+    code, stdout, stderr = _run(capsys, ["sim", "--config", str(path), "--strict", "--trials", "2", "--out", str(out)])
+    assert (code, stderr) == (0, "")
+    _strict_json(stdout)
+    _strict_json(out.read_text())
+    if config.get("rounds") == 0:
+        (header,) = out.with_suffix(".csv").read_text().splitlines()
+        assert header.startswith("round,")
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["pay", "--seed", "3"], 0),
+        (["pay", "--parse", "X-Payment: v9;bad"], 1),
+        (["sim", "--config", "capped.json", "--strict", "--out", "out/capped.json"], 2),
+    ],
+    ids=["ok", "refused", "strict-failure"],
+)
+def test_python_dash_m_exits_with_the_code_and_bytes_of_main(tmp_path, monkeypatch, argv, expected):
+    """`raise SystemExit(main())` keeps main's exit code and output."""
+    monkeypatch.chdir(tmp_path)
+    Path("capped.json").write_text('{"scenario":"convergence","n":8,"trials":2,"rounds_cap":0}')
+    src = str(Path(agentmesh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    process = subprocess.run(
+        [sys.executable, "-m", "agentmesh.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (process.returncode, process.stdout, process.stderr) == _run_quietly(argv)
+    assert process.returncode == expected
+    if expected == 1:
+        _one_line_diagnostic(process.stdout, process.stderr)
 
 
 # -- the CLI contract over generated malformed inputs --------------------------
