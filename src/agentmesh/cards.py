@@ -192,11 +192,16 @@ def _structural_violations(card: AgentFactCard) -> list[CardViolation]:
 def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> list[CardViolation]:
     """Each credential against the resolver (an absent resolver resolves
     nothing, so cards with credentials fail). A credential must be about the
-    card's own agent; one about another is refused before its signature is
-    checked."""
+    card's own agent and issued by another, so neither a self-endorsement
+    nor the agent's own round seal counts; a credential that fails either
+    test is refused before its signature is checked."""
     lookup: KeyResolver = resolver if resolver is not None else {}
     for cred in card.credentials:
-        if cred.subject != card.did or verify_attestation(cred, lookup) is not AttestationCheck.VALID:
+        if (
+            cred.subject != card.did
+            or cred.issuer == card.did
+            or verify_attestation(cred, lookup) is not AttestationCheck.VALID
+        ):
             return [CardViolation.BAD_CREDENTIAL]
     return []
 

@@ -23,6 +23,7 @@ from agentmesh.cards import (
     validate_card,
 )
 from agentmesh.identity import AttestationCheck, AttestationIssuer, ClaimType, sha256
+from agentmesh.simnet import synthetic_agents
 from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding, write_cards
 
 
@@ -80,6 +81,25 @@ def test_credential_checked_against_resolver(monkeypatch):
     for credentials in ((about_other,), (att, about_other)):
         assert validate_card(_card(credentials=credentials), resolver) == [CardViolation.BAD_CREDENTIAL]
     assert checked == [att]
+
+
+@pytest.mark.parametrize("kind", ["sla-met", "round-seal"])
+def test_self_issued_credential_refused_before_any_signature_check(monkeypatch, kind):
+    """Every signature here is good, and the resolver holds the signer's key:
+    a card's own agent still cannot vouch for it, by a claim or by its seal."""
+    agent = synthetic_agents(2, 1)[0]
+    issuer = AttestationIssuer(agent.keypair)
+    if kind == "sla-met":
+        credential = issuer.issue(agent.did, ClaimType.SLA_MET, sha256(b"p"), 1)
+    else:
+        credential = issuer.seal([], 1)
+    resolver = {str(agent.did): agent.keypair.public_key}
+    checked = []
+    verify = cards.verify_attestation
+    monkeypatch.setattr(cards, "verify_attestation", lambda att, lookup: checked.append(att) or verify(att, lookup))
+    card = dataclasses.replace(agent.card, credentials=(credential,))
+    assert validate_card(card, resolver) == [CardViolation.BAD_CREDENTIAL]
+    assert checked == []
 
 
 def test_encode_deterministic_and_digest_sensitive():
