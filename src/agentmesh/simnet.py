@@ -506,33 +506,25 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
     honest_edges = _honest_graph_edges(n, rng, hubs)
     base_value = 0.5
 
-    def masses(graph: trust.TrustGraph) -> dict:
-        total = graph.n
-        base = np.full(total, base_value)
-        solved = trust.solve_trust_exact(graph, alpha=config.alpha, base=base, orientation=trust.Orientation.TRANSPOSE)
-        powered = trust.propagate_trust(
-            graph, alpha=config.alpha, base=base, orientation=trust.Orientation.TRANSPOSE, tol=1e-12
-        ).values
-        sybil_mass = float(solved[n:].sum())
-        hub_mass = float(solved[:hubs].sum()) if n_sybil > 0 else 0.0
-        return {
-            "sybil_mass": sybil_mass,
-            "hub_mass": hub_mass,
-            "power_vs_solve_max_diff": float(np.max(np.abs(solved - powered))),
-            "total_mass": float(solved.sum()),
-        }
-
     # (internal weight, honest-to-Sybil edge): both internal weights without
     # the edge, then the second with it; with no Sybils, the honest graph alone.
     w_a, w_b = config.sybil_internal_weights
     settings = [(w_a, False), (w_b, False), (w_b, True)] if n_sybil > 0 else [(None, False)]
+    graphs = [_sybil_graph(n, n_sybil, w_int, honest_edges, edge) for w_int, edge in settings]
+    base = np.full(n + n_sybil, base_value)
+    solutions = trust.fixed_points(
+        graphs, alpha=config.alpha, base=base, orientation=trust.Orientation.TRANSPOSE, tol=1e-12
+    )
     runs = [
         {
-            **masses(_sybil_graph(n, n_sybil, w_int, honest_edges, edge)),
+            "sybil_mass": float(solved[n:].sum()),
+            "hub_mass": float(solved[:hubs].sum()) if n_sybil > 0 else 0.0,
+            "power_vs_solve_max_diff": float(np.max(np.abs(solved - powered.values))),
+            "total_mass": float(solved.sum()),
             "internal_weight": w_int,
             "honest_to_sybil_edge": edge,
         }
-        for w_int, edge in settings
+        for (w_int, edge), (powered, solved) in zip(settings, solutions)
     ]
     if n_sybil > 0:
         mass_a, mass_b, mass_edge = (r["sybil_mass"] for r in runs)

@@ -16,13 +16,17 @@ against the direct linear solve instead.
 
 Cost: a graph is validated and held as three edge arrays (src, dst, weight),
 so building it and every local score is O(E) array work. The engine is dense:
-row_stochastic scatters the edges into a zeroed n x n matrix W and takes its
-row sums, O(n^2) memory and time, then normalises W with one division per
-edge, O(E). Power iterates run in blocks of _BLOCK: each iterate is one
-O(n^2) matvec over W and two elementwise O(n) calls, and each block takes
-its residuals in one pass over O(_BLOCK*n) buffers. The iterates of a
-block that follow the one that converges are thrown away, at most
-_BLOCK - 1 matvecs per call.
+W is filled in a 64-byte-aligned n x n buffer, zeroed, with the edges
+scattered in and its row sums taken, O(n^2) memory and time, then normalised
+with one division per edge, O(E). Power iterates run in blocks of _BLOCK:
+each iterate is one O(n^2) matvec over W and two elementwise O(n) calls, and
+each block takes its residuals in one pass over O(_BLOCK*n) buffers. The
+iterates of a block that follow the one that converges are thrown away, at
+most _BLOCK - 1 matvecs per call. The exact solve turns W's buffer into
+I - alpha*M in place, O(n^2), and LAPACK solves a copy of it, O(n^3).
+propagate_trust and solve_trust_exact each build their own W; fixed_points
+builds each graph's W once for both, in one buffer for the whole list, so
+the n x n allocation and its page faults are paid once per list.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "row_stochastic",
     "propagate_trust",
     "solve_trust_exact",
+    "fixed_points",
     "CONTEXT_WEIGHTS",
     "trust_breakdown",
     "verification_tier",
@@ -185,16 +190,32 @@ def default_base(n: int, orientation: Orientation) -> np.ndarray:
     return np.full(n, 0.5)
 
 
-def _aligned_zeros(n: int) -> np.ndarray:
-    """An n x n float64 zero matrix whose data starts on a 64-byte boundary.
-    numpy guarantees 16-byte alignment only, and OpenBLAS's gemv, which
-    propagate_trust calls as np.dot(M, T_t, out=step_t) with M = W or W.T,
-    gives the same bits from any address but runs about 1.5x slower from
-    one that is not 64-byte aligned."""
+def _aligned_empty(n: int) -> np.ndarray:
+    """An n x n float64 matrix whose data starts on a 64-byte boundary.
+    numpy guarantees 16-byte alignment only, and OpenBLAS's gemv, which the
+    power loop calls as np.dot(M, T_t, out=step_t) with M = W or W.T, gives
+    the same bits from any address but runs about 1.5x slower from one that
+    is not 64-byte aligned."""
     nbytes = n * n * 8
-    raw = np.zeros(nbytes + _ALIGN, dtype=np.uint8)
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % _ALIGN
     return raw[start : start + nbytes].view(np.float64).reshape(n, n)
+
+
+def _fill(W: np.ndarray, graph: TrustGraph, base: np.ndarray) -> None:
+    """Write the row-stochastic matrix of `graph` into the n x n buffer W,
+    whatever W held: out-edge weights normalised row-wise, and rows with no
+    (or all-zero) out-edges set to the normalised base vector."""
+    W.fill(0.0)
+    W[graph.src, graph.dst] = graph.weight
+    sums = W.sum(axis=1)
+    live = sums > 0.0
+    # One division per edge on a live row: every other cell of a live row is
+    # 0.0, which a division by its row sum would leave 0.0.
+    on = live[graph.src]
+    src = graph.src[on]
+    W[src, graph.dst[on]] = graph.weight[on] / sums[src]
+    W[~live] = base / base.sum()
 
 
 def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndarray:
@@ -204,58 +225,44 @@ def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndar
     if base is None:
         base = np.full(n, 1.0 / n) if n else np.zeros(0)
     base = _validate_base(base, n)
-    teleport = base / base.sum()
-    W = _aligned_zeros(n)
-    W[graph.src, graph.dst] = graph.weight
-    sums = W.sum(axis=1)
-    live = sums > 0.0
-    # One division per edge on a live row: every other cell of a live row is
-    # 0.0, which a division by its row sum would leave 0.0.
-    on = live[graph.src]
-    src = graph.src[on]
-    W[src, graph.dst[on]] = graph.weight[on] / sums[src]
-    W[~live] = teleport
+    W = _aligned_empty(n)
+    _fill(W, graph, base)
     return W
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must be in (0,1)")
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _base_vector(n: int, base: np.ndarray | None, orientation: Orientation) -> np.ndarray:
+    """The base vector e of the fixed point, unvalidated; refuses an empty
+    graph, which has no fixed point."""
+    if n == 0:
+        raise ValueError("empty graph")
+    return np.asarray(base if base is not None else default_base(n, orientation), dtype=float)
 
 
 def _operator(graph: TrustGraph, base: np.ndarray | None, orientation: Orientation) -> tuple[np.ndarray, np.ndarray]:
     """The base vector e and the matrix M of the fixed point
     T = alpha*M*T + (1-alpha)*e; `row_stochastic` validates e."""
-    base_vec = np.asarray(base if base is not None else default_base(graph.n, orientation), dtype=float)
+    base_vec = _base_vector(graph.n, base, orientation)
     W = row_stochastic(graph, base_vec)
     return base_vec, W if orientation is Orientation.LITERAL else W.T
 
 
-def propagate_trust(
-    graph: TrustGraph,
-    alpha: float = 0.85,
-    base: np.ndarray | None = None,
-    orientation: Orientation = Orientation.TRANSPOSE,
-    tol: float = 1e-9,
-    start: np.ndarray | None = None,
-    keep_trace: bool = False,
-) -> TrustVector:
-    """Power-iterate T <- alpha*M*T + (1-alpha)*e until the fixed-point
+def _power(M: np.ndarray, base: np.ndarray, alpha: float, tol: float, T: np.ndarray, keep_trace: bool) -> TrustVector:
+    """Power-iterate T <- alpha*M*T + (1-alpha)*base from T until the
     residual drops below tol; NonConvergentError past the iteration cap.
-
-    Iterates run _BLOCK at a time, then the block's residuals are scanned in
-    order, so the result, `iterations` (the iterates accepted, not the
-    matvecs run), the residual and the trace are bit for bit those of one
-    iterate at a time, and up to _BLOCK - 1 iterates are computed and
-    thrown away."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0,1)")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    n = graph.n
-    if n == 0:
-        raise ValueError("empty graph")
-    base_vec, M = _operator(graph, base, orientation)
+    Reads M and T, writes neither."""
+    n = len(base)
     max_iters = math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
-    T = base_vec if start is None else np.asarray(start, dtype=float)
-    if T.shape != (n,):
-        raise ValueError(f"start vector must have shape ({n},)")
-    hold = (1.0 - alpha) * base_vec
+    hold = (1.0 - alpha) * base
     trace: list[float] = []
     # Iterates run in blocks of _BLOCK. Row t of `Ts` holds T_t and row t of
     # `steps` holds step_t = alpha*(M@T_t), which serves both T_{t+1} =
@@ -293,6 +300,43 @@ def propagate_trust(
         Ts[0] = Ts[_BLOCK]
 
 
+def _solve(M: np.ndarray, base: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (I - alpha*M) T = (1-alpha)*base, turning M into I - alpha*M in
+    its own buffer with the bits of np.eye(n) - alpha*M: off the diagonal
+    0.0 - a keeps the +0.0, and on it (0.0 - a) + 1.0 == 1.0 - a. solve
+    copies its operand into Fortran order whichever way M is laid out."""
+    np.multiply(M, alpha, out=M)
+    np.subtract(0.0, M, out=M)
+    M.flat[:: len(base) + 1] += 1.0
+    return np.linalg.solve(M, (1.0 - alpha) * base)
+
+
+def propagate_trust(
+    graph: TrustGraph,
+    alpha: float = 0.85,
+    base: np.ndarray | None = None,
+    orientation: Orientation = Orientation.TRANSPOSE,
+    tol: float = 1e-9,
+    start: np.ndarray | None = None,
+    keep_trace: bool = False,
+) -> TrustVector:
+    """Power-iterate T <- alpha*M*T + (1-alpha)*e until the fixed-point
+    residual drops below tol; NonConvergentError past the iteration cap.
+
+    Iterates run _BLOCK at a time, then the block's residuals are scanned in
+    order, so the result, `iterations` (the iterates accepted, not the
+    matvecs run), the residual and the trace are bit for bit those of one
+    iterate at a time, and up to _BLOCK - 1 iterates are computed and
+    thrown away."""
+    _check_alpha(alpha)
+    _check_tol(tol)
+    base_vec, M = _operator(graph, base, orientation)
+    T = base_vec if start is None else np.asarray(start, dtype=float)
+    if T.shape != (graph.n,):
+        raise ValueError(f"start vector must have shape ({graph.n},)")
+    return _power(M, base_vec, alpha, tol, T, keep_trace)
+
+
 def solve_trust_exact(
     graph: TrustGraph,
     alpha: float = 0.85,
@@ -301,17 +345,40 @@ def solve_trust_exact(
 ) -> np.ndarray:
     """Direct dense solve of (I - alpha*M) T = (1-alpha)*e; the independent
     route the power iteration is checked against."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0,1)")
+    _check_alpha(alpha)
     base_vec, M = _operator(graph, base, orientation)
-    # I - alpha*M, built in the buffer of M's fresh W with the bits of
-    # np.eye(n) - alpha*M: off the diagonal 0.0 - a keeps the +0.0, and on it
-    # (0.0 - a) + 1.0 == 1.0 - a. solve copies its operand into Fortran order
-    # whichever way M is laid out.
-    np.multiply(M, alpha, out=M)
-    np.subtract(0.0, M, out=M)
-    M.flat[:: graph.n + 1] += 1.0
-    return np.linalg.solve(M, (1.0 - alpha) * base_vec)
+    return _solve(M, base_vec, alpha)
+
+
+def fixed_points(
+    graphs: Sequence[TrustGraph],
+    alpha: float = 0.85,
+    base: np.ndarray | None = None,
+    orientation: Orientation = Orientation.TRANSPOSE,
+    tol: float = 1e-9,
+) -> list[tuple[TrustVector, np.ndarray]]:
+    """(propagate_trust(g, ...), solve_trust_exact(g, ...)) for each graph g
+    of a list on one node count, bit for bit, from one n x n buffer: each
+    graph's W is built in it once, power-iterated from the base, then turned
+    into I - alpha*M in place and solved. Graphs whose node counts differ
+    are refused with ValueError before any work."""
+    _check_alpha(alpha)
+    _check_tol(tol)
+    counts = sorted({graph.n for graph in graphs})
+    if len(counts) > 1:
+        raise ValueError(f"graphs must share one node count, got {counts}")
+    if not graphs:
+        return []
+    (n,) = counts
+    base_vec = _validate_base(_base_vector(n, base, orientation), n)
+    W = _aligned_empty(n)
+    M = W if orientation is Orientation.LITERAL else W.T
+    results = []
+    for graph in graphs:
+        _fill(W, graph, base_vec)
+        vector = _power(M, base_vec, alpha, tol, base_vec, False)
+        results.append((vector, _solve(M, base_vec, alpha)))
+    return results
 
 
 # ---------------------------------------------------------------------------

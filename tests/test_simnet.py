@@ -418,20 +418,14 @@ def _dict_honest_graph_edges(n: int, rng: random.Random, hubs: int) -> dict[tupl
     return edges
 
 
-def _per_cell_row_stochastic(graph: trust.TrustGraph, base: np.ndarray | None = None) -> np.ndarray:
-    """row_stochastic with one division per cell of every live row."""
-    n = graph.n
-    if base is None:
-        base = np.full(n, 1.0 / n) if n else np.zeros(0)
-    base = trust._validate_base(base, n)
-    teleport = base / base.sum()
-    W = trust._aligned_zeros(n)
+def _per_cell_fill(W: np.ndarray, graph: trust.TrustGraph, base: np.ndarray) -> None:
+    """trust._fill with one division per cell of every live row."""
+    W.fill(0.0)
     W[graph.src, graph.dst] = graph.weight
     sums = W.sum(axis=1)
     live = sums > 0.0
     np.divide(W, sums[:, None], out=W, where=live[:, None])
-    W[~live] = teleport
-    return W
+    W[~live] = base / base.sum()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -455,8 +449,18 @@ def test_sybil_report_bytes_equal_the_dict_and_per_cell_builds(n, monkeypatch):
         "_honest_graph_edges",
         lambda n, rng, hubs: np.array([(i, j, w) for (i, j), w in _dict_honest_graph_edges(n, rng, hubs).items()]),
     )
-    monkeypatch.setattr(trust, "row_stochastic", _per_cell_row_stochastic)
+    # The fill step every route to W shares: fixed_points, which the
+    # scenario calls, as well as row_stochastic. The reference must build
+    # each of the three graphs' W, or the two runs would be one path twice.
+    filled = []
+
+    def per_cell_fill(W, graph, base):
+        filled.append(graph)
+        _per_cell_fill(W, graph, base)
+
+    monkeypatch.setattr(trust, "_fill", per_cell_fill)
     before = run_sybil(config)
+    assert len(filled) == 3
     assert report.to_json_bytes() == before.to_json_bytes()
     assert report.to_csv_text() == before.to_csv_text()
 

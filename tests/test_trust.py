@@ -24,6 +24,7 @@ from agentmesh.trust import (
     attestation_score,
     behavior_scores,
     default_base,
+    fixed_points,
     local_trust_score,
     propagate_trust,
     row_stochastic,
@@ -193,6 +194,16 @@ def test_propagate_validates_inputs():
             propagate_trust(g, alpha=0.5, tol=tol)
 
 
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("base", [None, np.zeros(0)])
+def test_every_fixed_point_entry_refuses_an_empty_graph(orientation, base):
+    empty = TrustGraph(nodes=[], edges=[])
+    for solve in (propagate_trust, solve_trust_exact, lambda g, **kw: fixed_points([g, g], **kw)):
+        with pytest.raises(ValueError, match=r"^empty graph$"):
+            solve(empty, alpha=0.5, base=base, orientation=orientation)
+    assert fixed_points([], alpha=0.5, base=base, orientation=orientation) == []
+
+
 @pytest.mark.parametrize("solve", [propagate_trust, solve_trust_exact])
 @pytest.mark.parametrize("orientation", list(Orientation))
 @pytest.mark.parametrize("given_base", [False, True])
@@ -314,14 +325,20 @@ def _loop_propagate(M, base, alpha, tol, start, max_iters=None):
 
 
 @st.composite
-def _edge_lists(draw, max_n=10):
-    """n and a valid edge list over n nodes, in any order, with dangling rows
-    and all-zero rows among the ones drawn."""
-    n = draw(st.integers(1, max_n))
+def _edges_over(draw, n):
+    """A valid edge list over n nodes, in any order, with dangling rows and
+    all-zero rows among the ones drawn."""
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     keys = draw(st.lists(pairs, unique=True, max_size=n * (n - 1)))
     weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([1, 1e-300, 0.5]))
-    return n, [(i, j, draw(weight)) for i, j in keys]
+    return [(i, j, draw(weight)) for i, j in keys]
+
+
+@st.composite
+def _edge_lists(draw, max_n=10):
+    """n and an edge list of _edges_over(n)."""
+    n = draw(st.integers(1, max_n))
+    return n, draw(_edges_over(n))
 
 
 def _bases(n):
@@ -651,6 +668,128 @@ def test_returned_values_share_no_memory_with_the_block_buffers(monkeypatch):
         buffers.clear()
 
 
+# -- fixed_points: one buffer for a list of graphs ----------------------------
+
+
+def _fixed_point_outcome(call):
+    """What a call returns, or the message of the NonConvergentError it raises."""
+    try:
+        return call()
+    except trust.NonConvergentError as error:
+        return f"NonConvergentError: {error}"
+
+
+def _assert_same_fixed_points(got, expected):
+    """Two fixed_points outcomes agree bit for bit: each TrustVector's values,
+    iterations, residual and trace, each exact solve, or the error message."""
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert len(got) == len(expected)
+    for (vector, exact), (expected_vector, expected_exact) in zip(got, expected):
+        assert vector.values.tobytes() == expected_vector.values.tobytes()
+        assert vector.iterations == expected_vector.iterations
+        assert struct.pack("<d", vector.residual) == struct.pack("<d", expected_vector.residual)
+        assert vector.residual_trace is expected_vector.residual_trace is None
+        assert exact.tobytes() == expected_exact.tobytes()
+
+
+def _one_graph_at_a_time(graphs, alpha, base, orientation, tol):
+    """fixed_points as the one-graph entry points compute it: for each graph,
+    propagate_trust from the base and solve_trust_exact, each building its
+    own W; the first NonConvergentError stops the list."""
+    results = []
+    for graph in graphs:
+        vector = _fixed_point_outcome(lambda: propagate_trust(graph, alpha=alpha, base=base, orientation=orientation, tol=tol))
+        if isinstance(vector, str):
+            return vector
+        results.append((vector, solve_trust_exact(graph, alpha=alpha, base=base, orientation=orientation)))
+    return results
+
+
+@given(data=st.data())
+@example(data=None)
+def test_fixed_points_equal_propagate_and_solve_graph_by_graph(data):
+    """Each graph's result is the one-graph entry points', and the one
+    fixed_points gives that graph alone, so the buffer that the graphs before
+    it filled and solved in leaves nothing behind. The explicit example is
+    the sybil scenario's three graphs at its tol."""
+    if data is None:
+        graphs = [TrustGraph(nodes=[str(i) for i in range(n)], edges=edges) for n, edges, _base in _SYBIL_CASES]
+        alpha, base, orientation, tol = 0.85, _SYBIL_CASES[0][2], Orientation.TRANSPOSE, 1e-12
+    else:
+        n = data.draw(st.integers(1, 10))
+        nodes = [str(i) for i in range(n)]
+        graphs = [TrustGraph(nodes=nodes, edges=data.draw(_edges_over(n))) for _ in range(data.draw(st.integers(1, 4)))]
+        alpha = data.draw(st.floats(0.05, 0.95))
+        base = data.draw(_bases(n))
+        orientation = data.draw(st.sampled_from(Orientation))
+        tol = data.draw(st.sampled_from([1e-6, 1e-11, 1e-300]))
+    kwargs = dict(alpha=alpha, base=base, orientation=orientation, tol=tol)
+    _assert_same_fixed_points(
+        _fixed_point_outcome(lambda: fixed_points(graphs, **kwargs)), _one_graph_at_a_time(graphs, **kwargs)
+    )
+    for graph in graphs:
+        _assert_same_fixed_points(
+            _fixed_point_outcome(lambda: fixed_points([graph], **kwargs)), _one_graph_at_a_time([graph], **kwargs)
+        )
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_fixed_points_raise_the_message_of_propagate_trust(orientation):
+    """At tol 1e-300 the residual stalls at rounding level until the
+    iteration cap; the list stops at its first graph with propagate_trust's
+    error, at the benchmark size and on a small graph."""
+    n, edges, _base = _SYBIL_CASES[0]
+    # Not uniform: under LITERAL a uniform base is the fixed point itself.
+    large = (n, edges, np.array([random.Random(n).random() for _ in range(n)]))
+    small = (4, [(0, 1, 0.5), (1, 2, 0.9), (2, 0, 0.7), (3, 0, 0.2)], np.array([0.1, 0.7, 0.3, 0.9]))
+    for n, edges, base in (large, small):
+        graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+        kwargs = dict(alpha=0.85, base=base, orientation=orientation, tol=1e-300)
+        with pytest.raises(trust.NonConvergentError) as expected:
+            propagate_trust(graph, **kwargs)
+        with pytest.raises(trust.NonConvergentError) as got:
+            fixed_points([graph, graph], **kwargs)
+        assert str(got.value) == str(expected.value)
+
+
+def test_fixed_points_return_no_view_of_their_buffers(monkeypatch):
+    buffers = []
+    empty, aligned_empty = np.empty, trust._aligned_empty
+
+    def recording(allocate):
+        def allocating(*args, **kwargs):
+            buffers.append(allocate(*args, **kwargs))
+            return buffers[-1]
+
+        return allocating
+
+    monkeypatch.setattr(np, "empty", recording(empty))
+    monkeypatch.setattr(trust, "_aligned_empty", recording(aligned_empty))
+    graphs = [TrustGraph(nodes=[str(i) for i in range(n)], edges=edges) for n, edges, _base in _SYBIL_CASES]
+    for orientation in Orientation:
+        results = fixed_points(graphs, alpha=0.85, orientation=orientation, tol=1e-12)
+        assert len(results) == 3 and buffers
+        for vector, exact in results:
+            for array in (vector.values, exact):
+                assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+        buffers.clear()
+
+
+def test_fixed_points_refuse_graphs_of_different_sizes_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("fixed_points began work on graphs of different sizes")
+
+    for name in ("_aligned_empty", "_fill", "_power", "_solve", "_validate_base"):
+        monkeypatch.setattr(trust, name, no_work)
+    small, large = (TrustGraph(nodes=[str(i) for i in range(n)], edges=[(0, 1, 0.5)]) for n in (2, 3))
+    empty = TrustGraph(nodes=[], edges=[])
+    for graphs in ([small, large], [large, large, small], [empty, small]):
+        with pytest.raises(ValueError, match="one node count"):
+            fixed_points(graphs)
+
+
 # The power-loop equality tests, which the test below re-runs under a second
 # set of BLAS kernels.
 _POWER_LOOP_TESTS = (
@@ -662,6 +801,9 @@ _POWER_LOOP_TESTS = (
     "test_block_loop_raises_at_the_iterate_and_with_the_message_of_the_one_iterate_loop",
     "test_block_loop_raises_as_the_one_iterate_loop_at_benchmark_size",
     "test_returned_values_share_no_memory_with_the_block_buffers",
+    "test_fixed_points_equal_propagate_and_solve_graph_by_graph",
+    "test_fixed_points_raise_the_message_of_propagate_trust",
+    "test_fixed_points_return_no_view_of_their_buffers",
 )
 
 # Prints the core name of each OpenBLAS that numpy loaded into the process.
