@@ -16,7 +16,6 @@ import enum
 import functools
 import hashlib
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -93,8 +92,17 @@ class AgentDid(str):
         return super().__new__(cls, text)
 
 
+def _as_bytes(data: bytes) -> bytes:
+    """Any bytes-like object as bytes, by its buffer (`data` itself if it is
+    bytes). Anything else raises TypeError: `bytes(32)` would read an int as
+    32 zero bytes, and the all-zero key and signature verify about one
+    message in four."""
+    return b"".join((data,))
+
+
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Same seed, same keys."""
+    seed = _as_bytes(seed)
     if len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     public = _private_key(seed).public_key().public_bytes_raw()
@@ -119,48 +127,39 @@ _private_key = functools.lru_cache(maxsize=1024)(Ed25519PrivateKey.from_private_
 
 
 def sign(secret_key: bytes, message: bytes) -> bytes:
+    secret_key = _as_bytes(secret_key)
     if len(secret_key) != KEY_LEN:
         raise ValueError("secret key must be 32 bytes")
     return _private_key(secret_key).sign(message)
 
 
-# The SHA-256 of `public_key ‖ signature ‖ message` of each triple that has
-# verified, least recently used first. An Ed25519 check costs over 100 µs, and
-# the same triple comes back: a marketplace settle re-checks the owner's
-# signature on its delegation for every payment in the delegation's window. A
-# failed check is never kept, so forged input cannot fill the cache, and an
-# answer never depends on what it holds. The delegation of a window comes back
-# after about one round of checks, about 4 per agent, so 1,024 entries (about
-# 150 KB) keep the hits up to about 256 agents.
-_VERIFIED_MAX = 1024
-_verified: OrderedDict[bytes, bool] = OrderedDict()
+# Each (public key, message, signature) triple that has verified, evicting the
+# least recently used. An Ed25519 check costs over 100 µs, and the same triple
+# comes back: a marketplace settle re-checks the owner's signature on its
+# delegation for every payment in the delegation's window. A failed check
+# raises, and `lru_cache` keeps no call that raised, so forged input cannot
+# fill the cache, and an answer never depends on what it holds. The delegation
+# of a window comes back after about one round of checks, about 4 per agent,
+# so 1,024 entries (about 550 KB with 200-byte messages) keep the hits up to
+# about 256 agents.
+@functools.lru_cache(maxsize=1024)
+def _verified(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    return True
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff the signature checks. Malformed inputs yield False, never raise.
-    A triple that has verified before in this process is answered without a
+    """True iff the signature checks. Each argument may be any bytes-like
+    object (see `_as_bytes`); malformed bytes yield False, never raise. A
+    triple that has verified before in this process is answered without a
     second Ed25519 check (see `_verified`)."""
+    public_key, message, signature = _as_bytes(public_key), _as_bytes(message), _as_bytes(signature)
     if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
-    # Joined, the key and signature must be their 96 bytes, so a buffer of
-    # wider items cannot shift the concatenation onto another triple's.
-    key_and_signature = b"".join((public_key, signature))
-    if len(key_and_signature) != KEY_LEN + SIG_LEN:
-        return False
-    seen = hashlib.sha256(key_and_signature + message).digest()
-    # `pop` finds a hit and takes it out in one step, which no other thread
-    # can split; putting it back makes it the most recently used.
-    if _verified.pop(seen, False):
-        _verified[seen] = True
-        return True
     try:
-        Ed25519PublicKey.from_public_bytes(bytes(public_key)).verify(signature, message)
+        return _verified(public_key, message, signature)
     except (InvalidSignature, ValueError):
         return False
-    _verified[seen] = True
-    if len(_verified) > _VERIFIED_MAX:
-        _verified.popitem(last=False)
-    return True
 
 
 class ClaimType(enum.IntEnum):

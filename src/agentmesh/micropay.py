@@ -14,8 +14,11 @@ every field must match its grammar in full):
 and `deleg` is the owner's 64-byte signature over `Delegation.message()`
 (ephemeral public key || issued_at || expires_at) followed by the two u64
 window bounds, hex-encoded (128 + 16 + 16 hex chars). `sig` is the ephemeral
-key's signature over the canonical payment bytes (invoice_id, payer, amount,
-nonce). Amounts are integer micro-units; no fractional currency anywhere.
+key's signature over the canonical payment bytes (invoice_id, payer, payee,
+amount, expires_at, nonce). The payee and the expiry are not in the line: the
+ledger takes them from the invoice it settles against, so the signature
+fails if that invoice was re-addressed or re-dated. Amounts are integer
+micro-units; no fractional currency anywhere.
 """
 
 from __future__ import annotations
@@ -134,8 +137,18 @@ def make_ephemeral(owner: KeyPair, ephemeral_seed: bytes, issued_at: int, expire
     return EphemeralKey(keypair=keypair, owner=derive_did(owner.public_key), delegation=delegation)
 
 
-def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonce: bytes) -> bytes:
-    return invoice_id + enc_str(payer) + enc_u64(amount) + nonce
+def _payment_signing_bytes(invoice: Invoice, payer: AgentDid, nonce: bytes) -> bytes:
+    """What the payer's ephemeral key signs: the invoice's id, payee and
+    expiry as well as the payment, so a header settles only the invoice it
+    was made for, not a copy re-addressed or re-dated by the caller."""
+    return (
+        invoice.invoice_id
+        + enc_str(payer)
+        + enc_str(invoice.payee)
+        + enc_u64(invoice.amount)
+        + enc_u64(invoice.expires_at)
+        + nonce
+    )
 
 
 @dataclass(frozen=True)
@@ -179,7 +192,7 @@ def build_payment_header(
         raise MicropayError("ephemeral key not delegated by this payer")
     signature = sign(
         ephemeral.keypair.secret_key,
-        _payment_signing_bytes(invoice.invoice_id, payer, invoice.amount, nonce),
+        _payment_signing_bytes(invoice, payer, nonce),
     )
     return PaymentHeader(invoice.invoice_id, payer, nonce, invoice.amount, ephemeral.delegation, signature).render()
 
@@ -364,7 +377,7 @@ class Ledger:
         if not verify(owner_key, delegation.message(), delegation.signature):
             raise SettleError(SettleReason.BAD_DELEGATION)
 
-        payment_msg = _payment_signing_bytes(header.invoice_id, header.payer, header.amount, header.nonce)
+        payment_msg = _payment_signing_bytes(invoice, header.payer, header.nonce)
         if not verify(delegation.ephemeral_pub, payment_msg, header.signature):
             raise SettleError(SettleReason.BAD_SIGNATURE)
 

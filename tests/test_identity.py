@@ -203,6 +203,26 @@ def test_sign_refuses_a_key_of_the_wrong_length(length):
         sign(bytes(length), b"m")
 
 
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+def test_keys_and_seeds_may_be_any_bytes_like_object(form):
+    seed = sha256(b"bytes-like")
+    keypair = generate_keypair(form(seed))
+    assert keypair == generate_keypair(seed)
+    signature = sign(form(keypair.secret_key), form(b"m"))
+    assert signature == sign(keypair.secret_key, b"m")
+    assert verify(form(keypair.public_key), form(b"m"), form(signature))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: generate_keypair(32), lambda: sign(32, b"m"), lambda: verify(32, b"m", 64)],
+    ids=["seed", "key", "verify"],
+)
+def test_an_int_is_not_read_as_that_many_zero_bytes(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_a_generated_key_is_parsed_once():
     seed = sha256(b"parsed-once")
     before = identity._private_key.cache_info()
@@ -250,20 +270,27 @@ def _triples(draw):
     return public_key, message, signature
 
 
+def _cached() -> int:
+    return identity._verified.cache_info().currsize
+
+
+_HELD = keypair_for("held")
+
+
 @settings(max_examples=200)
 @given(_triples())
 def test_verify_equals_an_uncached_check_on_first_and_repeated_calls(triple):
     expected = _uncached_verify(*triple)
     for form in (bytes, bytearray, memoryview):
-        identity._verified.clear()
-        identity._verified[sha256(b"held")] = True
+        identity._verified.cache_clear()
+        assert verify(_HELD.public_key, b"held", sign(_HELD.secret_key, b"held"))
         for _ in range(2):
-            held = list(identity._verified)
+            held = _cached()
             assert verify(*map(form, triple)) is expected
             if not expected:
                 # A failed check leaves the cache as it was.
-                assert list(identity._verified) == held
-        assert len(identity._verified) == 1 + expected
+                assert _cached() == held
+        assert _cached() == 1 + expected
     # A triple cached from another form is answered for bytes the same.
     assert verify(*triple) is expected
 
@@ -302,25 +329,25 @@ def test_a_buffer_of_wider_items_cannot_borrow_a_cached_triple():
 
 
 def test_verified_cache_is_bounded_and_keeps_the_most_recently_used(monkeypatch):
-    maxsize = identity._VERIFIED_MAX
-    assert 0 < maxsize <= 1024
+    maxsize = identity._verified.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
     keypair = keypair_for("bounded")
     triples = []
     for i in range(maxsize + 1):
         message = i.to_bytes(2, "big")
         triples.append((keypair.public_key, message, sign(keypair.secret_key, message)))
-    identity._verified.clear()
+    identity._verified.cache_clear()
     checked = count_ed25519_checks(monkeypatch)
     assert all(verify(*triple) for triple in triples[:maxsize])
-    assert len(checked) == len(identity._verified) == maxsize
+    assert len(checked) == _cached() == maxsize
     # A hit needs no check and makes its triple the most recently used, so
     # one more triple evicts the second, not the first.
     assert verify(*triples[0]) and len(checked) == maxsize
     assert verify(*triples[maxsize]) and len(checked) == maxsize + 1
-    assert len(identity._verified) == maxsize
+    assert _cached() == maxsize
     assert verify(*triples[0]) and len(checked) == maxsize + 1
     assert verify(*triples[1]) and len(checked) == maxsize + 2
-    assert len(identity._verified) == maxsize
+    assert _cached() == maxsize
 
 
 def _issue_one(issuer: AttestationIssuer, at: int = 5) -> Attestation:

@@ -295,9 +295,14 @@ def test_settle_refuses_to_take_the_payee_past_u64():
     ledger.credit(payee, MAX_U64 - 5)
     ledger.settle(header, invoice, resolver, now=5)
     assert ledger.balance(payee) == MAX_U64
-    # paying oneself moves nothing, even at the limit
+    # paying oneself moves nothing, even at the limit; the payee is signed,
+    # so the header is made for an invoice to the payer
+    payer_kp, _payee_kp, payer, _payee, resolver = _parties()
+    invoice = create_invoice(payer, 5, "task-1", expires_at=55, rng=random.Random(0))
+    ephemeral = make_ephemeral(payer_kp, bytes(32), 4, 55)
+    header = parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, bytes(16), 5))
     ledger = Ledger({str(payer): MAX_U64})
-    ledger.settle(header, dataclasses.replace(invoice, payee=payer), resolver, now=5)
+    ledger.settle(header, invoice, resolver, now=5)
     assert ledger.balance(payer) == MAX_U64 and len(ledger.receipts) == 1
 
 
@@ -324,6 +329,47 @@ def test_settle_every_error_reason_is_atomic():
     ledger.settle(header, invoice, resolver, now=5)
     snapshot = ledger.canonical_bytes()
     expect(SettleReason.DUPLICATE_NONCE)
+
+
+@pytest.mark.parametrize(
+    "change, now",
+    [({"payee": derive_did(generate_keypair(sha256(b"thief")).public_key)}, 1), ({"expires_at": 10**6}, 9)],
+    ids=["re-addressed", "re-dated"],
+)
+def test_a_header_does_not_settle_a_changed_copy_of_its_invoice(change, now):
+    """The payment signature covers the invoice's payee and expiry, so a
+    caller's copy that names another payee, or a later expiry (settled here
+    after the signed one has passed), is refused and pays no one."""
+    payer_kp, _payee_kp, payer, payee, resolver = _parties()
+    rng = random.Random(7)
+    invoice = create_invoice(payee, 100, "task-1", expires_at=5, rng=rng)
+    ephemeral = make_ephemeral(payer_kp, rng.randbytes(32), 0, 20)
+    header = parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, rng.randbytes(16), now=1))
+    ledger = Ledger({str(payer): 1_000})
+    snapshot = ledger.canonical_bytes()
+    with pytest.raises(SettleError) as err:
+        ledger.settle(header, dataclasses.replace(invoice, **change), resolver, now)
+    assert err.value.reason is SettleReason.BAD_SIGNATURE
+    assert ledger.canonical_bytes() == snapshot and ledger.receipts == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 21: the ledger refuses a repeated (payer, nonce), not a second payment of a paid invoice",
+)
+def test_an_invoice_is_paid_at_most_once():
+    payer_kp, _payee_kp, payer, payee, resolver = _parties()
+    rng = random.Random(6)
+    invoice = create_invoice(payee, 100, "task-1", expires_at=50, rng=rng)
+    ephemeral = make_ephemeral(payer_kp, rng.randbytes(32), 0, 50)
+    ledger = Ledger({str(payer): 1_000})
+    for nonce in (bytes(16), b"\x01" * 16):
+        header = parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, nonce, now=5))
+        try:
+            ledger.settle(header, invoice, resolver, now=5)
+        except SettleError:
+            pass
+    assert ledger.balance(payee) == 100 and len(ledger.receipts) == 1
 
 
 def test_conservation_over_mixed_attempts():
@@ -535,8 +581,15 @@ def _delegation_message(ephemeral_pub: bytes, issued_at: int, expires_at: int) -
     return ephemeral_pub + enc_u64(issued_at) + enc_u64(expires_at)
 
 
-def _payment_signing_bytes(invoice_id: bytes, payer: AgentDid, amount: int, nonce: bytes) -> bytes:
-    return invoice_id + enc_str(payer) + enc_u64(amount) + nonce
+def _payment_signing_bytes(invoice, payer: AgentDid, nonce: bytes) -> bytes:
+    return (
+        invoice.invoice_id
+        + enc_str(payer)
+        + enc_str(invoice.payee)
+        + enc_u64(invoice.amount)
+        + enc_u64(invoice.expires_at)
+        + nonce
+    )
 
 
 def _flat_settle(self: Ledger, header: _FlatHeader, invoice, resolver, now: int) -> Receipt:
@@ -558,7 +611,7 @@ def _flat_settle(self: Ledger, header: _FlatHeader, invoice, resolver, now: int)
     if not verify(owner_key, delegation_msg, header.delegation_sig):
         raise SettleError(SettleReason.BAD_DELEGATION)
 
-    payment_msg = _payment_signing_bytes(header.invoice_id, header.payer, header.amount, header.nonce)
+    payment_msg = _payment_signing_bytes(invoice, header.payer, header.nonce)
     if not verify(header.ephemeral_pub, payment_msg, header.signature):
         raise SettleError(SettleReason.BAD_SIGNATURE)
 

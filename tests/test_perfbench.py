@@ -116,7 +116,7 @@ def test_marketplace_checks_each_delegation_once_and_every_other_signature(monke
             if frame.f_code is settle_code:
                 delegations.add(frame.f_locals["header"].delegation)
 
-    identity._verified.clear()
+    identity._verified.cache_clear()
     checked = count_ed25519_checks(monkeypatch)
     sys.setprofile(observe)
     try:
