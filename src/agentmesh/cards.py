@@ -2,19 +2,22 @@
 and usage history, exchanged as JSON and identified by a content digest.
 
 A card is structurally valid by construction: `AgentFactCard.__post_init__`
-refuses one that fails a structural check, however it is built. Only its
-credentials, which need a key resolver, are checked later, by `validate_card`.
+refuses one that fails a structural check, however it is built, and holds
+its sequences as tuples (the embedding's entries as floats), so every card
+hashes and compares as a value. Only its credentials, which need a key
+resolver, are checked later, by `validate_card`.
 
 The digest is taken over a canonical binary layout whose embedding
 coordinates are quantized to a 1e-9 grid first, so digests are reproducible
 across platforms.
 
-Cost: the first card built from an embedding tuple runs the three embedding
-checks (O(EMBED_DIM)) and holds the tuple as a checked value, which keeps its
-quantized bytes once a digest has needed them. A card built from a checked
-value (a `bump` or `replace` that keeps the embedding, or another card of a
-corpus that shares it) checks nothing for it, and its digest quantizes
-nothing: it hashes the card's other fields and the kept bytes.
+Cost: the first card built from an embedding sequence runs the three
+embedding checks (O(EMBED_DIM)) and holds its floats as a checked value,
+which keeps its quantized bytes once a digest has needed them. A card built
+from a checked value (a `bump` or `replace` that keeps the embedding, or
+another card of a corpus that shares it) checks nothing for it, and its
+digest quantizes nothing: it hashes the card's other fields and the kept
+bytes.
 """
 
 from __future__ import annotations
@@ -110,11 +113,14 @@ class AgentFactCard:
     version: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "capabilities", tuple(self.capabilities))
+        object.__setattr__(self, "credentials", tuple(self.credentials))
         violations = _structural_violations(self)
         if violations:
             raise EncodingRefused("card violates " + ", ".join(v.value for v in violations))
-        if type(self.embedding) is tuple:
-            object.__setattr__(self, "embedding", _CheckedEmbedding(self.embedding))
+        # The checks passed, so every entry is a finite real number.
+        if self.embedding is not None and type(self.embedding) is not _CheckedEmbedding:
+            object.__setattr__(self, "embedding", _CheckedEmbedding(map(float, self.embedding)))
 
     def __getstate__(self) -> dict:
         """The fields alone: a copy or a pickle leaves behind what is kept in
@@ -189,18 +195,16 @@ def _structural_violations(card: AgentFactCard) -> list[CardViolation]:
     return out
 
 
-def validate_card(card: AgentFactCard, resolver: KeyResolver | None = None) -> list[CardViolation]:
-    """Each credential against the resolver (an absent resolver resolves
-    nothing, so cards with credentials fail). A credential must be about the
+def validate_card(card: AgentFactCard, resolver: KeyResolver) -> list[CardViolation]:
+    """Each credential against the resolver. A credential must be about the
     card's own agent and issued by another, so neither a self-endorsement
     nor the agent's own round seal counts; a credential that fails either
     test is refused before its signature is checked."""
-    lookup: KeyResolver = resolver if resolver is not None else {}
     for cred in card.credentials:
         if (
             cred.subject != card.did
             or cred.issuer == card.did
-            or verify_attestation(cred, lookup) is not AttestationCheck.VALID
+            or verify_attestation(cred, resolver) is not AttestationCheck.VALID
         ):
             return [CardViolation.BAD_CREDENTIAL]
     return []

@@ -163,14 +163,6 @@ class RankFeatures:
     def vector(self) -> np.ndarray:
         return np.array([self.cos_sim, self.trust, self.log_usage, self.recency])
 
-    def to_json_obj(self) -> dict:
-        return {
-            "cos_sim": self.cos_sim,
-            "trust": self.trust,
-            "log_usage": self.log_usage,
-            "recency": self.recency,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: object, what: str) -> "RankFeatures":
         obj = json_object(obj, what)

@@ -250,10 +250,6 @@ class Topology:
             if topo.is_connected():
                 return topo
 
-    @classmethod
-    def from_neighbors(cls, neighbor_lists: list[list[int]]) -> "Topology":
-        return cls("custom", len(neighbor_lists), [sorted(l) for l in neighbor_lists])
-
     def sample_neighbor(self, i: int, rng: random.Random) -> int | None:
         if self.neighbor_lists is None:
             if self.n <= 1:
@@ -311,12 +307,13 @@ def gossip_round(
     mesh: list[ReplicaState],
     topology: Topology,
     rng: random.Random,
-    target: dict[int, int] | None = None,
+    target: dict[int, int],
 ) -> RoundStats:
     """One synchronous push-pull round: every replica contacts one uniform-
     random neighbor, both sides exchange deltas computed against start-of-
     round state, and all deltas apply at the end of the round (the classic
-    epidemic model whose spread time is logarithmic in mesh size)."""
+    epidemic model whose spread time is logarithmic in mesh size). Replicas
+    whose vector is `target` count as converged."""
     n = len(mesh)
     digests = [replica.digest() for replica in mesh]
     messages = 0
@@ -340,8 +337,6 @@ def gossip_round(
     for i in range(n):
         for delta in inbox[i]:
             mesh[i].apply_delta(delta)
-    if target is None:
-        target = mesh_target(mesh)
     return RoundStats(messages=messages, bytes_sent=bytes_sent, converged=converged_count(mesh, target))
 
 

@@ -279,6 +279,7 @@ class SettleReason(enum.Enum):
     BAD_DELEGATION = "BadDelegation"
     BAD_SIGNATURE = "BadSignature"
     DUPLICATE_NONCE = "DuplicateNonce"
+    ALREADY_PAID = "AlreadyPaid"
     INSUFFICIENT_FUNDS = "InsufficientFunds"
     BALANCE_OVERFLOW = "BalanceOverflow"
 
@@ -325,7 +326,8 @@ class Ledger:
     """Single-writer balance store whose record is its receipts. A settlement
     either applies completely (debit, credit, receipt appended) or leaves the
     ledger byte-identical. Replays are found in a set of the receipts'
-    (payer, nonce) pairs, so a settle is O(1) in ledger length.
+    (payer, nonce) pairs, and a second payment of an invoice in a set of
+    their invoice ids, so a settle is O(1) in ledger length.
     `canonical_bytes()` is the balances sorted by DID, then the SHA-256 of
     every receipt's canonical bytes in settlement order, kept as a running
     hash in the manner of a tamper-evident log; it costs O(balances)."""
@@ -339,6 +341,7 @@ class Ledger:
                 raise MicropayError(f"opening balance for {did} exceeds u64")
         self.receipts: list[Receipt] = []
         self._spent: set[tuple[str, bytes]] = set()
+        self._paid: set[bytes] = set()
         self._receipts_digest = hashlib.sha256()
 
     def credit(self, did: str, amount: int) -> None:
@@ -360,7 +363,8 @@ class Ledger:
 
     def settle(self, header: PaymentHeader, invoice: Invoice, resolver: KeyResolver, now: int) -> Receipt:
         """All checks run before any mutation; every error path leaves the
-        ledger untouched and replays are rejected by (payer, nonce)."""
+        ledger untouched. A replay is rejected by (payer, nonce), and any
+        other second payment of an invoice by its id."""
         if header.invoice_id != invoice.invoice_id:
             raise SettleError(SettleReason.UNKNOWN_INVOICE)
         if header.amount != invoice.amount:
@@ -385,6 +389,8 @@ class Ledger:
         spent = (payer, header.nonce)
         if spent in self._spent:
             raise SettleError(SettleReason.DUPLICATE_NONCE)
+        if invoice.invoice_id in self._paid:
+            raise SettleError(SettleReason.ALREADY_PAID)
         if self.balances.get(payer, 0) < header.amount:
             raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
         if payee != payer and self.balances.get(payee, 0) + header.amount > MAX_U64:
@@ -403,6 +409,7 @@ class Ledger:
         )
         self.receipts.append(receipt)
         self._spent.add(spent)
+        self._paid.add(invoice.invoice_id)
         self._receipts_digest.update(receipt.canonical_bytes())
         return receipt
 

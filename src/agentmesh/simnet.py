@@ -397,20 +397,21 @@ def _topology_for(config: ScenarioConfig) -> federation.Topology:
 
 
 def run_convergence(config: ScenarioConfig) -> ScenarioReport:
-    """Rounds until one fresh record, put at replica 0, reaches every replica,
-    over `trials` trials, each with its own gossip stream and record."""
+    """Rounds until one signed record, put at replica 0 of a fresh mesh,
+    reaches every replica, over `trials` trials, each with its own gossip
+    stream. The trials share the record: the report reads only its size."""
     topology = _topology_for(config)
+    keypair = _keypair(b"conv-record", config.seed, 0)
+    did = derive_did(keypair.public_key)
+    record = registry.make_record(did, "https://mesh.example/meta", sha256(b"card"), keypair.secret_key, did, 1)
+    resolver = {did: keypair.public_key}
     per_trial: list[int | None] = []  # None marks a trial stopped at the cap
     csv_rows: list[dict] = []
     for trial in range(config.trials):
         trial_seed = hashlib.sha256(f"gossip-trial:{config.seed}:{trial}".encode()).digest()
         rng = random.Random(int.from_bytes(trial_seed[:8], "big"))
-        keypair = _keypair(b"conv-record", config.seed, trial)
-        did = derive_did(keypair.public_key)
-        card_digest = sha256(b"card" + trial.to_bytes(4, "big"))
-        record = registry.make_record(did, "https://mesh.example/meta", card_digest, keypair.secret_key, did, 1)
         mesh = [federation.ReplicaState(i) for i in range(config.n)]
-        mesh[0].local_put(record, logical_time=1, resolver={did: keypair.public_key})
+        mesh[0].local_put(record, logical_time=1, resolver=resolver)
         rounds_used, stats = federation.gossip_to_convergence(mesh, topology, rng, config.rounds_cap)
         per_trial.append(rounds_used)
         csv_rows.extend(

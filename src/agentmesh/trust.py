@@ -74,20 +74,6 @@ class NonConvergentError(RuntimeError):
     """Power iteration failed to reach the residual tolerance."""
 
 
-def _edge_error(i, j, w, n: int) -> str:
-    """Why the edge (i, j, w) is refused, checked in the order the graph
-    states its rules; the last rule left is the one-edge-per-pair rule."""
-    if not (0 <= i < n and 0 <= j < n):
-        return f"edge ({i},{j}) out of range for {n} nodes"
-    if i == j:
-        return f"self-edge at node {i}"
-    if not (0.0 <= w <= 1.0):
-        return f"edge weight {w} outside [0,1]"
-    if i % 1 or j % 1:
-        return f"edge ({i},{j}) has a non-integer index"
-    return f"duplicate edge ({i},{j})"
-
-
 @dataclass(frozen=True, eq=False)
 class TrustGraph:
     """Weighted directed trust graph; weights in [0,1], no self-edges, at
@@ -115,14 +101,21 @@ class TrustGraph:
         # Python ints too large for a float.
         i, j, w = table.T
         with np.errstate(invalid="ignore"):
-            ok = (0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j) & (0.0 <= w) & (w <= 1.0)
             # An index in range is an integer exactly when it is its own floor,
             # which numpy computes far faster than a float remainder; Python
             # ints have no floor loop, so an object table takes the remainder.
             if table.dtype.kind == "O":
-                ok &= (i % 1 == 0) & (j % 1 == 0)
+                integral = (i % 1 == 0) & (j % 1 == 0)
             else:
-                ok &= (np.floor(i) == i) & (np.floor(j) == j)
+                integral = (np.floor(i) == i) & (np.floor(j) == j)
+            # One mask per rule, in the order that names a refused edge.
+            rules = (
+                ((0 <= i) & (i < n) & (0 <= j) & (j < n), "edge ({i},{j}) out of range for {n} nodes"),
+                (i != j, "self-edge at node {i}"),
+                ((0.0 <= w) & (w <= 1.0), "edge weight {w} outside [0,1]"),
+                (integral, "edge ({i},{j}) has a non-integer index"),
+            )
+        ok = np.logical_and.reduce([mask for mask, _message in rules])
         refused = int(np.argmin(ok)) if not ok.all() else len(table)
         # Every edge before the first bad one is valid on its own, so an
         # edge there is refused only as a repeat of an earlier pair.
@@ -137,7 +130,9 @@ class TrustGraph:
             repeat[first] = False
             refused = int(np.argmax(repeat))
         if refused < len(table):
-            raise ValueError(_edge_error(*edges[refused], n))
+            # An edge that passes every mask is refused as a repeat.
+            message = next((m for mask, m in rules if not mask[refused]), "duplicate edge ({i},{j})")
+            raise ValueError(message.format(**dict(zip("ijw", edges[refused])), n=n))
         for name, values in (("src", src), ("dst", dst), ("weight", w.astype(np.float64))):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
@@ -218,14 +213,11 @@ def _fill(W: np.ndarray, graph: TrustGraph, base: np.ndarray) -> None:
     W[~live] = base / base.sum()
 
 
-def row_stochastic(graph: TrustGraph, base: np.ndarray | None = None) -> np.ndarray:
+def row_stochastic(graph: TrustGraph, base: np.ndarray) -> np.ndarray:
     """Normalize out-edge weights row-wise; rows with no (or all-zero)
     out-edges become the normalized base vector."""
-    n = graph.n
-    if base is None:
-        base = np.full(n, 1.0 / n) if n else np.zeros(0)
-    base = _validate_base(base, n)
-    W = _aligned_empty(n)
+    base = _validate_base(base, graph.n)
+    W = _aligned_empty(graph.n)
     _fill(W, graph, base)
     return W
 

@@ -278,8 +278,9 @@ def test_ac7_crdt_laws_and_replica_equality():
     mesh[0].local_put(record, logical_time=1, resolver=resolver)
     topology = federation.Topology.complete(24)
     gossip_rng = random.Random(1207)
+    target = federation.mesh_target(mesh)
     for _ in range(federation.default_round_cap(24)):
-        stats = federation.gossip_round(mesh, topology, gossip_rng)
+        stats = federation.gossip_round(mesh, topology, gossip_rng, target)
         if stats.converged == len(mesh):
             break
     encodings = {m.canonical_store_bytes() for m in mesh}

@@ -24,6 +24,7 @@ from agentmesh.cards import (
 )
 from agentmesh.identity import AttestationCheck, AttestationIssuer, ClaimType, sha256
 from agentmesh.simnet import synthetic_agents
+from agentmesh.wire import dumps
 from _helpers import did_for, json_values, json_with, keypair_for, random_card, unit_embedding, write_cards
 
 
@@ -43,8 +44,8 @@ def _card(**overrides) -> AgentFactCard:
 
 
 def test_well_formed_card_has_no_violations():
-    assert validate_card(_card()) == []
-    assert validate_card(_card(display_name="x" * 128)) == []
+    assert validate_card(_card(), {}) == []
+    assert validate_card(_card(display_name="x" * 128), {}) == []
 
 
 # One card per structural violation, as overrides of the well-formed `_card()`.
@@ -71,7 +72,7 @@ def test_credential_checked_against_resolver(monkeypatch):
     issuer = AttestationIssuer(keypair_for("cred-issuer"))
     att = issuer.issue(did_for("card"), ClaimType.SLA_MET, sha256(b"p"), 1)
     card = _card(credentials=(att,))
-    assert CardViolation.BAD_CREDENTIAL in validate_card(card)  # no resolver supplied
+    assert CardViolation.BAD_CREDENTIAL in validate_card(card, {})  # the resolver knows no key
     resolver = {str(issuer.did): issuer.keypair.public_key}
     assert validate_card(card, resolver) == []
     # A credential about another agent is refused before any signature check.
@@ -100,6 +101,25 @@ def test_self_issued_credential_refused_before_any_signature_check(monkeypatch, 
     card = dataclasses.replace(agent.card, credentials=(credential,))
     assert validate_card(card, resolver) == [CardViolation.BAD_CREDENTIAL]
     assert checked == []
+
+
+@pytest.mark.parametrize("as_sequence", [list, np.array], ids=["list", "ndarray"])
+def test_a_card_built_from_other_sequences_is_the_card_built_from_tuples(as_sequence):
+    """Every card hashes and compares as a value, with the digest and JSON
+    bytes of the card built from tuples."""
+    embedding = unit_embedding(random.Random(11))
+    credential = AttestationIssuer(keypair_for("cred-issuer")).issue(did_for("card"), ClaimType.SLA_MET, sha256(b"p"), 1)
+    capabilities = ("weather.forecast", "weather.alerts")
+    from_tuples = _card(capabilities=capabilities, embedding=embedding, credentials=(credential,))
+    built = [
+        _card(capabilities=list(capabilities), embedding=as_sequence(embedding), credentials=[credential])
+        for _ in range(2)
+    ]
+    assert built[0] == built[1] == from_tuples and hash(built[0]) == hash(from_tuples)
+    assert type(built[0].capabilities) is tuple and type(built[0].credentials) is tuple
+    assert type(built[0].embedding) is cards._CheckedEmbedding and {type(x) for x in built[0].embedding} == {float}
+    assert card_digest(built[0]) == card_digest(from_tuples)
+    assert dumps(built[0].to_json_obj()) == dumps(from_tuples.to_json_obj())
 
 
 def test_encode_deterministic_and_digest_sensitive():

@@ -499,7 +499,7 @@ def test_load_pairs_jsonl(tmp_path):
     rng = random.Random(7)
     for _ in range(5):
         a, b = _rand_features(rng), _rand_features(rng)
-        rows.append({"preferred": a.to_json_obj(), "other": b.to_json_obj()})
+        rows.append({"preferred": dataclasses.asdict(a), "other": dataclasses.asdict(b)})
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     pairs = load_pairs(path)
     assert len(pairs) == 5

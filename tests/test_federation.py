@@ -192,7 +192,7 @@ def test_delta_for_and_its_size_match_a_store_scan_through_puts_and_gossip(n, op
             _name, replica, record, logical_time = op
             mesh[replica % n].local_put(_PUTS[record][0], logical_time, _PUT_RESOLVER)
         else:
-            gossip_round(mesh, Topology.complete(n), random.Random(op[1]))
+            gossip_round(mesh, Topology.complete(n), random.Random(op[1]), mesh_target(mesh))
         digests = [replica.digest() for replica in mesh] + [{}, extra]
         for state in mesh:
             for digest in digests:
@@ -357,7 +357,7 @@ def test_replicas_equal_the_dataclass_tag_bisect_log_full_scan_oracle(n, ops, ex
             mesh[a % n] = merge(mesh[a % n], mesh[b % n])
             oracle[a % n] = _oracle_merge(oracle[a % n], oracle[b % n])
         else:
-            stats = gossip_round(mesh, topology, random.Random(op[1]))
+            stats = gossip_round(mesh, topology, random.Random(op[1]), mesh_target(mesh))
             assert dataclasses.astuple(stats) == _oracle_gossip_round(oracle, topology, random.Random(op[1]))
         for replica, expected in zip(mesh, oracle):
             _assert_same_replica(replica, expected)
@@ -407,7 +407,7 @@ def test_a_replica_at_the_joined_vector_holds_the_joined_store(seed, count):
         assert converged_count(mesh, mesh_target(mesh)) == by_store
         if by_store == len(mesh):
             break
-        gossip_round(mesh, topology, rng)
+        gossip_round(mesh, topology, rng, target_vv)
 
 
 def _joined(state: ReplicaState, *deltas: DeltaSet) -> ReplicaState:
@@ -470,9 +470,10 @@ def test_gossip_n16_seed42_regression_pin():
     mesh[0].local_put(record, logical_time=1, resolver=resolver)
     topology = Topology.complete(16)
     rng = random.Random(42)
+    target = mesh_target(mesh)
     rounds = 0
     while True:
-        stats = gossip_round(mesh, topology, rng)
+        stats = gossip_round(mesh, topology, rng, target)
         rounds += 1
         if stats.converged == 16:
             break
@@ -493,7 +494,7 @@ def test_gossip_round_stats_accounting():
     record, resolver = _seeded_record()
     mesh = [ReplicaState(i) for i in range(4)]
     mesh[0].local_put(record, logical_time=1, resolver=resolver)
-    stats = gossip_round(mesh, Topology.complete(4), random.Random(0))
+    stats = gossip_round(mesh, Topology.complete(4), random.Random(0), mesh_target(mesh))
     assert stats.messages == 12  # 3 messages per contact, 4 contacts
     assert stats.bytes_sent > 0
     assert 0 <= stats.converged <= 4
@@ -550,7 +551,7 @@ def test_gossip_to_convergence_matches_a_hand_written_round_loop(n, cap):
 
 def test_disconnected_topology_reports_nonconvergent():
     mesh = _mesh_with_one_write(2)
-    rounds, stats = gossip_to_convergence(mesh, Topology.from_neighbors([[], []]), random.Random(0), 10)
+    rounds, stats = gossip_to_convergence(mesh, Topology("custom", 2, [[], []]), random.Random(0), 10)
     assert rounds is None
     assert [(s.messages, s.bytes_sent, s.converged) for s in stats] == [(0, 0, 1)] * 10
     assert [len(replica.store) for replica in mesh] == [1, 0]
@@ -599,7 +600,7 @@ def test_random_regular_draws_every_feasible_shape(n):
 def test_complete_topology_draws_and_picks_as_indexing_its_lists():
     for n in range(1, 41):
         implicit = Topology.complete(n)
-        listed = Topology.from_neighbors([[j for j in range(n) if j != i] for i in range(n)])
+        listed = Topology("custom", n, [[j for j in range(n) if j != i] for i in range(n)])
         assert implicit.is_connected()
         for seed in range(4):
             rng_implicit, rng_listed = random.Random(seed), random.Random(seed)

@@ -353,22 +353,24 @@ def test_a_header_does_not_settle_a_changed_copy_of_its_invoice(change, now):
     assert ledger.canonical_bytes() == snapshot and ledger.receipts == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 21: the ledger refuses a repeated (payer, nonce), not a second payment of a paid invoice",
-)
 def test_an_invoice_is_paid_at_most_once():
     payer_kp, _payee_kp, payer, payee, resolver = _parties()
     rng = random.Random(6)
     invoice = create_invoice(payee, 100, "task-1", expires_at=50, rng=rng)
     ephemeral = make_ephemeral(payer_kp, rng.randbytes(32), 0, 50)
     ledger = Ledger({str(payer): 1_000})
-    for nonce in (bytes(16), b"\x01" * 16):
-        header = parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, nonce, now=5))
-        try:
+    first, second = (
+        parse_payment_header(build_payment_header(invoice, payer_kp, ephemeral, nonce, now=5))
+        for nonce in (bytes(16), b"\x01" * 16)
+    )
+    ledger.settle(first, invoice, resolver, now=5)
+    paid = ledger.canonical_bytes()
+    # Another nonce is another payment of the invoice; the same nonce is a replay.
+    for header, reason in ((second, SettleReason.ALREADY_PAID), (first, SettleReason.DUPLICATE_NONCE)):
+        with pytest.raises(SettleError) as err:
             ledger.settle(header, invoice, resolver, now=5)
-        except SettleError:
-            pass
+        assert err.value.reason is reason
+        assert ledger.canonical_bytes() == paid
     assert ledger.balance(payee) == 100 and len(ledger.receipts) == 1
 
 
@@ -619,6 +621,8 @@ def _flat_settle(self: Ledger, header: _FlatHeader, invoice, resolver, now: int)
     spent = (payer, header.nonce)
     if spent in self._spent:
         raise SettleError(SettleReason.DUPLICATE_NONCE)
+    if invoice.invoice_id in self._paid:
+        raise SettleError(SettleReason.ALREADY_PAID)
     if self.balances.get(payer, 0) < header.amount:
         raise SettleError(SettleReason.INSUFFICIENT_FUNDS)
     if payee != payer and self.balances.get(payee, 0) + header.amount > MAX_U64:
@@ -637,6 +641,7 @@ def _flat_settle(self: Ledger, header: _FlatHeader, invoice, resolver, now: int)
     )
     self.receipts.append(receipt)
     self._spent.add(spent)
+    self._paid.add(invoice.invoice_id)
     self._receipts_digest.update(receipt.canonical_bytes())
     return receipt
 

@@ -88,23 +88,23 @@ def test_graph_validation():
 
 def test_row_stochastic_examples():
     g = TrustGraph(nodes=list("ab"), edges=[(0, 1, 0.5), (1, 0, 0.5)])
-    W = row_stochastic(g)
+    W = row_stochastic(g, np.full(2, 0.5))
     assert W[0, 1] == 1.0 and W[1, 0] == 1.0
 
     g2 = TrustGraph(nodes=list("abc"), edges=[(0, 1, 0.2), (0, 2, 0.6)])
-    W2 = row_stochastic(g2)
+    W2 = row_stochastic(g2, np.full(3, 1.0 / 3.0))
     assert W2[0, 1] == pytest.approx(0.25)
     assert W2[0, 2] == pytest.approx(0.75)
 
     g3 = TrustGraph(nodes=list("abcd"), edges=[(1, 0, 1.0)])
-    W3 = row_stochastic(g3)  # rows 0, 2, 3 dangling, uniform base
+    W3 = row_stochastic(g3, np.full(4, 0.25))  # rows 0, 2, 3 dangling, uniform base
     for row in (0, 2, 3):
         assert np.allclose(W3[row], 0.25)
 
 
 def test_all_zero_weight_row_treated_as_dangling():
     g = TrustGraph(nodes=list("abc"), edges=[(0, 1, 0.0), (0, 2, 0.0), (1, 2, 1.0)])
-    W = row_stochastic(g)
+    W = row_stochastic(g, np.full(3, 1.0 / 3.0))
     assert np.allclose(W[0], 1.0 / 3.0)
 
 
@@ -377,8 +377,9 @@ def _row_stochastic_cases(draw):
 @example(case=_SYBIL_CASES[2])
 def test_row_stochastic_equals_the_per_edge_and_per_row_loop(case):
     n, edges, base = case
+    base = np.full(n, 1.0 / n) if base is None else base
     W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges), base)
-    expected = _loop_row_stochastic(n, edges, np.full(n, 1.0 / n) if base is None else base)
+    expected = _loop_row_stochastic(n, edges, base)
     assert np.array_equal(W, expected)
     assert W.tobytes() == expected.tobytes()
 
@@ -532,7 +533,7 @@ def _unaligned_copy(W):
 def test_w_is_64_byte_aligned_and_multiplies_as_an_unaligned_copy(n):
     rng = random.Random(n)
     edges = [(i, j, rng.random()) for i in range(n) for j in range(n) if i != j and rng.random() < 0.1]
-    W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges))
+    W = row_stochastic(TrustGraph(nodes=[str(i) for i in range(n)], edges=edges), np.full(n, 1.0 / n))
     assert W.ctypes.data % 64 == 0
     U = _unaligned_copy(W)
     assert U.ctypes.data % 64 == 8 and np.array_equal(U, W)
