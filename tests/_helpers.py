@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -15,6 +17,30 @@ from agentmesh.cards import EMBED_DIM, AgentFactCard
 from agentmesh.identity import AgentDid, AttestationIssuer, ClaimType, KeyPair, derive_did, generate_keypair, sha256
 from agentmesh.registry import RegistryRecord, make_record
 from agentmesh.wire import dumps
+
+
+# Prints the core name of each OpenBLAS that numpy loaded into the process.
+_OPENBLAS_CORENAME = """
+import ctypes, os
+import numpy
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "openblas" in os.path.basename(line.split()[-1]).lower()}
+for path in sorted(paths):
+    for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            print(get().decode())
+            break
+"""
+
+
+def openblas_corenames(env: dict[str, str] | None = None) -> list[str]:
+    """The core name of each OpenBLAS that numpy loads in a new Python
+    process run under `env` (this process's environment by default): the
+    kernels its matvecs and solves run on. Empty where none can be read."""
+    probe = subprocess.run([sys.executable, "-c", _OPENBLAS_CORENAME], env=env, capture_output=True, text=True)
+    return probe.stdout.split()
 
 
 def keypair_for(label: str) -> KeyPair:

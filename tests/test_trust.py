@@ -32,7 +32,7 @@ from agentmesh.trust import (
     trust_breakdown,
     verification_tier,
 )
-from _helpers import behavior_score
+from _helpers import behavior_score, openblas_corenames
 
 
 def _random_graph(rng: random.Random, n_max: int = 30, density: float = 0.25) -> TrustGraph:
@@ -159,8 +159,9 @@ def test_fixed_point_unique_across_starts():
     assert float(np.max(np.abs(a.values - b.values))) < 10 * tol
 
 
-def _two_matvec_reference(graph, alpha, orientation, tol, start=None):
-    """Verbatim copy of the power iteration that evaluated M @ T twice per T."""
+def _two_matvec_reference(graph, alpha, orientation, tol, start=None, max_iters=None):
+    """Verbatim copy of the power iteration that evaluated M @ T twice per T;
+    past max_iters iterates it raises as that iteration did."""
     base = default_base(graph.n, orientation)
     W = row_stochastic(graph, base)
     M = W if orientation is Orientation.LITERAL else W.T
@@ -168,6 +169,8 @@ def _two_matvec_reference(graph, alpha, orientation, tol, start=None):
     hold = (1.0 - alpha) * base
     trace = [float(np.max(np.abs(T - alpha * (M @ T) - hold)))]
     while trace[-1] >= tol:
+        if max_iters is not None and len(trace) > max_iters:
+            raise trust.NonConvergentError(f"residual {trace[-1]} after {len(trace) - 1} iterations")
         T = alpha * (M @ T) + hold
         trace.append(float(np.max(np.abs(T - alpha * (M @ T) - hold))))
     return T, trace
@@ -354,9 +357,10 @@ def _sybil_cases(n: int = 200, seed: int = 1) -> list[tuple[int, list, np.ndarra
     n_sybil = int(n * config.sybil_fraction)
     honest = simnet._honest_graph_edges(n, simnet.subsystem_rng(seed, "sybil-graph"), n_sybil)
     w_a, w_b = config.sybil_internal_weights
+    nodes, clique = simnet._sybil_layout(n, n_sybil)
     cases = []
     for internal_weight, honest_to_sybil in ((w_a, False), (w_b, False), (w_b, True)):
-        graph = simnet._sybil_graph(n, n_sybil, internal_weight, honest, honest_to_sybil)
+        graph = simnet._sybil_graph(nodes, n, clique, internal_weight, honest, honest_to_sybil)
         edges = list(zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()))
         cases.append((graph.n, edges, np.full(graph.n, 0.5)))
     return cases
@@ -613,6 +617,14 @@ def _max_iters(n: int, alpha: float) -> int:
     return math.ceil(100.0 * math.log(max(n, 2)) / (-math.log(alpha)))
 
 
+def _power_outcome(call):
+    """What a call returns, or the message of the NonConvergentError it raises."""
+    try:
+        return call()
+    except trust.NonConvergentError as error:
+        return f"NonConvergentError: {error}"
+
+
 @pytest.mark.parametrize("cap", [trust._BLOCK - 1, trust._BLOCK, trust._BLOCK + 1, 3 * trust._BLOCK + 5])
 @pytest.mark.parametrize("nan_start", [False, True])
 def test_block_loop_raises_at_the_iterate_and_with_the_message_of_the_one_iterate_loop(cap, nan_start):
@@ -652,6 +664,101 @@ def test_block_loop_raises_as_the_one_iterate_loop_at_benchmark_size():
     assert str(got.value) == str(expected.value)
 
 
+# Matvecs that one call may run past the ones its iterates need: the guessed
+# block length overshot by at most 3 on 600 Sybil-scenario graphs, where a
+# block of _BLOCK iterates throws away up to _BLOCK - 1.
+_MAX_DISCARDED_MATVECS = 3
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_block_lengths_leave_few_matvecs_past_the_converged_iterate(orientation, monkeypatch):
+    """On the sybil scenario's three graphs at its tol, the power loop runs
+    the iterations + 1 matvecs its result needs, and at most
+    _MAX_DISCARDED_MATVECS more: the residuals of iterates 0..iterations
+    each take one. Under LITERAL the run starts from a drawn vector, as in
+    the benchmark-size equality test."""
+    matvecs = []
+    dot = np.dot
+
+    def counting_dot(*args, **kwargs):
+        matvecs.append(args[0].shape)
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting_dot)
+    for case, (n, edges, _base) in enumerate(_SYBIL_CASES):
+        graph = TrustGraph(nodes=[str(i) for i in range(n)], edges=edges)
+        rng = random.Random(case)
+        start = None if orientation is Orientation.TRANSPOSE else np.array([rng.random() for _ in range(n)])
+        matvecs.clear()
+        tv = propagate_trust(graph, alpha=0.85, orientation=orientation, tol=1e-12, start=start)
+        assert set(matvecs) == {(n, n)} and tv.iterations > 2 * trust._BLOCK
+        assert 0 <= len(matvecs) - (tv.iterations + 1) <= _MAX_DISCARDED_MATVECS
+
+
+def _guess_cases():
+    """(name, start, tol) of each edge case of the block-length guess, on one
+    19-node graph: a start scaled by 1e300 (at tol 1e-300 too, where tol over
+    the residual underflows to 0.0), tol 1e-300, where the residual stalls at
+    rounding level, a start that is already the fixed point, and a NaN start.
+    At alpha 0.85 every case but the fixed point reaches the iteration cap."""
+    rng = random.Random(29)
+    start = np.array([rng.random() for _ in range(_GUESS_GRAPH.n)])
+    nan_start = start.copy()
+    nan_start[rng.randrange(_GUESS_GRAPH.n)] = math.nan
+    return {
+        "huge start": (start * 1e300, 1e-11),
+        "huge start, tol 1e-300": (start * 1e300, 1e-300),
+        "tol 1e-300": (start, 1e-300),
+        "fixed point start": ("fixed point", 1e-14),
+        "nan start": (nan_start, 1e-11),
+    }
+
+
+_GUESS_GRAPH = _random_graph(random.Random(29))
+_GUESS_CASES = _guess_cases()
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("case", list(_GUESS_CASES))
+def test_block_length_guess_is_total_and_leaves_every_result_as_the_one_iterate_loops(case, orientation):
+    """Each edge case returns, or raises with the message, as both one-iterate
+    loops do, with the bits, count and trace; a ValueError or OverflowError
+    from the guess would escape and fail the test. The two-matvec loop
+    stops at a NaN residual, which its `>= tol` test does not pass, so a NaN
+    start is checked against the allocating loop alone."""
+    graph, alpha = _GUESS_GRAPH, 0.85
+    start, tol = _GUESS_CASES[case]
+    base = default_base(graph.n, orientation)
+    W = row_stochastic(graph, base)
+    M = W if orientation is Orientation.LITERAL else W.T
+    cap = _max_iters(graph.n, alpha)
+    if isinstance(start, str):
+        start = _loop_propagate(M, base, alpha, tol, base)[0]
+
+    def result(T, iterations, trace):
+        return T.tobytes(), iterations, tuple(trace), trace[-1]
+
+    def blocks():
+        tv = propagate_trust(graph, alpha=alpha, orientation=orientation, tol=tol, start=start, keep_trace=True)
+        return tv.values.tobytes(), tv.iterations, tv.residual_trace, tv.residual
+
+    def allocating():
+        return result(*_loop_propagate(M, base, alpha, tol, start, max_iters=cap))
+
+    def two_matvec():
+        T, trace = _two_matvec_reference(graph, alpha, orientation, tol, start, max_iters=cap)
+        return result(T, len(trace) - 1, trace)
+
+    got = _power_outcome(blocks)
+    assert got == _power_outcome(allocating)
+    if case != "nan start":
+        assert got == _power_outcome(two_matvec)
+    if case == "fixed point start":
+        assert got[1] == 0
+    else:
+        assert got.endswith(f" after {cap} iterations")
+
+
 def test_returned_values_share_no_memory_with_the_block_buffers(monkeypatch):
     buffers = []
     empty = np.empty
@@ -670,14 +777,6 @@ def test_returned_values_share_no_memory_with_the_block_buffers(monkeypatch):
 
 
 # -- fixed_points: one buffer for a list of graphs ----------------------------
-
-
-def _fixed_point_outcome(call):
-    """What a call returns, or the message of the NonConvergentError it raises."""
-    try:
-        return call()
-    except trust.NonConvergentError as error:
-        return f"NonConvergentError: {error}"
 
 
 def _assert_same_fixed_points(got, expected):
@@ -701,7 +800,7 @@ def _one_graph_at_a_time(graphs, alpha, base, orientation, tol):
     own W; the first NonConvergentError stops the list."""
     results = []
     for graph in graphs:
-        vector = _fixed_point_outcome(lambda: propagate_trust(graph, alpha=alpha, base=base, orientation=orientation, tol=tol))
+        vector = _power_outcome(lambda: propagate_trust(graph, alpha=alpha, base=base, orientation=orientation, tol=tol))
         if isinstance(vector, str):
             return vector
         results.append((vector, solve_trust_exact(graph, alpha=alpha, base=base, orientation=orientation)))
@@ -728,11 +827,11 @@ def test_fixed_points_equal_propagate_and_solve_graph_by_graph(data):
         tol = data.draw(st.sampled_from([1e-6, 1e-11, 1e-300]))
     kwargs = dict(alpha=alpha, base=base, orientation=orientation, tol=tol)
     _assert_same_fixed_points(
-        _fixed_point_outcome(lambda: fixed_points(graphs, **kwargs)), _one_graph_at_a_time(graphs, **kwargs)
+        _power_outcome(lambda: fixed_points(graphs, **kwargs)), _one_graph_at_a_time(graphs, **kwargs)
     )
     for graph in graphs:
         _assert_same_fixed_points(
-            _fixed_point_outcome(lambda: fixed_points([graph], **kwargs)), _one_graph_at_a_time([graph], **kwargs)
+            _power_outcome(lambda: fixed_points([graph], **kwargs)), _one_graph_at_a_time([graph], **kwargs)
         )
 
 
@@ -801,27 +900,13 @@ _POWER_LOOP_TESTS = (
     "test_block_loop_equals_the_one_iterate_loops_at_benchmark_size",
     "test_block_loop_raises_at_the_iterate_and_with_the_message_of_the_one_iterate_loop",
     "test_block_loop_raises_as_the_one_iterate_loop_at_benchmark_size",
+    "test_block_lengths_leave_few_matvecs_past_the_converged_iterate",
+    "test_block_length_guess_is_total_and_leaves_every_result_as_the_one_iterate_loops",
     "test_returned_values_share_no_memory_with_the_block_buffers",
     "test_fixed_points_equal_propagate_and_solve_graph_by_graph",
     "test_fixed_points_raise_the_message_of_propagate_trust",
     "test_fixed_points_return_no_view_of_their_buffers",
 )
-
-# Prints the core name of each OpenBLAS that numpy loaded into the process.
-_OPENBLAS_CORENAME = """
-import ctypes, os
-import numpy
-with open("/proc/self/maps") as maps:
-    paths = {line.split()[-1] for line in maps if "openblas" in os.path.basename(line.split()[-1]).lower()}
-for path in sorted(paths):
-    for name in ("openblas_get_corename", "scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-        get = getattr(ctypes.CDLL(path), name, None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            print(get().decode())
-            break
-"""
-
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64 ones")
 def test_power_loop_equality_holds_under_the_haswell_kernels():
@@ -829,9 +914,9 @@ def test_power_loop_equality_holds_under_the_haswell_kernels():
     runs its Haswell (AVX2) kernels, whatever kernels this CPU would get.
     OPENBLAS_CORETYPE is set for the child alone."""
     env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
-    probe = subprocess.run([sys.executable, "-c", _OPENBLAS_CORENAME], env=env, capture_output=True, text=True)
-    if probe.stdout.split() != ["Haswell"]:
-        pytest.skip(f"the child's OpenBLAS reports {probe.stdout.split() or 'no core name'}, not Haswell")
+    cores = openblas_corenames(env)
+    if cores != ["Haswell"]:
+        pytest.skip(f"the child's OpenBLAS reports {cores or 'no core name'}, not Haswell")
     here = Path(__file__)
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(f"{here}::{name}" for name in _POWER_LOOP_TESTS)],
